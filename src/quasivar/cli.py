@@ -29,7 +29,8 @@ from .energy import J_eval, dJ_apply, j_value
 from .exponents import (ExponentConfig, InfeasibleIntervalError,
                         NonAdmissibleConfigError, check_model_hypotheses,
                         compute_model_constants, derive_auxiliary_exponents)
-from .grid import FieldPair, Grid, GridFunction, dump_field, ell_norm
+from .grid import (Grid, GridFunction, dump_field, random_field_pair,
+                   sine_modes)
 from .model import ModelFunctions
 from .mpsolver import (NoNegativeEnergyError, SolverParams, certify_geometry,
                        mountain_pass_search, multiplicity_search,
@@ -162,7 +163,7 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _json_scalar(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if x is None:
         return "null"
@@ -275,28 +276,6 @@ def cmd_constants(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK
 
 
-def random_field_pair(grid: Grid, rng: np.random.Generator,
-                      n_modes: int = 3) -> FieldPair:
-    """Seeded random low-frequency field pair for consistency checks."""
-    def one() -> GridFunction:
-        vals = grid.zeros()
-        if grid.dimension == 1:
-            x = grid.node_coords()[:, 0]
-            for k in range(n_modes):
-                vals += rng.standard_normal() * np.sin((k + 1) * np.pi * x)
-        else:
-            coords = grid.node_coords()
-            x = coords[:, 0].reshape(grid.node_shape)
-            y = coords[:, 1].reshape(grid.node_shape)
-            for kx in range(n_modes):
-                for ky in range(n_modes):
-                    vals += rng.standard_normal() * np.sin((kx + 1) * np.pi * x) \
-                        * np.sin((ky + 1) * np.pi * y)
-        vals[grid.boundary_mask()] = 0.0
-        return GridFunction(grid, vals)
-    return FieldPair(one(), one())
-
-
 def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
                     epsilon_reg: float = 1e-8,
                     steps: tuple[float, ...] = (1e-2, 10 ** -2.5, 1e-3,
@@ -309,8 +288,9 @@ def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
     """
     mf = ModelFunctions(cfg, epsilon_reg=epsilon_reg)
     rng = np.random.default_rng(seed)
-    fp = random_field_pair(grid, rng)
-    d = random_field_pair(grid, rng)
+    modes = sine_modes(grid, 3)
+    fp = random_field_pair(grid, rng, modes)
+    d = random_field_pair(grid, rng, modes)
     exact = dJ_apply(fp, d, mf)
     scale = max(1.0, abs(exact))
     errors = []
@@ -439,15 +419,6 @@ _COMMANDS = {
 }
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("QUASIVAR_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasivar",
@@ -469,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     em = Emitter(quiet=False)

@@ -317,12 +317,53 @@ def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
     return norm_W(fp.u, p1) + norm_W(fp.v, p2)
 
 
+def ray_coefficients(fp: FieldPair, cfg: "ExponentConfig",
+                     ) -> tuple[float, float, float]:
+    """Coefficients (a, b1, b2) of the ell-norm along the ray tau -> tau w.
+
+    a is the W-norm of w = (u, v), and b1, b2 are the W-norms of the
+    power-mapped components |u|^s1 u and |v|^s2 v, so that
+    ell(tau w) = max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2) for tau >= 0.
+    """
+    return (pair_norm_W(fp, cfg.p1, cfg.p2),
+            norm_W(power_map(fp.u, cfg.s1), cfg.p1),
+            norm_W(power_map(fp.v, cfg.s2), cfg.p2))
+
+
 def ell_norm(fp: FieldPair, cfg: "ExponentConfig") -> float:
     """max of the W-norm of (u,v) and the W-norm of the power-mapped pair."""
-    plain = pair_norm_W(fp, cfg.p1, cfg.p2)
-    mapped = (norm_W(power_map(fp.u, cfg.s1), cfg.p1)
-              + norm_W(power_map(fp.v, cfg.s2), cfg.p2))
-    return max(plain, mapped)
+    a, b1, b2 = ray_coefficients(fp, cfg)
+    return max(a, b1 + b2)
+
+
+def sine_modes(grid: Grid, n_modes: int) -> np.ndarray:
+    """Nodal values of sin(k pi x), k = 1..n_modes, along one axis.
+
+    Shape (n_modes, n); the same table serves every axis of the grid.
+    """
+    return np.sin((np.arange(1, n_modes + 1) * np.pi)[:, None] * grid._axis)
+
+
+def random_field_pair(grid: Grid, rng: np.random.Generator,
+                      modes: np.ndarray) -> FieldPair:
+    """Seeded random pair of sine-mode combinations, u drawn before v.
+
+    Each component draws one standard normal coefficient per mode
+    (per mode pair in 2D, in row-major order) and sums the tabulated
+    ``modes`` of :func:`sine_modes` with them.
+    """
+    n_modes = modes.shape[0]
+
+    def one() -> GridFunction:
+        coeffs = rng.standard_normal((n_modes,) * grid.dimension)
+        if grid.dimension == 1:
+            vals = coeffs @ modes
+        else:
+            vals = modes.T @ coeffs @ modes
+        vals[grid.boundary_mask()] = 0.0
+        return GridFunction(grid, vals)
+
+    return FieldPair(one(), one())
 
 
 def dump_field(gf: GridFunction) -> str:

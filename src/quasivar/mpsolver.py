@@ -21,8 +21,9 @@ import scipy.optimize
 from .eigen import EigenPair, first_eigenpair
 from .energy import dJ_loads, gradient_representative, j_value, residual_norm
 from .exponents import ExponentConfig
-from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf, norm_W,
-                   pair_norm_W)
+from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf,
+                   pair_norm_W, random_field_pair, ray_coefficients,
+                   sine_modes)
 from .model import ModelFunctions
 
 
@@ -116,50 +117,46 @@ def find_endpoint(cfg: ExponentConfig, grid: Grid, eigenpair: EigenPair,
     return endpoint
 
 
-def _random_mode_field(grid: Grid, rng: np.random.Generator,
-                       n_modes: int = 4) -> GridFunction:
-    coeffs = rng.standard_normal((n_modes,) * grid.dimension)
-    vals = grid.zeros()
-    if grid.dimension == 1:
-        x = grid.node_coords()[:, 0]
-        for k in range(n_modes):
-            vals += coeffs[k] * np.sin((k + 1) * np.pi * x)
-    else:
-        coords = grid.node_coords()
-        x = coords[:, 0].reshape(grid.node_shape)
-        y = coords[:, 1].reshape(grid.node_shape)
-        for kx in range(n_modes):
-            for ky in range(n_modes):
-                vals += coeffs[kx, ky] * np.sin((kx + 1) * np.pi * x) \
-                    * np.sin((ky + 1) * np.pi * y)
-    vals[grid.boundary_mask()] = 0.0
-    return GridFunction(grid, vals)
+def _mapped_scale(b1: float, e1: float, b2: float, e2: float,
+                  r0: float) -> float:
+    """The tau > 0 with b1 tau^e1 + b2 tau^e2 = r0, for b1 + b2 > 0.
+
+    Closed form when one term is absent or the exponents agree; otherwise
+    a bracketed root-find of the increasing sum of two power laws.
+    """
+    if b2 == 0.0 or e1 == e2:
+        return (r0 / (b1 + b2)) ** (1.0 / e1)
+    if b1 == 0.0:
+        return (r0 / b2) ** (1.0 / e2)
+    # each term alone reaches r0 by its own crossing, so at twice the
+    # smaller crossing the sum is at least 2 r0
+    hi = 2.0 * min((r0 / b1) ** (1.0 / e1), (r0 / b2) ** (1.0 / e2))
+    return scipy.optimize.brentq(
+        lambda t: b1 * t ** e1 + b2 * t ** e2 - r0, 0.0, hi,
+        xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
-def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float,
-                 rtol: float = 1e-10) -> FieldPair:
+def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
     """Rescale a nonzero pair so its ell-norm equals r0.
 
-    ell is not homogeneous when s_i > 0, so the scale factor is found by
-    bisection on the strictly increasing map tau -> ell(tau u, tau v).
+    Along the ray tau -> tau w the ell-norm is the fibering map
+    max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2), with the coefficients of
+    ``ray_coefficients``.  Both branches increase in tau, so the scale is
+    the smaller of their crossings of r0: r0/a, and the root of the
+    power-law branch (closed form when s1 = s2).
     """
-    base = ell_norm(fp, cfg)
-    if base == 0.0:
-        raise ValueError("cannot rescale the zero pair")
-    lo, hi = 0.0, r0 / base
-    while ell_norm(fp * hi, cfg) < r0:
-        lo = hi
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = ell_norm(fp * mid, cfg)
-        if abs(val - r0) <= rtol * r0:
-            return fp * mid
-        if val < r0:
-            lo = mid
-        else:
-            hi = mid
-    return fp * (0.5 * (lo + hi))
+    with np.errstate(over="ignore"):
+        a, b1, b2 = ray_coefficients(fp, cfg)
+    if not (0.0 < a < math.inf and 0.0 < b1 + b2 < math.inf):
+        # the norms under- or overflowed at this amplitude (or the pair is
+        # zero); read the coefficients off the pair scaled to peak 1
+        peak = max(norm_Linf(fp.u), norm_Linf(fp.v))
+        if peak == 0.0:
+            raise ValueError("cannot rescale the zero pair")
+        fp = fp * (1.0 / peak)
+        a, b1, b2 = ray_coefficients(fp, cfg)
+    tau = min(r0 / a, _mapped_scale(b1, cfg.s1 + 1.0, b2, cfg.s2 + 1.0, r0))
+    return fp * tau
 
 
 def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
@@ -170,20 +167,22 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
 
     Samples seeded random Fourier-mode pairs rescaled to ell = r0 and
     records the minimum energy rho0.  The certificate validates when
-    rho0 > 0 and an endpoint beyond the sphere with negative energy
-    exists.  A non-positive rho0 returns a non-validated certificate
-    rather than raising: the geometry may genuinely fail at that radius.
+    rho0 is finite and positive and an endpoint beyond the sphere with
+    negative energy exists.  A non-positive rho0 returns a non-validated
+    certificate rather than raising: the geometry may genuinely fail at
+    that radius.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
+    if n_samples < 1:
+        raise ValueError("certification needs at least one sample")
     mf = mf or ModelFunctions(cfg)
     rng = np.random.default_rng(seed)
+    modes = sine_modes(grid, 4)
     rho0 = math.inf
     min_sample = None
     for _ in range(n_samples):
-        u = _random_mode_field(grid, rng)
-        v = _random_mode_field(grid, rng)
-        sample = scale_to_ell(FieldPair(u, v), cfg, r0)
+        sample = scale_to_ell(random_field_pair(grid, rng, modes), cfg, r0)
         val = j_value(sample, mf)
         if val < rho0:
             rho0 = val
@@ -197,8 +196,8 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
         level = j_value(endpoint, mf)
     except NoNegativeEnergyError:
         pass
-    validated = (rho0 > 0.0 and endpoint is not None and level < 0.0
-                 and ell_norm(endpoint, cfg) > r0)
+    validated = (0.0 < rho0 < math.inf and endpoint is not None
+                 and level < 0.0 and ell_norm(endpoint, cfg) > r0)
     return GeometryCertificate(r0=r0, rho0=rho0, endpoint=endpoint,
                                endpoint_level=level, samples=n_samples,
                                min_sample=min_sample, validated=validated)
@@ -397,7 +396,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         fields=best, level=level, residual=residual,
         nontriviality=nontrivial,
         linf_u=norm_Linf(best.u), linf_v=norm_Linf(best.v),
-        iterations=it, converged=converged and not collapsed,
+        iterations=it, converged=bool(converged and not collapsed),
         collapsed=collapsed, provenance=provenance)
 
 
@@ -449,7 +448,7 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
             continue
         cert = replace(base_cert, endpoint=endpoint,
                        endpoint_level=j_value(endpoint, mf),
-                       validated=base_cert.rho0 > 0.0
+                       validated=0.0 < base_cert.rho0 < math.inf
                        and ell_norm(endpoint, cfg) > base_cert.r0)
         if not cert.validated:
             continue
@@ -490,5 +489,5 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
         level=level, residual=res,
         cerami_residual=res * (1.0 + x_norm),
         nontriviality=nontrivial, linf_u=linf_u, linf_v=linf_v,
-        trivial=nontrivial < nontrivial_floor,
-        positive_level=level > 0.0)
+        trivial=bool(nontrivial < nontrivial_floor),
+        positive_level=bool(level > 0.0))

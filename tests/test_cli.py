@@ -191,6 +191,17 @@ class TestSolveAndMulti:
         assert cand["converged"] is True
         assert cand["level"] > 0.0
 
+    def test_unconverged_solve_exits_one_with_json_lines(self, capsys,
+                                                          tmp_path):
+        p = tmp_path / "solve.txt"
+        p.write_text(DECOUPLED_TEXT.replace("N = 2", "N = 1")
+                     .replace("dimension = 2", "dimension = 1")
+                     + "max_iters = 20\ntol = 1e-30\n")
+        code, records = run_cli(capsys, "solve", "--config", str(p))
+        assert code == 1
+        cand = [r for r in records if r["record"] == "candidate"][0]
+        assert cand["converged"] is False
+
     def test_multi_1d(self, capsys, tmp_path):
         p = tmp_path / "multi.txt"
         p.write_text(DECOUPLED_TEXT.replace("dimension = 2", "dimension = 1")

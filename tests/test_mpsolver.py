@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       NoNegativeEnergyError, SolverParams, certify_geometry,
                       ell_norm, find_endpoint, first_eigenpair, j_value,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
+from quasivar.grid import random_field_pair, sine_modes
 from quasivar.mpsolver import _scale_until_negative
 
 from oracles import model_ground_state, model_k_bump
@@ -62,6 +65,73 @@ class TestScaleToEll:
         with pytest.raises(ValueError):
             scale_to_ell(FieldPair.zero(Grid(2, 9)), coupled_cfg, 0.1)
 
+    @given(s1=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+           s2=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+           p1=st.sampled_from((1.5, 2.0, 3.0)),
+           p2=st.sampled_from((1.5, 2.0, 3.0)),
+           vanishing=st.sampled_from((None, "u", "v")),
+           amplitude=st.floats(1e-3, 1e3),
+           r0=st.sampled_from((0.05, 0.1, 1.0, 7.3, 100.0)),
+           seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_fibering_scale_hits_radius(self, coupled_cfg, s1, s2, p1, p2,
+                                        vanishing, amplitude, r0, seed):
+        cfg = dataclasses.replace(coupled_cfg, s1=s1, s2=s2, p1=p1, p2=p2)
+        g = Grid(2, 17)
+        fp = random_field_pair(g, np.random.default_rng(seed),
+                               sine_modes(g, 4)) * amplitude
+        if vanishing == "u":
+            fp = FieldPair(GridFunction.zero(g), fp.v)
+        elif vanishing == "v":
+            fp = FieldPair(fp.u, GridFunction.zero(g))
+        scaled = scale_to_ell(fp, cfg, r0)
+        assert abs(ell_norm(scaled, cfg) / r0 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("amplitude", [1e-100, 1e100])
+    def test_hits_radius_where_the_power_map_leaves_float_range(
+            self, coupled_cfg, amplitude):
+        # at 1e-100 the power-mapped gradients underflow to 0, at 1e100
+        # they overflow to inf
+        g = Grid(2, 17)
+        fp = random_field_pair(g, np.random.default_rng(3),
+                               sine_modes(g, 4)) * amplitude
+        scaled = scale_to_ell(fp, coupled_cfg, 0.1)
+        assert abs(ell_norm(scaled, coupled_cfg) / 0.1 - 1.0) <= 1e-12
+
+
+def _per_mode_field(grid, rng, n_modes):
+    """Reference: the per-mode loop certify drew its samples with."""
+    coeffs = rng.standard_normal((n_modes,) * grid.dimension)
+    vals = grid.zeros()
+    if grid.dimension == 1:
+        x = grid.node_coords()[:, 0]
+        for k in range(n_modes):
+            vals += coeffs[k] * np.sin((k + 1) * np.pi * x)
+    else:
+        coords = grid.node_coords()
+        x = coords[:, 0].reshape(grid.node_shape)
+        y = coords[:, 1].reshape(grid.node_shape)
+        for kx in range(n_modes):
+            for ky in range(n_modes):
+                vals += coeffs[kx, ky] * np.sin((kx + 1) * np.pi * x) \
+                    * np.sin((ky + 1) * np.pi * y)
+    vals[grid.boundary_mask()] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("dimension, n_modes", [(1, 3), (1, 4), (2, 3),
+                                                (2, 4)])
+def test_random_pair_matches_per_mode_loop(dimension, n_modes):
+    g = Grid(dimension, 65)
+    modes = sine_modes(g, n_modes)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(8):
+        fp = random_field_pair(g, rng, modes)
+        for gf in (fp.u, fp.v):
+            ref = _per_mode_field(g, ref_rng, n_modes)
+            assert np.all(gf.values[g.boundary_mask()] == 0.0)
+            assert np.max(np.abs(gf.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestCertifyGeometry:
     def test_decoupled_validates(self, decoupled_cfg):
@@ -81,6 +151,11 @@ class TestCertifyGeometry:
     def test_rejects_nonpositive_radius(self, decoupled_cfg):
         with pytest.raises(ValueError):
             certify_geometry(decoupled_cfg, Grid(2, 9), 0.0)
+
+    def test_rejects_no_samples(self, decoupled_cfg):
+        # with no sample rho0 stays infinite: nothing was certified
+        with pytest.raises(ValueError):
+            certify_geometry(decoupled_cfg, Grid(2, 9), 0.1, n_samples=0)
 
     def test_deterministic(self, decoupled_cfg):
         g = Grid(2, 17)
