@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf, norm_W)
 from .model import ModelFunctions
@@ -103,6 +104,39 @@ def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]
     fu = grid.scatter(mf.At_eval(um, ug) - mf.Gu_eval(um, vm), mf.a_eval(um, ug))
     fv = grid.scatter(mf.Bt_eval(vm, vg) - mf.Gv_eval(um, vm), mf.b_eval(vm, vg))
     return fu, fv
+
+
+def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
+    """Exact Jacobian of the interior loads (F_u, F_v) as one sparse matrix.
+
+    Unknowns and equations are the interior nodal values of u, then of v.
+    With E the stacked element operators (M; D_k) of ``element_operators``,
+    the u-block is vol E^T H E, where the per-cell Hessian H has entries
+    A_tt - G_uu (value, value), the mixed derivative (value, gradient and
+    gradient, value) and the xi-Jacobian of a (gradient, gradient); the
+    v-block likewise from B, and the coupling blocks are -vol M^T G_uv M.
+    """
+    grid = fp.grid
+    dim, cells = grid.dimension, grid.num_cells
+    um, ug, vm, vg = _element_data(fp)
+    g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
+    k = dim + 1
+    blocks = [[None] * (2 * k) for _ in range(2 * k)]
+    for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):
+        tt, t_xi, xi_xi = mf.coef_hessian(t, xi, c + 1)
+        t_xi = t_xi.reshape(cells, dim)
+        xi_xi = xi_xi.reshape(cells, dim, dim)
+        o = c * k
+        blocks[o][o] = sp.diags(tt.ravel() - g_tt)
+        for a in range(dim):
+            blocks[o][o + 1 + a] = blocks[o + 1 + a][o] = sp.diags(t_xi[:, a])
+            for b in range(dim):
+                blocks[o + 1 + a][o + 1 + b] = sp.diags(xi_xi[:, a, b])
+    blocks[0][k] = blocks[k][0] = sp.diags(-g_uv)
+    H = sp.bmat(blocks, format="csr")
+    E = grid.element_operators()
+    E2 = sp.block_diag((E, E), format="csr")
+    return (grid.cell_volume * (E2.T @ (H @ E2))).tocsc()
 
 
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:

@@ -38,6 +38,7 @@ class Grid:
         self.cell_volume = self.h ** dimension
         self.num_cells = (n - 1) ** dimension
         self._lap_solve = None  # cached factorized stiffness
+        self._element_ops = None  # cached sparse element operators
         axis = np.linspace(0.0, 1.0, n)
         self._axis = axis
         centers = 0.5 * (axis[:-1] + axis[1:])
@@ -126,6 +127,27 @@ class Grid:
                 out[1:, 1:] += gx + gy
         out[self.boundary_mask()] = 0.0
         return out
+
+    def element_operators(self) -> sp.csr_matrix:
+        """Sparse (midpoint_values; element_gradients) on interior nodes.
+
+        The rows are the midpoint map M, then the gradient maps D_x (and
+        D_y in 2D), one block of num_cells rows each in the cell order of
+        ``midpoint_values(...).ravel()``.  The columns are the interior
+        nodes in the order of ``values[~boundary_mask()]``.  ``scatter``
+        applies the transpose weighted by the cell volume.
+        """
+        if self._element_ops is None:
+            # one-axis midpoint average and difference quotient; in 2D the
+            # node index is i * n + j, so the first kron factor acts on x
+            eye = sp.identity(self.n, format="csr")
+            avg = 0.5 * (eye[:-1] + eye[1:])
+            diff = (eye[1:] - eye[:-1]) / self.h
+            ops = ([avg, diff] if self.dimension == 1 else
+                   [sp.kron(avg, avg), sp.kron(diff, avg), sp.kron(avg, diff)])
+            E = sp.vstack(ops, format="csr")
+            self._element_ops = E[:, np.flatnonzero(~self.boundary_mask())]
+        return self._element_ops
 
     # -- discrete Laplacian ----------------------------------------------------
 

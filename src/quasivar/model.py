@@ -36,17 +36,27 @@ def _abs_pow(t: np.ndarray, e: float) -> np.ndarray:
     return np.abs(np.asarray(t, dtype=float)) ** e
 
 
+def _reg_pow(x: np.ndarray, e: float, eps: float) -> np.ndarray:
+    """(x + eps^2)^e for x >= 0; for eps = 0 and e < 0 the limit 0 at x = 0."""
+    if eps > 0:
+        return (x + eps * eps) ** e
+    if e >= 0:
+        return x ** e
+    # exact singular form: finite only through the product with a
+    # vanishing factor
+    with np.errstate(divide="ignore"):
+        out = np.where(x > 0, x, 1.0) ** e
+    return np.where(x > 0, out, 0.0)
+
+
 def _xi_factor(xi_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
     """(|xi|^2 + eps^2)^{(p-2)/2}, with the exact limit 0*|xi|^{p-2} -> 0."""
-    e = (p - 2.0) / 2.0
-    if eps > 0 and p < 2:
-        return (xi_sq + eps * eps) ** e
-    if p >= 2:
-        return xi_sq ** e
-    # exact singular form: finite only through the product with xi
-    with np.errstate(divide="ignore"):
-        out = np.where(xi_sq > 0, xi_sq, 1.0) ** e
-    return np.where(xi_sq > 0, out, 0.0)
+    return _reg_pow(xi_sq, (p - 2.0) / 2.0, eps if p < 2 else 0.0)
+
+
+def _pow_limit(t: np.ndarray, e: float) -> np.ndarray:
+    """|t|^e, with the limit value 0 at t = 0 also for e < 0."""
+    return _reg_pow(np.abs(np.asarray(t, dtype=float)), e, 0.0)
 
 
 @dataclass
@@ -54,9 +64,10 @@ class ModelFunctions:
     """Evaluator bundle for one exponent configuration.
 
     Satisfies the generic coefficient-evaluator contract (methods
-    A_eval/a_eval/At_eval, the B-family, and G_eval/Gu_eval/Gv_eval), so
-    user-supplied plugin bundles with the same methods are accepted
-    everywhere a ModelFunctions is.
+    A_eval/a_eval/At_eval, the B-family, and G_eval/Gu_eval/Gv_eval, plus
+    the second derivatives coef_hessian and G_hessian that the Newton
+    polish assembles its Jacobian from), so user-supplied plugin bundles
+    with the same methods are accepted everywhere a ModelFunctions is.
     """
 
     cfg: ExponentConfig
@@ -144,6 +155,59 @@ class ModelFunctions:
             out = out + (cfg.gamma2 * cfg.c_star * np.abs(u) ** cfg.gamma1
                          * _sgn_pow(v, cfg.gamma2 - 1.0))
         return out
+
+    # -- second derivatives ----------------------------------------------------
+
+    def coef_hessian(self, t, xi, component: int,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second derivatives of A (component 1) or B (component 2).
+
+        Returns (tt, t_xi, xi_xi) of shapes (...), (..., dim) and
+        (..., dim, dim): the t-derivative of At_eval, the mixed derivative
+        (the t-derivative of a_eval and the xi-gradient of At_eval) and
+        the xi-Jacobian of a_eval.  The xi-factors carry the regularization
+        of a_eval, so the mixed derivative is one array for both; the
+        t = 0 limit of |t|^{sp-2} (singular for sp < 2) is taken as 0.
+        """
+        cfg = self.cfg
+        p, s = (cfg.p1, cfg.s1) if component == 1 else (cfg.p2, cfg.s2)
+        t = np.asarray(t, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        xi_sq = np.sum(xi * xi, axis=-1)
+        eps = self.epsilon_reg if p < 2 else 0.0
+        f = _reg_pow(xi_sq, (p - 2.0) / 2.0, eps)
+        xi_xi = f[..., None, None] * np.eye(xi.shape[-1])
+        if p != 2:
+            f2 = _reg_pow(xi_sq, (p - 4.0) / 2.0, eps)
+            xi_xi = xi_xi + ((p - 2.0) * f2)[..., None, None] \
+                * xi[..., :, None] * xi[..., None, :]
+        sp_ = s * p
+        xi_xi = (1.0 + _abs_pow(t, sp_))[..., None, None] * xi_xi
+        if s == 0:
+            shape = np.broadcast_shapes(t.shape, xi_sq.shape)
+            return np.zeros(shape), np.zeros(shape + xi.shape[-1:]), xi_xi
+        tt = s * (sp_ - 1.0) * _pow_limit(t, sp_ - 2.0) * xi_sq ** (p / 2.0)
+        t_xi = (sp_ * np.sign(t) * _pow_limit(t, sp_ - 1.0) * f)[..., None] * xi
+        return tt, t_xi, xi_xi
+
+    def G_hessian(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second derivatives (G_uu, G_uv, G_vv), negative powers of |u|, |v|
+        taken as 0 at 0."""
+        cfg = self.cfg
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        guu = (cfg.q1 - 1.0) * _pow_limit(u, cfg.q1 - 2.0)
+        gvv = (cfg.q2 - 1.0) * _pow_limit(v, cfg.q2 - 2.0)
+        guv = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+        if cfg.c_star > 0:
+            c, g1, g2 = cfg.c_star, cfg.gamma1, cfg.gamma2
+            guu = guu + (c * g1 * (g1 - 1.0) * _pow_limit(u, g1 - 2.0)
+                         * np.abs(v) ** g2)
+            gvv = gvv + (c * g2 * (g2 - 1.0) * np.abs(u) ** g1
+                         * _pow_limit(v, g2 - 2.0))
+            guv = (c * g1 * g2 * np.sign(u) * _pow_limit(u, g1 - 1.0)
+                   * np.sign(v) * _pow_limit(v, g2 - 1.0))
+        return guu, guv, gvv
 
     def exact(self) -> "ModelFunctions":
         """The unregularized (eps = 0) evaluator bundle."""

@@ -4,9 +4,10 @@ The search is a path-deformation method: a discretized path from the
 origin to a negative-energy endpoint is deformed by moving its energy
 maximum (and a small stencil of neighbors) along the negative Sobolev
 gradient with Armijo backtracking, until the preconditioned residual at
-the path maximum drops below tolerance.  Multiplicity is approximated
-heuristically by multi-start over sign-structured seeds plus deflation
-of duplicates; this does not certify min-max levels.
+the path maximum drops below tolerance.  An exact sparse Newton polish
+jumps from a ridge point to the nearby critical point.  Multiplicity is
+approximated heuristically by multi-start over sign-structured seeds
+plus deduplication up to sign; this does not certify min-max levels.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 import scipy.optimize
+from scipy.sparse.linalg import splu
 
 from .eigen import EigenPair, first_eigenpair
-from .energy import dJ_loads, gradient_representative, j_value, residual_norm
+from .energy import (dJ_jacobian, dJ_loads, gradient_representative, j_value,
+                     residual_norm)
 from .exponents import ExponentConfig
 from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf,
                    pair_norm_W, random_field_pair, ray_coefficients,
@@ -205,13 +208,17 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                       max_iter: int = 200) -> FieldPair | None:
-    """Newton-Krylov refinement of an approximate critical point.
+    """Exact sparse Newton refinement of an approximate critical point.
 
-    Solves for a zero of the Riesz gradient representative (the same
-    preconditioned residual the deformation loop monitors) starting from
-    the path maximum.  Returns the refined pair, or None when the solve
-    fails or wanders off (trust region: the correction must stay within
-    half the starting norm, so the polish cannot swap basins).
+    Each step solves J dx = -F for the interior loads F = (F_u, F_v) with
+    the exact sparse Jacobian of ``dJ_jacobian`` factorized by ``splu``,
+    then halves the step until the max-norm of the Riesz-preconditioned
+    residual K^-1 F (the residual the deformation loop monitors)
+    decreases; a trial point with non-finite loads counts as no decrease.
+    Stops when that max-norm is <= tol * 1e-2.  Returns the refined pair,
+    or None on a singular Jacobian, a step that halving cannot make
+    decrease, or max_iter steps without convergence.  Whether the point
+    is kept (level, nontriviality) is left to the caller.
     """
     grid = fp.grid
     interior = ~grid.boundary_mask()
@@ -223,26 +230,40 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         v[interior] = x[m:]
         return FieldPair(GridFunction(grid, u), GridFunction(grid, v))
 
-    def fun(x: np.ndarray) -> np.ndarray:
-        pair = unpack(x)
-        fu, fv = dJ_loads(pair, mf)
-        return np.concatenate([grid.laplacian_solve(fu)[interior],
-                               grid.laplacian_solve(fv)[interior]])
+    def loads(x: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """Interior loads and the max-norm of K^-1 F, None if not finite."""
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                fu, fv = dJ_loads(unpack(x), mf)
+        except ArithmeticError:
+            return None
+        if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(fv))):
+            return None
+        res = max(np.max(np.abs(grid.laplacian_solve(fu))),
+                  np.max(np.abs(grid.laplacian_solve(fv))))
+        return np.concatenate([fu[interior], fv[interior]]), float(res)
 
-    x0 = np.concatenate([fp.u.values[interior], fp.v.values[interior]])
-    try:
-        sol = scipy.optimize.root(fun, x0, method="krylov",
-                                  options={"fatol": tol * 1e-2,
-                                           "maxiter": max_iter,
-                                           "disp": False})
-    except Exception:
+    x = np.concatenate([fp.u.values[interior], fp.v.values[interior]])
+    state = loads(x)
+    if state is None:
         return None
-    if not sol.success:
-        return None
-    start_norm = np.linalg.norm(x0)
-    if np.linalg.norm(sol.x - x0) > 0.5 * max(start_norm, 1.0):
-        return None
-    return unpack(sol.x)
+    f, res = state
+    fatol = tol * 1e-2
+    for _ in range(max_iter):
+        if res <= fatol:
+            break
+        try:
+            dx = splu(dJ_jacobian(unpack(x), mf)).solve(-f)
+        except RuntimeError:  # exactly singular factor
+            return None
+        step = 1.0
+        while (state := loads(x + step * dx)) is None or state[1] >= res:
+            step *= 0.5
+            if step < 1e-10:
+                return None
+        x = x + step * dx
+        f, res = state
+    return unpack(x) if res <= fatol else None
 
 
 def _pair_dist_W(a: FieldPair, b: FieldPair, cfg: ExponentConfig) -> float:
@@ -425,12 +446,13 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
                         mf: ModelFunctions | None = None,
                         r0: float = 0.1, n_geo_samples: int = 64,
                         ) -> list[CriticalPointCandidate]:
-    """Multi-start mountain-pass search with deflation of duplicates.
+    """Multi-start mountain-pass search with deduplication up to sign.
 
     Runs ``count`` searches from sign-structured starting fields, drops
-    non-converged or collapsed runs, deflates candidates equal up to the
-    dedup tolerance or a global sign flip, and returns the survivors
-    sorted by level.  May return fewer than ``count`` candidates.
+    non-converged or collapsed runs, drops candidates equal to a kept one
+    up to the dedup tolerance or a global sign flip, and returns the
+    survivors sorted by level.  May return fewer than ``count``
+    candidates.
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from quasivar import ExponentConfig
@@ -9,6 +11,13 @@ def coupled_cfg() -> ExponentConfig:
     return ExponentConfig(N=2, p1=1.5, p2=1.5, s1=1.0, s2=1.0,
                           q1=8.0, q2=8.0, gamma1=4.0, gamma2=4.0,
                           theta1=0.125, theta2=0.125, c_star=1.0)
+
+
+@pytest.fixture(scope="session")
+def mixed_cfg(coupled_cfg) -> ExponentConfig:
+    """Coupled variant whose two components differ in p, s and gamma."""
+    return dataclasses.replace(coupled_cfg, p2=3.0, s2=0.5, gamma1=3.0,
+                               gamma2=2.5)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
                       NonFiniteEnergyError, dJ_apply, gradient_representative,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
-from quasivar.energy import energy_terms
+from quasivar.energy import dJ_jacobian, dJ_loads, energy_terms
 from quasivar.grid import random_field_pair, sine_modes
 
 
@@ -88,6 +88,49 @@ class TestDifferential:
         for seed in range(3):
             slope, _ = gradcheck_slope(cfg, g, seed)
             assert 1.8 <= slope <= 2.2
+
+
+def _smooth_pair(g, scale_u, scale_v):
+    """Positive bump profiles, so midpoint values and gradients stay away
+    from the singular sets t = 0 and xi = 0 of the p = 1.5, s p = 1.5
+    coefficients along the whole finite-difference stencil."""
+    def field(scale):
+        if g.dimension == 1:
+            return GridFunction.from_callable(
+                g, lambda x: np.sin(np.pi * x) * scale(x, 0.5))
+        return GridFunction.from_callable(
+            g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) * scale(x, y))
+    return FieldPair(field(scale_u), field(scale_v))
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cfg_name",
+                             ["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    def test_jacobian_vector_slope(self, cfg_name, dimension, request):
+        """J d against central differences of dJ_loads, both components
+        of the point and of the direction nonzero: error slope 2."""
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(dimension, 33)
+        fp = _smooth_pair(g, lambda x, y: 1.0 + 0.3 * x,
+                          lambda x, y: 0.8 - 0.2 * y)
+        d = _smooth_pair(g, lambda x, y: 0.5 * np.cos(2 * np.pi * y + x),
+                         lambda x, y: 0.5 * np.sin(3 * np.pi * x))
+        interior = ~g.boundary_mask()
+
+        def interior_loads(pair):
+            fu, fv = dJ_loads(pair, mf)
+            return np.concatenate([fu[interior], fv[interior]])
+
+        jd = dJ_jacobian(fp, mf) @ np.concatenate([d.u.values[interior],
+                                                   d.v.values[interior]])
+        hs = 1e-2 * 2.0 ** -np.arange(4)
+        errs = [np.max(np.abs((interior_loads(fp + h * d)
+                               - interior_loads(fp - h * d)) / (2 * h) - jd))
+                for h in hs]
+        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert 1.8 <= slope <= 2.2
+        assert errs[-1] <= 1e-3 * np.max(np.abs(jd))
 
 
 class TestGradientRepresentative:

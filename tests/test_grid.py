@@ -47,6 +47,27 @@ class TestGrid:
         sol = g.laplacian_solve(load)
         assert np.max(np.abs(sol - target)) < 5e-4
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_element_operators_match_element_maps(self, dimension):
+        g = Grid(dimension, 17)
+        f = _random_field(g, 3)
+        interior = ~g.boundary_mask()
+        E = g.element_operators()
+        cells = g.num_cells
+        Ex = (E @ f.values[interior]).reshape(dimension + 1, cells)
+        assert np.allclose(Ex[0], g.midpoint_values(f.values).ravel(),
+                           rtol=0, atol=1e-13)
+        grads = g.element_gradients(f.values).reshape(cells, dimension)
+        assert np.allclose(Ex[1:], grads.T, rtol=0, atol=1e-12)
+        # the transpose is scatter's adjoint, weighted by the cell volume
+        rng = np.random.default_rng(4)
+        dens = rng.standard_normal(cells)
+        gvec = rng.standard_normal((cells, dimension))
+        shape = (g.n - 1,) * dimension
+        loads = g.scatter(dens.reshape(shape), gvec.reshape(shape + (dimension,)))
+        ET = E.T @ np.concatenate([dens, gvec.T.ravel()]) * g.cell_volume
+        assert np.allclose(ET, loads[interior], rtol=0, atol=1e-13)
+
 
 class TestGridFunction:
     def test_rejects_nonzero_boundary(self):

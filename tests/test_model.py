@@ -98,6 +98,73 @@ class TestGFamily:
         assert 1.8 <= slope <= 2.2
 
 
+class TestSecondDerivatives:
+    """coef_hessian and G_hessian against central differences of the
+    first-derivative evaluators, away from the singular sets t = 0,
+    xi = 0, u = 0 and v = 0."""
+
+    H = 1e-6
+
+    @pytest.fixture(params=["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    def mf(self, request):
+        return ModelFunctions(request.getfixturevalue(request.param))
+
+    @staticmethod
+    def _samples(seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.2, 3.0, 20) * rng.choice([-1.0, 1.0], 20)
+        xi = rng.uniform(0.2, 3.0, (20, 2)) * rng.choice([-1.0, 1.0], (20, 2))
+        return t, xi
+
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_coefficient_hessian(self, mf, component):
+        grad, t_part = ((mf.a_eval, mf.At_eval) if component == 1
+                        else (mf.b_eval, mf.Bt_eval))
+        t, xi = self._samples(component)
+        h = self.H
+        tt, t_xi, xi_xi = mf.coef_hessian(t, xi, component)
+        close = dict(rel=1e-5, abs=1e-7)
+        assert tt == pytest.approx((t_part(t + h, xi) - t_part(t - h, xi))
+                                   / (2 * h), **close)
+        assert t_xi.ravel() == pytest.approx(
+            ((grad(t + h, xi) - grad(t - h, xi)) / (2 * h)).ravel(), **close)
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd_At = (t_part(t, xi + e) - t_part(t, xi - e)) / (2 * h)
+            assert t_xi[:, k] == pytest.approx(fd_At, **close)
+            fd_a = (grad(t, xi + e) - grad(t, xi - e)) / (2 * h)
+            assert xi_xi[:, :, k].ravel() == pytest.approx(fd_a.ravel(),
+                                                           **close)
+
+    def test_G_hessian(self, mf):
+        u, v = self._samples(3)[1].T
+        h = self.H
+        guu, guv, gvv = mf.G_hessian(u, v)
+        close = dict(rel=1e-5, abs=1e-7)
+        assert guu == pytest.approx(
+            (mf.Gu_eval(u + h, v) - mf.Gu_eval(u - h, v)) / (2 * h), **close)
+        assert guv == pytest.approx(
+            (mf.Gu_eval(u, v + h) - mf.Gu_eval(u, v - h)) / (2 * h), **close)
+        assert guv == pytest.approx(
+            (mf.Gv_eval(u + h, v) - mf.Gv_eval(u - h, v)) / (2 * h), **close)
+        assert gvv == pytest.approx(
+            (mf.Gv_eval(u, v + h) - mf.Gv_eval(u, v - h)) / (2 * h), **close)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_finite_at_origin(self, mf, eps):
+        # s p = 1.5 < 2 makes |t|^{sp-2} singular at t = 0 and p = 1.5 makes
+        # |xi|^{p-4} singular at xi = 0; the limit value 0 is used there
+        mf = ModelFunctions(mf.cfg, epsilon_reg=eps)
+        for t, xi in ((0.0, np.zeros(2)), (0.0, np.array([0.3, -0.4])),
+                      (0.7, np.zeros(2))):
+            for c in (1, 2):
+                assert all(np.all(np.isfinite(d))
+                           for d in mf.coef_hessian(t, xi, c))
+        assert all(np.all(np.isfinite(d)) for d in mf.G_hessian(0.0, 0.0))
+        assert mf.coef_hessian(0.0, np.array([0.3, -0.4]), 1)[0] == 0.0
+
+
 class TestStructuralSampling:
     def test_coupled_margins(self, mf_coupled):
         rep = sample_structural_hypotheses(mf_coupled, n_samples=20_000, seed=3)

@@ -11,7 +11,7 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
 from quasivar.grid import random_field_pair, sine_modes
-from quasivar.mpsolver import _scale_until_negative
+from quasivar.mpsolver import _polish_candidate, _scale_until_negative
 
 from oracles import model_ground_state, model_k_bump
 
@@ -202,6 +202,30 @@ class TestMountainPassSearch:
         a, b = run(), run()
         assert a.level == b.level
         assert np.array_equal(a.fields.u.values, b.fields.u.values)
+
+
+class TestPolish:
+    def test_first_ridge_point_polishes_to_reference_saddle(self, coupled_cfg):
+        # the exact Newton lands on the saddle from the first path maximum,
+        # a move of about half the start norm, so no deformation step runs
+        g = Grid(2, 33)
+        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
+        cand = mountain_pass_search(coupled_cfg, g, cert,
+                                    SolverParams(max_iters=500))
+        assert cand.converged
+        assert cand.iterations == 1
+        assert round(cand.level, 4) == 6.9948
+
+    @pytest.mark.parametrize("which, amplitude", [("coupled", 1e60),
+                                                  ("decoupled", 1e150)])
+    def test_huge_amplitude_returns_none(self, which, amplitude, coupled_cfg,
+                                         decoupled_cfg):
+        # the loads overflow at the starting point
+        cfg = coupled_cfg if which == "coupled" else decoupled_cfg
+        g = Grid(2, 9)
+        fp = random_field_pair(g, np.random.default_rng(0),
+                               sine_modes(g, 3)) * amplitude
+        assert _polish_candidate(fp, ModelFunctions(cfg), 1e-6) is None
 
 
 class TestMultiplicity:
