@@ -216,16 +216,15 @@ class TestPolish:
         assert cand.iterations == 1
         assert round(cand.level, 4) == 6.9948
 
-    @pytest.mark.parametrize("which, amplitude", [("coupled", 1e60),
-                                                  ("decoupled", 1e150)])
-    def test_huge_amplitude_returns_none(self, which, amplitude, coupled_cfg,
-                                         decoupled_cfg):
+    @pytest.mark.parametrize("cfg_name, amplitude",
+                             [("coupled_cfg", 1e60), ("decoupled_cfg", 1e150)])
+    def test_huge_amplitude_returns_none(self, cfg_name, amplitude, request):
         # the loads overflow at the starting point
-        cfg = coupled_cfg if which == "coupled" else decoupled_cfg
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
         g = Grid(2, 9)
         fp = random_field_pair(g, np.random.default_rng(0),
                                sine_modes(g, 3)) * amplitude
-        assert _polish_candidate(fp, ModelFunctions(cfg), 1e-6) is None
+        assert _polish_candidate(fp, mf, 1e-6) is None
 
 
 class TestMultiplicity:
