@@ -44,6 +44,10 @@ _EXPONENT_FIELDS = ("N", "p1", "p2", "s1", "s2", "q1", "q2", "gamma1",
                     "gamma2", "theta1", "theta2", "c_star", "exj01_literal")
 
 
+class ConfigError(ValueError):
+    """Malformed config file, unknown key or out-of-range value."""
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration: exponents, grid, solver, and output knobs."""
@@ -81,6 +85,19 @@ class RunConfig:
     out: str = ""
     quiet: bool = False
 
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.dimension not in (1, 2):
+            raise ConfigError("dimension must be 1 or 2")
+        for name, low in (("n", 3), ("path_points", 3), ("count", 1),
+                          ("n_geo_samples", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
+        if not self.r0 > 0:
+            raise ConfigError("r0 must be positive")
+
     def exponent_config(self) -> ExponentConfig:
         return ExponentConfig(**{k: getattr(self, k) for k in _EXPONENT_FIELDS})
 
@@ -92,10 +109,6 @@ class RunConfig:
                             path_points=self.path_points,
                             nontrivial_floor=self.nontrivial_floor,
                             epsilon_reg=self.epsilon_reg)
-
-
-class ConfigError(ValueError):
-    """Malformed config file or unknown key."""
 
 
 def _coerce(name: str, raw: str, target_type) -> object:
@@ -129,7 +142,11 @@ def _coerce(name: str, raw: str, target_type) -> object:
 
 
 def parse_config(path: str) -> RunConfig:
-    """Parse a flat key = value config file; unknown keys are errors."""
+    """Parse a flat key = value config file.
+
+    Unknown keys, malformed values and out-of-range values raise
+    ``ConfigError``.
+    """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     type_map = {"int": int, "float": float, "bool": bool, "str": str}
     values: dict[str, object] = {}
@@ -443,26 +460,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     em = Emitter(quiet=False)
+    overrides = {"seed": args.seed, "out": args.out, "n": args.grid_n,
+                 "tol": args.tol, "quiet": args.quiet or None}
     try:
         rc = parse_config(args.config)
+        rc = dataclasses.replace(
+            rc, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_USAGE
-    if args.seed is not None:
-        rc = dataclasses.replace(rc, seed=args.seed)
-    if args.out is not None:
-        rc = dataclasses.replace(rc, out=args.out)
-    if args.grid_n is not None:
-        rc = dataclasses.replace(rc, n=args.grid_n)
-    if args.tol is not None:
-        rc = dataclasses.replace(rc, tol=args.tol)
-    if args.quiet:
-        rc = dataclasses.replace(rc, quiet=True)
     em.quiet = rc.quiet
     emit_header(em, rc, args.command)
     try:
         return _COMMANDS[args.command](rc, em)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except Exception as exc:
         em.emit({"record": "error", "type": type(exc).__name__,
                  "message": str(exc)})
         return EXIT_FAIL

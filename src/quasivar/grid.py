@@ -37,6 +37,7 @@ class Grid:
         self.h = 1.0 / (n - 1)
         self.cell_volume = self.h ** dimension
         self.num_cells = (n - 1) ** dimension
+        self._stiffness = None  # cached stiffness matrix
         self._lap_solve = None  # cached factorized stiffness
         self._element_ops = None  # cached sparse element operators
         axis = np.linspace(0.0, 1.0, n)
@@ -151,27 +152,35 @@ class Grid:
 
     # -- discrete Laplacian ----------------------------------------------------
 
+    def stiffness(self) -> sp.csc_matrix:
+        """Dirichlet stiffness matrix K of the linear/bilinear elements.
+
+        Rows and columns are the interior nodes in the order of
+        ``values[~boundary_mask()]``.
+        """
+        if self._stiffness is None:
+            m = self.n - 2
+            if self.dimension == 1:
+                main = np.full(m, 2.0 / self.h)
+                off = np.full(m - 1, -1.0 / self.h)
+                K = sp.diags([off, main, off], [-1, 0, 1], format="csc")
+            else:
+                # exact bilinear element stiffness on a square: assembled
+                # 9-point stencil with center 8/3, all eight neighbors -1/3
+                eye = sp.identity(m, format="csc")
+                t_main = sp.diags([np.full(m - 1, 1.0), np.full(m, 0.0),
+                                   np.full(m - 1, 1.0)], [-1, 0, 1],
+                                  format="csc")
+                K = (sp.kron(eye, eye) * (8.0 / 3.0)
+                     - sp.kron(eye, t_main) / 3.0
+                     - sp.kron(t_main, eye) / 3.0
+                     - sp.kron(t_main, t_main) / 3.0).tocsc()
+            self._stiffness = K
+        return self._stiffness
+
     def _build_laplacian(self):
-        """Factorized Dirichlet stiffness matrix of the linear/bilinear elements."""
-        n = self.n
-        if self.dimension == 1:
-            m = n - 2
-            main = np.full(m, 2.0 / self.h)
-            off = np.full(m - 1, -1.0 / self.h)
-            K = sp.diags([off, main, off], [-1, 0, 1], format="csc")
-        else:
-            m = n - 2
-            # exact bilinear element stiffness on a square: assembled 9-point
-            # stencil with center 8/3, all eight neighbors -1/3
-            eye = sp.identity(m, format="csc")
-            t_main = sp.diags([np.full(m - 1, 1.0), np.full(m, 0.0),
-                               np.full(m - 1, 1.0)], [-1, 0, 1], format="csc")
-            K = (sp.kron(eye, eye) * (8.0 / 3.0)
-                 - sp.kron(eye, t_main) / 3.0
-                 - sp.kron(t_main, eye) / 3.0
-                 - sp.kron(t_main, t_main) / 3.0)
-            K = K.tocsc()
-        return spla.factorized(K)
+        """Factorized stiffness matrix."""
+        return spla.factorized(self.stiffness())
 
     def laplacian_solve(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Solve K y = rhs on interior nodes (homogeneous Dirichlet)."""

@@ -4,10 +4,11 @@ The search is a path-deformation method: a discretized path from the
 origin to a negative-energy endpoint is deformed by moving its energy
 maximum (and a small stencil of neighbors) along the negative Sobolev
 gradient with Armijo backtracking, until the preconditioned residual at
-the path maximum drops below tolerance.  An exact sparse Newton polish
-jumps from a ridge point to the nearby critical point.  Multiplicity is
-approximated heuristically by multi-start over sign-structured seeds
-plus deduplication up to sign; this does not certify min-max levels.
+the path maximum drops below tolerance.  An exact sparse Newton polish,
+damped toward the Sobolev gradient step, jumps from a ridge point to the
+nearby critical point.  Multiplicity is approximated heuristically by
+multi-start over sign-structured seeds plus deduplication up to sign;
+this does not certify min-max levels.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 import scipy.optimize
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .eigen import EigenPair, first_eigenpair
@@ -206,23 +208,35 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
                                min_sample=min_sample, validated=validated)
 
 
+# Levenberg-Marquardt damping of the polish, in units of the stiffness K
+_LM_MU_MIN = 1e-3
+_LM_MU_MAX = 1e8
+
+
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                       max_iter: int = 200) -> FieldPair | None:
     """Exact sparse Newton refinement of an approximate critical point.
 
-    Each step solves J dx = -F for the interior loads F = (F_u, F_v) with
-    the exact sparse Jacobian of ``dJ_jacobian`` factorized by ``splu``,
-    then halves the step until the max-norm of the Riesz-preconditioned
-    residual K^-1 F (the residual the deformation loop monitors)
-    decreases; a trial point with non-finite loads counts as no decrease.
-    Stops when that max-norm is <= tol * 1e-2.  Returns the refined pair,
-    or None on a singular Jacobian, a step that halving cannot make
-    decrease, or max_iter steps without convergence.  Whether the point
-    is kept (level, nontriviality) is left to the caller.
+    Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
+    loads F = (F_u, F_v), with the exact sparse Jacobian J of
+    ``dJ_jacobian`` and the Dirichlet stiffness K of ``Grid.stiffness``,
+    factorized by ``splu``: Levenberg-Marquardt damping toward the
+    Sobolev gradient step -K^-1 F.  A step is accepted when the energy
+    norm F^T K^-1 F of the residual (the square of ``residual_norm``)
+    decreases.  mu starts at 0, a plain Newton step; a rejected step
+    (no decrease, non-finite trial loads or a singular factor) sets
+    mu <- max(4 mu, 1e-3) and solves again, and an accepted one quarters
+    mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is
+    <= tol * 1e-2.  Returns the refined pair, or None when the loads at
+    the start are not finite, mu passes 1e8, or max_iter steps do not
+    converge.  Whether the point is kept (level, nontriviality) is left
+    to the caller.
     """
     grid = fp.grid
     interior = ~grid.boundary_mask()
     m = int(interior.sum())
+    K = grid.stiffness()
+    damping = sp.block_diag((K, K), format="csc")
 
     def unpack(x: np.ndarray) -> FieldPair:
         u, v = grid.zeros(), grid.zeros()
@@ -230,8 +244,8 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         v[interior] = x[m:]
         return FieldPair(GridFunction(grid, u), GridFunction(grid, v))
 
-    def loads(x: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Interior loads and the max-norm of K^-1 F, None if not finite."""
+    def loads(x: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+        """Interior loads F, max|K^-1 F| and F^T K^-1 F; None if not finite."""
         try:
             with np.errstate(over="raise", invalid="raise"):
                 fu, fv = dJ_loads(unpack(x), mf)
@@ -239,30 +253,37 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
             return None
         if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(fv))):
             return None
-        res = max(np.max(np.abs(grid.laplacian_solve(fu))),
-                  np.max(np.abs(grid.laplacian_solve(fv))))
-        return np.concatenate([fu[interior], fv[interior]]), float(res)
+        ru, rv = grid.laplacian_solve(fu), grid.laplacian_solve(fv)
+        res = max(np.max(np.abs(ru)), np.max(np.abs(rv)))
+        energy = float(np.sum(fu * ru) + np.sum(fv * rv))
+        return np.concatenate([fu[interior], fv[interior]]), float(res), energy
 
     x = np.concatenate([fp.u.values[interior], fp.v.values[interior]])
     state = loads(x)
     if state is None:
         return None
-    f, res = state
+    f, res, energy = state
     fatol = tol * 1e-2
+    mu = 0.0
     for _ in range(max_iter):
         if res <= fatol:
             break
-        try:
-            dx = splu(dJ_jacobian(unpack(x), mf)).solve(-f)
-        except RuntimeError:  # exactly singular factor
-            return None
-        step = 1.0
-        while (state := loads(x + step * dx)) is None or state[1] >= res:
-            step *= 0.5
-            if step < 1e-10:
+        jac = dJ_jacobian(unpack(x), mf)
+        while True:
+            try:
+                dx = splu(jac + mu * damping if mu else jac).solve(-f)
+            except RuntimeError:  # exactly singular factor
+                state = None
+            else:
+                state = loads(x + dx)
+            if state is not None and state[2] < energy:
+                break
+            mu = max(4.0 * mu, _LM_MU_MIN)
+            if mu > _LM_MU_MAX:
                 return None
-        x = x + step * dx
-        f, res = state
+        x = x + dx
+        f, res, energy = state
+        mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
     return unpack(x) if res <= fatol else None
 
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasivar.cli import (ConfigError, RunConfig, json_line, main,
                           parse_config)
@@ -54,6 +60,13 @@ def decoupled_path(tmp_path):
     return str(p)
 
 
+def with_values(text: str, values: dict) -> str:
+    """Config text with the given keys set, replacing their lines."""
+    kept = [line for line in text.splitlines()
+            if line.split("=")[0].strip() not in values]
+    return "\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
 def run_cli(capsys, *argv) -> tuple[int, list[dict]]:
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -83,6 +96,26 @@ class TestConfigParsing:
         p.write_text("just some words\n")
         with pytest.raises(ConfigError):
             parse_config(str(p))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("n", "2"),
+        ("dimension", "3"), ("dimension", "0"), ("path_points", "2"),
+        ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0")])
+    def test_out_of_range_value_exits_two(self, capsys, tmp_path, key,
+                                          value):
+        p = tmp_path / "bad.txt"
+        p.write_text(with_values(DECOUPLED_TEXT, {key: value}))
+        with pytest.raises(ConfigError):
+            parse_config(str(p))
+        code, records = run_cli(capsys, "solve", "--config", str(p))
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
+
+    def test_out_of_range_override_exits_two(self, capsys, decoupled_path):
+        code, records = run_cli(capsys, "solve", "--config", decoupled_path,
+                                "--grid-n", "2")
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
 
     def test_defaults_documented_in_dataclass(self):
         rc = RunConfig()
@@ -179,6 +212,17 @@ class TestEigenCommand:
         assert code == 0
         assert (out / "phi1.txt").exists()
 
+    def test_unwritable_out_exits_one_with_error_record(self, capsys,
+                                                        tmp_path,
+                                                        decoupled_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, records = run_cli(capsys, "eigen", "--config", decoupled_path,
+                                "--out", str(blocker / "out"))
+        assert code == 1
+        assert records[-1]["record"] == "error"
+        assert records[-1]["type"] == "NotADirectoryError"
+
 
 class TestSolveAndMulti:
     def test_solve_1d(self, capsys, tmp_path):
@@ -252,3 +296,47 @@ class TestReproducibility:
         c = self._stream(capsys, "certify", "--config", decoupled_path,
                          "--seed", "4")
         assert a != c
+
+
+_CLI_BASES = {
+    "decoupled": DECOUPLED_TEXT.replace("N = 2", "N = 1"),
+    "coupled": COUPLED_TEXT,
+}
+
+
+@given(base=st.sampled_from(sorted(_CLI_BASES)),
+       command=st.sampled_from(("check", "certify", "solve", "multi",
+                                "eigen")),
+       values=st.fixed_dictionaries({
+           "n": st.integers(3, 17),
+           "max_iters": st.integers(-1, 20),
+           "path_points": st.integers(3, 9),
+           "count": st.integers(1, 3),
+           "n_geo_samples": st.integers(1, 16),
+           "tol": st.sampled_from((1e-6, 1e-30, 1.0, 0.0)),
+           "r0": st.sampled_from((0.1, 1e-12, 1e3))}),
+       bad=st.none() | st.sampled_from((
+           ("n", 2), ("dimension", 3), ("tol", math.nan), ("r0", math.inf),
+           ("r0", -1.0), ("path_points", 2), ("count", 0),
+           ("n_geo_samples", 0))))
+@settings(max_examples=20, deadline=10_000)
+def test_cli_emits_json_lines_with_documented_exit_code(base, command,
+                                                        values, bad):
+    # small 1D runs, at most one value out of range
+    values = {**values, "dimension": 1}
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    text = with_values(_CLI_BASES[base],
+                       {k: repr(v) for k, v in values.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--config", path])
+    assert code == 2 if bad else code in (0, 1)
+    lines = out.getvalue().splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line)

@@ -48,6 +48,19 @@ class TestGrid:
         assert np.max(np.abs(sol - target)) < 5e-4
 
     @pytest.mark.parametrize("dimension", [1, 2])
+    def test_laplacian_solve_inverts_stiffness(self, dimension):
+        # the polish mixes K with K^-1 F; both must use the interior order
+        # of values[~boundary_mask()]
+        g = Grid(dimension, 17)
+        interior = ~g.boundary_mask()
+        K = g.stiffness()
+        assert abs(K - K.T).max() == 0.0
+        load = _random_field(g, 5).values
+        sol = g.laplacian_solve(load)
+        assert np.allclose(K @ sol[interior], load[interior], rtol=0,
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
     def test_element_operators_match_element_maps(self, dimension):
         g = Grid(dimension, 17)
         f = _random_field(g, 3)

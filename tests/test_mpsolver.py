@@ -11,7 +11,9 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
 from quasivar.grid import random_field_pair, sine_modes
-from quasivar.mpsolver import _polish_candidate, _scale_until_negative
+from quasivar.energy import residual_norm
+from quasivar.mpsolver import (_polish_candidate, _scale_until_negative,
+                               _structured_start)
 
 from oracles import model_ground_state, model_k_bump
 
@@ -216,6 +218,22 @@ class TestPolish:
         assert cand.iterations == 1
         assert round(cand.level, 4) == 6.9948
 
+    def test_reaches_higher_mode_saddle_from_first_ridge_point(
+            self, decoupled_cfg):
+        # start 4 seeds the (3,1) sine mode; a step that only accepts a
+        # decrease of max|K^-1 F| stalls there, pure Newton diverges
+        g = Grid(2, 33)
+        mf = ModelFunctions(decoupled_cfg)
+        start = _structured_start(decoupled_cfg, g, 4,
+                                  np.random.default_rng(4))
+        endpoint, _ = _scale_until_negative(start, mf)
+        path = [endpoint * (k / 32) for k in range(33)]
+        ridge = path[int(np.argmax([j_value(p, mf) for p in path]))]
+        refined = _polish_candidate(ridge, mf, 1e-6)
+        assert refined is not None
+        assert residual_norm(refined, mf) <= 1e-6
+        assert round(j_value(refined, mf), 4) == 2952.3134
+
     @pytest.mark.parametrize("cfg_name, amplitude",
                              [("coupled_cfg", 1e60), ("decoupled_cfg", 1e150)])
     def test_huge_amplitude_returns_none(self, cfg_name, amplitude, request):
@@ -240,6 +258,20 @@ class TestMultiplicity:
                 d1 = pair_norm_W(cands[i].fields - cands[j].fields, p1, p2)
                 d2 = pair_norm_W(cands[i].fields + cands[j].fields, p1, p2)
                 assert min(d1, d2) >= 1e-2
+
+    def test_every_2d_start_polishes_to_its_own_saddle(self, decoupled_cfg):
+        # the levels of the decoupled-multi benchmark workload, plus the
+        # (3,1)/(1,3) pair reached from starts 4 and 5
+        refs = (151.90911306065883, 872.5203201101558, 872.520320110156,
+                2471.6422529317715, 2952.3134, 2952.3134, 12860.36752869386)
+        cands = multiplicity_search(decoupled_cfg, Grid(2, 33), 7,
+                                    seeds=range(7),
+                                    params=SolverParams(max_iters=300))
+        assert len(cands) == 7
+        assert all(c.iterations == 1 for c in cands)
+        for ref, cand in zip(refs, cands):
+            assert cand.level == pytest.approx(ref, rel=1e-6)
+        assert [round(c.level, 4) for c in cands[4:6]] == [2952.3134] * 2
 
     def test_modes_match_oracle_family(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 2)
