@@ -17,7 +17,7 @@ from .exponents import (DerivedExponents, ExponentConfig, HypothesisReport,
                         critical_exponent, derive_auxiliary_exponents)
 from .grid import (FieldPair, Grid, GridFunction, dump_field, ell_norm,
                    gradient_at_quadrature, integrate, norm_Linf, norm_Lp,
-                   norm_W, pair_norm_W, power_map, truncate, truncate_pair)
+                   norm_W, pair_norm_W, power_map)
 from .model import (ModelFunctions, StructuralSampleReport,
                     sample_structural_hypotheses)
 from .energy import (EnergyReport, J_eval, NonFiniteEnergyError, dJ_apply,
@@ -26,7 +26,7 @@ from .energy import (EnergyReport, J_eval, NonFiniteEnergyError, dJ_apply,
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .mpsolver import (CriticalPointCandidate, GeometryCertificate,
                        NoNegativeEnergyError, SolverParams, VerificationRecord,
-                       certify_geometry, find_endpoint, mountain_pass_search,
+                       certify_geometry, mountain_pass_search,
                        multiplicity_search, scale_to_ell, verify_candidate)
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
     "compute_model_constants",
     # grid
     "Grid", "GridFunction", "FieldPair", "integrate", "gradient_at_quadrature",
-    "norm_W", "norm_Lp", "norm_Linf", "power_map", "truncate",
-    "truncate_pair", "pair_norm_W", "ell_norm", "dump_field",
+    "norm_W", "norm_Lp", "norm_Linf", "power_map", "pair_norm_W",
+    "ell_norm", "dump_field",
     # model
     "ModelFunctions", "StructuralSampleReport", "sample_structural_hypotheses",
     # energy
@@ -50,7 +50,6 @@ __all__ = [
     "EigenPair", "first_eigenpair", "rayleigh_quotient",
     # mpsolver
     "SolverParams", "GeometryCertificate", "CriticalPointCandidate",
-    "VerificationRecord", "NoNegativeEnergyError", "find_endpoint",
-    "certify_geometry", "scale_to_ell", "mountain_pass_search",
+    "VerificationRecord", "NoNegativeEnergyError", "certify_geometry", "scale_to_ell", "mountain_pass_search",
     "multiplicity_search", "verify_candidate",
 ]

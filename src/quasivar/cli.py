@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .eigen import first_eigenpair, rayleigh_quotient
-from .energy import J_eval, dJ_apply, j_value
+from .energy import dJ_apply, j_value
 from .exponents import (ExponentConfig, InfeasibleIntervalError,
                         NonAdmissibleConfigError, check_model_hypotheses,
                         compute_model_constants, derive_auxiliary_exponents)
@@ -92,11 +92,14 @@ class RunConfig:
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2")
         for name, low in (("n", 3), ("path_points", 3), ("count", 1),
-                          ("n_geo_samples", 1)):
+                          ("n_geo_samples", 1), ("gradcheck_runs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}")
-        if not self.r0 > 0:
-            raise ConfigError("r0 must be positive")
+        for name in ("r0", "tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.epsilon_reg < 0:
+            raise ConfigError("epsilon_reg must be non-negative")
 
     def exponent_config(self) -> ExponentConfig:
         return ExponentConfig(**{k: getattr(self, k) for k in _EXPONENT_FIELDS})

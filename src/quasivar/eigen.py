@@ -1,11 +1,12 @@
 """First Dirichlet eigenpair of the p-Laplacian by Rayleigh-quotient descent.
 
-For p = 2 the first eigenpair comes from inverse power iteration on the
-discrete Laplacian (with the quadrature mass).  For p != 2 the Rayleigh
-quotient  int |grad y|^p / int |y|^p  is minimized by Sobolev-gradient
-descent with a monotone backtracking line search, started from the
-positive product-of-sines bubble so the iteration stays in the positive
-cone toward the simple first eigenvalue.
+The Rayleigh quotient  int |grad y|^p / int |y|^p  is minimized by
+Sobolev-gradient descent with a monotone backtracking line search,
+started from the positive product-of-sines bubble so the iteration stays
+in the positive cone toward the simple first eigenvalue.  For p = 2 the
+bubble is already an exact discrete eigenvector (the stiffness and the
+midpoint mass are both diagonal in the sine basis), so the descent stops
+after one iteration with lambda1 = (4N/h^2) tan^2(pi h/2).
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ def _normalize(y: GridFunction, p: float) -> GridFunction:
     return y * (1.0 / nrm)
 
 
-def _mass_action(y: GridFunction) -> np.ndarray:
-    grid = y.grid
-    return grid.scatter(grid.midpoint_values(y.values), None)
-
-
 def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
                     max_iter: int = 100_000, epsilon_reg: float = 1e-8,
                     ) -> EigenPair:
@@ -68,46 +64,35 @@ def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
     q = rayleigh_quotient(y, p)
     converged = False
     it = 0
-    if p == 2.0:
-        for it in range(1, max_iter + 1):
-            z = GridFunction(grid, grid.laplacian_solve(_mass_action(y)))
-            y = _normalize(z, p)
-            q_new = rayleigh_quotient(y, p)
-            done = abs(q_new - q) <= tol * max(1.0, abs(q_new))
-            q = q_new
-            if done:
-                converged = True
+    alpha = 1.0
+    for it in range(1, max_iter + 1):
+        # Sobolev gradient of the quotient at |y|_p = 1:
+        # dR[d] = p int |grad y|^{p-2} grad y . grad d - q p int |y|^{p-2} y d
+        g = grid.element_gradients(y.values)
+        g_sq = np.sum(g * g, axis=-1)
+        coef = (g_sq + epsilon_reg ** 2) ** ((p - 2.0) / 2.0)
+        m = grid.midpoint_values(y.values)
+        load = grid.scatter(-q * p * np.abs(m) ** (p - 2.0) * m,
+                            p * coef[..., None] * g)
+        r = grid.laplacian_solve(load)
+        step = alpha
+        improved = False
+        while step > 1e-18:
+            trial = _normalize(GridFunction(grid, y.values - step * r), p)
+            q_trial = rayleigh_quotient(trial, p)
+            if q_trial < q:
+                improved = True
                 break
-    else:
-        alpha = 1.0
-        for it in range(1, max_iter + 1):
-            # Sobolev gradient of the quotient at |y|_p = 1:
-            # dR[d] = p int |grad y|^{p-2} grad y . grad d - q p int |y|^{p-2} y d
-            g = grid.element_gradients(y.values)
-            g_sq = np.sum(g * g, axis=-1)
-            coef = (g_sq + epsilon_reg ** 2) ** ((p - 2.0) / 2.0)
-            m = grid.midpoint_values(y.values)
-            load = grid.scatter(-q * p * np.abs(m) ** (p - 2.0) * m,
-                                p * coef[..., None] * g)
-            r = grid.laplacian_solve(load)
-            step = alpha
-            improved = False
-            while step > 1e-18:
-                trial = _normalize(GridFunction(grid, y.values - step * r), p)
-                q_trial = rayleigh_quotient(trial, p)
-                if q_trial < q:
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                converged = True
-                break
-            drop = q - q_trial
-            y, q = trial, q_trial
-            alpha = min(step * 2.0, 1e6)
-            if drop <= tol * max(1.0, abs(q)):
-                converged = True
-                break
+            step *= 0.5
+        if not improved:
+            converged = True
+            break
+        drop = q - q_trial
+        y, q = trial, q_trial
+        alpha = min(step * 2.0, 1e6)
+        if drop <= tol * max(1.0, abs(q)):
+            converged = True
+            break
 
     # sign-fix positive and renormalize
     interior = ~grid.boundary_mask()

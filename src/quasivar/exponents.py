@@ -10,7 +10,7 @@ Extended reals (the critical exponent for p >= N) are represented by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -244,6 +244,12 @@ def _derive_rational(cfg: ExponentConfig) -> dict[str, Rat]:
     }
 
 
+def _as_derived(d: dict[str, Rat]) -> DerivedExponents:
+    """Float ``DerivedExponents`` from the ``_derive_rational`` values."""
+    return DerivedExponents(**{f.name: _as_float(d[f.name])
+                               for f in fields(DerivedExponents)})
+
+
 def derive_auxiliary_exponents(cfg: ExponentConfig) -> DerivedExponents:
     """Cross-growth and Young-split exponents for the model nonlinearity.
 
@@ -252,13 +258,7 @@ def derive_auxiliary_exponents(cfg: ExponentConfig) -> DerivedExponents:
     is infinite).  Raises InfeasibleIntervalError when the interval is
     empty, which happens exactly when the cross-growth bound fails.
     """
-    d = _derive_rational(cfg)
-    return DerivedExponents(
-        pstar1=_as_float(d["pstar1"]), pstar2=_as_float(d["pstar2"]),
-        t1=_as_float(d["t1"]), t2=_as_float(d["t2"]),
-        t3=_as_float(d["t3"]), t4=_as_float(d["t4"]),
-        t5=_as_float(d["t5"]), t6=_as_float(d["t6"]),
-        qbar1=_as_float(d["qbar1"]), qbar2=_as_float(d["qbar2"]))
+    return _as_derived(_derive_rational(cfg))
 
 
 def _rec(rec_id: str, margin: Rat, strict: bool = True, note: str = "") -> InequalityRecord:
@@ -294,12 +294,7 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
     derive_err = None
     try:
         d = _derive_rational(cfg)
-        derived = DerivedExponents(
-            pstar1=_as_float(d["pstar1"]), pstar2=_as_float(d["pstar2"]),
-            t1=_as_float(d["t1"]), t2=_as_float(d["t2"]),
-            t3=_as_float(d["t3"]), t4=_as_float(d["t4"]),
-            t5=_as_float(d["t5"]), t6=_as_float(d["t6"]),
-            qbar1=_as_float(d["qbar1"]), qbar2=_as_float(d["qbar2"]))
+        derived = _as_derived(d)
     except InfeasibleIntervalError as exc:
         derive_err = str(exc)
         d = None

@@ -332,17 +332,6 @@ def power_map(gf: GridFunction, s: float) -> GridFunction:
     return GridFunction(gf.grid, np.abs(gf.values) ** s * gf.values)
 
 
-def truncate(gf: GridFunction, k: float) -> GridFunction:
-    """Nodal truncation at level k: t -> t if |t| <= k else k t/|t|."""
-    if k <= 0:
-        raise ValueError("truncate requires k > 0")
-    return GridFunction(gf.grid, np.clip(gf.values, -k, k))
-
-
-def truncate_pair(fp: FieldPair, k: float) -> FieldPair:
-    return FieldPair(truncate(fp.u, k), truncate(fp.v, k))
-
-
 def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
     """Product-space gradient norm: the sum of the component norms."""
     return norm_W(fp.u, p1) + norm_W(fp.v, p2)

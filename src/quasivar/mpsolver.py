@@ -14,7 +14,7 @@ this does not certify min-max levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ import scipy.optimize
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .eigen import EigenPair, first_eigenpair
 from .energy import (dJ_jacobian, dJ_loads, gradient_representative, j_value,
                      residual_norm)
 from .exponents import ExponentConfig
@@ -41,12 +40,16 @@ class SolverParams:
     tol: float = 1e-6
     max_iters: int = 10_000
     path_points: int = 33
-    armijo_c: float = 1e-4
     nontrivial_floor: float = 1e-3
     dedup_tol: float = 1e-2
-    reparam_every: int = 10
-    polish_every: int = 250
     epsilon_reg: float = 1e-8
+
+
+# Armijo constant of the deformation step, and the iteration periods of
+# arc-length re-tensioning and of the Newton polish attempts
+_ARMIJO_C = 1e-4
+_REPARAM_EVERY = 10
+_POLISH_EVERY = 250
 
 
 @dataclass
@@ -113,13 +116,27 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
     return field0 * hi, hi
 
 
-def find_endpoint(cfg: ExponentConfig, grid: Grid, eigenpair: EigenPair,
-                  mf: ModelFunctions | None = None) -> FieldPair:
-    """Endpoint (tau phi_1, 0) with J < -1, tau doubled from 1."""
-    mf = mf or ModelFunctions(cfg)
-    base = FieldPair(eigenpair.phi1.copy(), GridFunction.zero(grid))
-    endpoint, _ = _scale_until_negative(base, mf)
-    return endpoint
+def _with_endpoint(cert: GeometryCertificate, start: FieldPair,
+                   cfg: ExponentConfig, mf: ModelFunctions,
+                   ) -> GeometryCertificate:
+    """The certificate with its endpoint on the ray through ``start``.
+
+    The endpoint is the scaling of ``start`` from ``_scale_until_negative``
+    (J < -1).  The certificate validates when 0 < rho0 < inf and the
+    endpoint has negative energy outside the sphere ell = r0.  When no
+    scaling reaches negative energy the endpoint is None and the
+    certificate is not validated.
+    """
+    try:
+        endpoint, _ = _scale_until_negative(start, mf)
+    except NoNegativeEnergyError:
+        return replace(cert, endpoint=None, endpoint_level=math.nan,
+                       validated=False)
+    level = j_value(endpoint, mf)
+    validated = (0.0 < cert.rho0 < math.inf and level < 0.0
+                 and ell_norm(endpoint, cfg) > cert.r0)
+    return replace(cert, endpoint=endpoint, endpoint_level=level,
+                   validated=validated)
 
 
 def _mapped_scale(b1: float, e1: float, b2: float, e2: float,
@@ -166,14 +183,16 @@ def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
 
 def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
                      n_samples: int = 256, seed: int = 0,
-                     mf: ModelFunctions | None = None,
-                     eigenpair: EigenPair | None = None) -> GeometryCertificate:
+                     mf: ModelFunctions | None = None) -> GeometryCertificate:
     """Sampled mountain-pass geometry check on the ell-sphere of radius r0.
 
     Samples seeded random Fourier-mode pairs rescaled to ell = r0 and
-    records the minimum energy rho0.  The certificate validates when
-    rho0 is finite and positive and an endpoint beyond the sphere with
-    negative energy exists.  A non-positive rho0 returns a non-validated
+    records the minimum energy rho0.  The endpoint is the product-of-sines
+    bubble (u, 0) of ``_structured_start`` scaled until J < -1: the
+    superlinear G makes J negative far out on every ray, so any ray
+    serves and no eigenpair is needed.  The certificate validates when
+    rho0 is finite and positive and that endpoint lies beyond the sphere
+    with negative energy.  A non-positive rho0 returns a non-validated
     certificate rather than raising: the geometry may genuinely fail at
     that radius.
     """
@@ -192,20 +211,10 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
         if val < rho0:
             rho0 = val
             min_sample = sample
-    endpoint = None
-    level = math.nan
-    try:
-        eig = eigenpair or first_eigenpair(cfg.p1, grid,
-                                           epsilon_reg=mf.epsilon_reg)
-        endpoint = find_endpoint(cfg, grid, eig, mf)
-        level = j_value(endpoint, mf)
-    except NoNegativeEnergyError:
-        pass
-    validated = (0.0 < rho0 < math.inf and endpoint is not None
-                 and level < 0.0 and ell_norm(endpoint, cfg) > r0)
-    return GeometryCertificate(r0=r0, rho0=rho0, endpoint=endpoint,
-                               endpoint_level=level, samples=n_samples,
-                               min_sample=min_sample, validated=validated)
+    cert = GeometryCertificate(r0=r0, rho0=rho0, endpoint=None,
+                               endpoint_level=math.nan, samples=n_samples,
+                               min_sample=min_sample, validated=False)
+    return _with_endpoint(cert, _structured_start(grid, 0), cfg, mf)
 
 
 # Levenberg-Marquardt damping of the polish, in units of the stiffness K
@@ -322,7 +331,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
 
     Each iteration locates the path energy maximum (ties broken at the
     lowest index), moves it along the negative gradient representative
-    with Armijo backtracking (halving, c = params.armijo_c), drags the
+    with Armijo backtracking (halving, c = 1e-4), drags the
     two stencil neighbors by half the accepted step (reverted when that
     raises their energy), and periodically re-parameterizes the path by
     arc length.  Stops when the residual at the path maximum is <= tol.
@@ -365,7 +374,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         if residual <= max(params.tol, 1e-3):
             converged = residual <= params.tol
             break
-        if params.polish_every and (it == 1 or it % params.polish_every == 0):
+        if it == 1 or it % _POLISH_EVERY == 0:
             # try to jump from the current path maximum straight to the
             # nearby saddle, starting with the initial ridge point; long
             # deformation runs let rounding noise break symmetries of the
@@ -399,7 +408,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
             except ArithmeticError:
                 step *= 0.5
                 continue
-            if val < levels[k_max] - params.armijo_c * step * res_sq:
+            if val < levels[k_max] - _ARMIJO_C * step * res_sq:
                 accepted = True
                 break
             step *= 0.5
@@ -416,7 +425,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                     continue
                 if mval < levels[kn]:
                     path[kn], levels[kn] = moved, mval
-        if params.reparam_every and it % params.reparam_every == 0:
+        if it % _REPARAM_EVERY == 0:
             path = _reparametrize(path, cfg)
             levels = [j_value(p, mf) for p in path]
 
@@ -442,9 +451,9 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         collapsed=collapsed, provenance=provenance)
 
 
-def _structured_start(cfg: ExponentConfig, grid: Grid, index: int,
-                      rng: np.random.Generator) -> FieldPair:
-    """Sign-structured starting field for the multi-start heuristic."""
+def _structured_start(grid: Grid, index: int) -> FieldPair:
+    """Sign-structured start (u, 0) with u a sine mode; index 0 is the
+    positive product-of-sines bubble."""
     if grid.dimension == 1:
         x = grid.node_coords()[:, 0]
         vals = np.sin((index + 1) * np.pi * x)
@@ -469,11 +478,15 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
                         ) -> list[CriticalPointCandidate]:
     """Multi-start mountain-pass search with deduplication up to sign.
 
-    Runs ``count`` searches from sign-structured starting fields, drops
-    non-converged or collapsed runs, drops candidates equal to a kept one
-    up to the dedup tolerance or a global sign flip, and returns the
-    survivors sorted by level.  May return fewer than ``count``
-    candidates.
+    Certifies the geometry once (sampling seed ``seeds[0]``), then runs
+    ``count`` searches, start m from the ray through the sine mode
+    ``_structured_start(grid, m)``, with its endpoint and validation set
+    by the same rule as ``certify_geometry`` (start 0 is the certify
+    endpoint's ray).  Drops starts that do not validate, non-converged
+    or collapsed runs, and candidates equal to a kept one up to the
+    dedup tolerance or a global sign flip, and returns the survivors
+    sorted by level.  May return fewer than ``count`` candidates.  The
+    seeds only label the provenance past ``seeds[0]``.
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
@@ -482,21 +495,12 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
                                  seed=seeds[0] if seeds else 0, mf=mf)
     results: list[CriticalPointCandidate] = []
     for m in range(count):
-        seed = seeds[m % len(seeds)]
-        rng = np.random.default_rng(seed)
-        start = _structured_start(cfg, grid, m, rng)
-        try:
-            endpoint, _ = _scale_until_negative(start, mf)
-        except NoNegativeEnergyError:
-            continue
-        cert = replace(base_cert, endpoint=endpoint,
-                       endpoint_level=j_value(endpoint, mf),
-                       validated=0.0 < base_cert.rho0 < math.inf
-                       and ell_norm(endpoint, cfg) > base_cert.r0)
+        cert = _with_endpoint(base_cert, _structured_start(grid, m), cfg, mf)
         if not cert.validated:
             continue
-        cand = mountain_pass_search(cfg, grid, cert, params, mf,
-                                    provenance=f"multi_start[{m}] seed={seed}")
+        cand = mountain_pass_search(
+            cfg, grid, cert, params, mf,
+            provenance=f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
         if not cand.converged or cand.collapsed:
             continue
         duplicate = False

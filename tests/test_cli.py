@@ -100,7 +100,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("n", "2"),
         ("dimension", "3"), ("dimension", "0"), ("path_points", "2"),
-        ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0")])
+        ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0"),
+        ("tol", "0"), ("epsilon_reg", "-1"), ("gradcheck_runs", "0")])
     def test_out_of_range_value_exits_two(self, capsys, tmp_path, key,
                                           value):
         p = tmp_path / "bad.txt"
@@ -313,12 +314,13 @@ _CLI_BASES = {
            "path_points": st.integers(3, 9),
            "count": st.integers(1, 3),
            "n_geo_samples": st.integers(1, 16),
-           "tol": st.sampled_from((1e-6, 1e-30, 1.0, 0.0)),
+           "tol": st.sampled_from((1e-6, 1e-30, 1.0)),
            "r0": st.sampled_from((0.1, 1e-12, 1e3))}),
        bad=st.none() | st.sampled_from((
            ("n", 2), ("dimension", 3), ("tol", math.nan), ("r0", math.inf),
            ("r0", -1.0), ("path_points", 2), ("count", 0),
-           ("n_geo_samples", 0))))
+           ("n_geo_samples", 0), ("tol", 0.0), ("epsilon_reg", -1.0),
+           ("gradcheck_runs", 0))))
 @settings(max_examples=20, deadline=10_000)
 def test_cli_emits_json_lines_with_documented_exit_code(base, command,
                                                         values, bad):

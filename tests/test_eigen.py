@@ -19,6 +19,18 @@ class TestLinearEigenpair:
         pair = first_eigenpair(2.0, Grid(2, 65))
         assert abs(rayleigh_quotient(pair.phi1, 2.0) - pair.lambda1) < 1e-10
 
+    @pytest.mark.parametrize("dimension, n", [(1, 1025), (1, 17), (2, 129),
+                                              (2, 17)])
+    def test_closed_form_discrete_eigenvalue(self, dimension, n):
+        # the stiffness and the midpoint mass are both diagonal in the
+        # sine basis, so the bubble is an exact discrete eigenvector
+        g = Grid(dimension, n)
+        pair = first_eigenpair(2.0, g)
+        exact = 4 * dimension / g.h ** 2 * np.tan(np.pi * g.h / 2) ** 2
+        assert pair.converged
+        assert pair.iterations == 1
+        assert pair.lambda1 == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_eigenfunction_positive_normalized(self):
         g = Grid(1, 257)
         pair = first_eigenpair(2.0, g)

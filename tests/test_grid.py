@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quasivar import (FieldPair, Grid, GridFunction, dump_field, ell_norm,
                       gradient_at_quadrature, integrate, norm_Linf, norm_Lp,
-                      norm_W, pair_norm_W, power_map, truncate, truncate_pair)
+                      norm_W, pair_norm_W, power_map)
 
 
 def _random_field(grid: Grid, seed: int) -> GridFunction:
@@ -140,27 +140,6 @@ class TestPowerMapTruncate:
         g = Grid(1, 4)
         gf = GridFunction(g, np.array([0.0, -2.0, 1.0, 0.0]))
         assert power_map(gf, 1.0).values[1] == -4.0
-
-    def test_truncate_values(self):
-        g = Grid(1, 5)
-        gf = GridFunction(g, np.array([0.0, 3.0, -3.0, 1.0, 0.0]))
-        out = truncate(gf, 2.0)
-        assert list(out.values) == [0.0, 2.0, -2.0, 1.0, 0.0]
-
-    @given(seed=st.integers(0, 10 ** 6), k=st.floats(0.1, 5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_truncate_idempotent(self, seed, k):
-        g = Grid(1, 33)
-        gf = _random_field(g, seed)
-        once = truncate(gf, k)
-        assert np.array_equal(truncate(once, k).values, once.values)
-
-    def test_truncate_pair(self):
-        g = Grid(1, 5)
-        fp = FieldPair(GridFunction(g, np.array([0, 3, 0, 0, 0.0])),
-                       GridFunction(g, np.array([0, -5, 0, 0, 0.0])))
-        out = truncate_pair(fp, 2.0)
-        assert out.u.values[1] == 2.0 and out.v.values[1] == -2.0
 
 
 class TestEllNorm:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       NoNegativeEnergyError, SolverParams, certify_geometry,
-                      ell_norm, find_endpoint, first_eigenpair, j_value,
+                      ell_norm, first_eigenpair, j_value,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
 from quasivar.grid import random_field_pair, sine_modes
@@ -32,11 +32,22 @@ def solved_1d(decoupled_cfg_1d, grid_1d):
 
 
 class TestFindEndpoint:
+    """The endpoint a certificate carries: the bubble ray scaled to J < -1."""
+
+    def test_endpoint_is_the_scaled_bubble(self, coupled_cfg):
+        g = Grid(2, 17)
+        mf = ModelFunctions(coupled_cfg)
+        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=8, seed=0,
+                                mf=mf)
+        bubble, _ = _scale_until_negative(_structured_start(g, 0), mf)
+        assert np.array_equal(cert.endpoint.u.values, bubble.u.values)
+        assert np.all(cert.endpoint.v.values == 0.0)
+
     def test_negative_level_2d(self, decoupled_cfg):
         g = Grid(2, 65)
         mf = ModelFunctions(decoupled_cfg)
-        eig = first_eigenpair(decoupled_cfg.p1, g)
-        e = find_endpoint(decoupled_cfg, g, eig, mf)
+        e = certify_geometry(decoupled_cfg, g, 0.1, n_samples=8, seed=0,
+                             mf=mf).endpoint
         assert j_value(e, mf) < -1.0
         # the energy keeps falling past the returned scale
         assert j_value(2.0 * e, mf) < j_value(e, mf)
@@ -47,9 +58,12 @@ class TestFindEndpoint:
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
         mf.G_eval = lambda u, v: np.zeros_like(np.asarray(u))
-        eig = first_eigenpair(decoupled_cfg.p1, g)
         with pytest.raises(NoNegativeEnergyError):
-            find_endpoint(decoupled_cfg, g, eig, mf)
+            _scale_until_negative(_structured_start(g, 0), mf)
+        cert = certify_geometry(decoupled_cfg, g, 0.1, n_samples=8, seed=0,
+                                mf=mf)
+        assert cert.endpoint is None
+        assert not cert.validated
 
 
 class TestScaleToEll:
@@ -224,8 +238,7 @@ class TestPolish:
         # decrease of max|K^-1 F| stalls there, pure Newton diverges
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
-        start = _structured_start(decoupled_cfg, g, 4,
-                                  np.random.default_rng(4))
+        start = _structured_start(g, 4)
         endpoint, _ = _scale_until_negative(start, mf)
         path = [endpoint * (k / 32) for k in range(33)]
         ridge = path[int(np.argmax([j_value(p, mf) for p in path]))]
