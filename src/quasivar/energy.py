@@ -110,33 +110,36 @@ def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
     """Exact Jacobian of the interior loads (F_u, F_v) as one sparse matrix.
 
     Unknowns and equations are the interior nodal values of u, then of v.
-    With E the stacked element operators (M; D_k) of ``element_operators``,
-    the u-block is vol E^T H E, where the per-cell Hessian H has entries
-    A_tt - G_uu (value, value), the mixed derivative (value, gradient and
-    gradient, value) and the xi-Jacobian of a (gradient, gradient); the
-    v-block likewise from B, and the coupling blocks are -vol M^T G_uv M.
+    The per-cell Hessian H, over (value, gradient) of u then of v, has
+    entries A_tt - G_uu (value, value), the mixed derivative (value,
+    gradient and gradient, value) and the xi-Jacobian of a (gradient,
+    gradient); the v-block likewise from B, and -G_uv couples the two
+    values.  Each cell contributes vol B2^T H B2, with B2 = blockdiag(B, B)
+    the cell's corner map from ``Grid.jacobian_pattern``, summed into that
+    cached CSC pattern.  Entries that sum to exactly zero are not stored.
     """
     grid = fp.grid
-    dim, cells = grid.dimension, grid.num_cells
+    dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
     um, ug, vm, vg = _element_data(fp)
     g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
-    k = dim + 1
-    blocks = [[None] * (2 * k) for _ in range(2 * k)]
+    H = np.zeros((cells, 2 * k, 2 * k))
     for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):
         tt, t_xi, xi_xi = mf.coef_hessian(t, xi, c + 1)
-        t_xi = t_xi.reshape(cells, dim)
-        xi_xi = xi_xi.reshape(cells, dim, dim)
-        o = c * k
-        blocks[o][o] = sp.diags(tt.ravel() - g_tt)
-        for a in range(dim):
-            blocks[o][o + 1 + a] = blocks[o + 1 + a][o] = sp.diags(t_xi[:, a])
-            for b in range(dim):
-                blocks[o + 1 + a][o + 1 + b] = sp.diags(xi_xi[:, a, b])
-    blocks[0][k] = blocks[k][0] = sp.diags(-g_uv)
-    H = sp.bmat(blocks, format="csr")
-    E = grid.element_operators()
-    E2 = sp.block_diag((E, E), format="csr")
-    return (grid.cell_volume * (E2.T @ (H @ E2))).tocsc()
+        o, grad = c * k, slice(c * k + 1, (c + 1) * k)
+        H[:, o, o] = tt.ravel() - g_tt
+        H[:, o, grad] = H[:, grad, o] = t_xi.reshape(cells, dim)
+        H[:, grad, grad] = xi_xi.reshape(cells, dim, dim)
+    H[:, 0, k] = H[:, k, 0] = -g_uv
+    B, _, slots, indices, indptr = grid.jacobian_pattern()
+    B2 = np.kron(np.eye(2), B)
+    local = np.einsum("ai,cab,bj->cij", B2, H, B2, optimize=True)
+    data = np.bincount(slots, weights=grid.cell_volume * local.ravel(),
+                       minlength=indices.size + 1)[:-1]
+    # the cached index arrays are copied: eliminate_zeros rewrites them
+    jac = sp.csc_matrix((data, indices.copy(), indptr.copy()),
+                        shape=(indptr.size - 1,) * 2)
+    jac.eliminate_zeros()
+    return jac
 
 
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:

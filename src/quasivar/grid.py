@@ -39,7 +39,7 @@ class Grid:
         self.num_cells = (n - 1) ** dimension
         self._stiffness = None  # cached stiffness matrix
         self._lap_solve = None  # cached factorized stiffness
-        self._element_ops = None  # cached sparse element operators
+        self._jac_pattern = None  # cached element map of dJ_jacobian
         axis = np.linspace(0.0, 1.0, n)
         self._axis = axis
         centers = 0.5 * (axis[:-1] + axis[1:])
@@ -129,26 +129,39 @@ class Grid:
         out[self.boundary_mask()] = 0.0
         return out
 
-    def element_operators(self) -> sp.csr_matrix:
-        """Sparse (midpoint_values; element_gradients) on interior nodes.
+    def jacobian_pattern(self) -> tuple[np.ndarray, ...]:
+        """Element-local map of the pair Jacobian, built once on first use.
 
-        The rows are the midpoint map M, then the gradient maps D_x (and
-        D_y in 2D), one block of num_cells rows each in the cell order of
-        ``midpoint_values(...).ravel()``.  The columns are the interior
-        nodes in the order of ``values[~boundary_mask()]``.  ``scatter``
-        applies the transpose weighted by the cell volume.
+        Returns (B, dofs, slots, indices, indptr).  B, shape (dim+1, 2^dim),
+        maps the corner values of every cell to its midpoint value and
+        gradient, as ``midpoint_values`` and ``element_gradients`` do.
+        dofs, shape (num_cells, 2^(dim+1)), holds the interior index of
+        each cell corner for u, then for v (offset by the interior count
+        m), or -1 on the boundary.  slots gives each raveled per-cell entry
+        (cell, i, j) its position in the data of the 2m x 2m CSC pattern
+        (indices, indptr), or the extra position nnz for a boundary corner.
         """
-        if self._element_ops is None:
-            # one-axis midpoint average and difference quotient; in 2D the
-            # node index is i * n + j, so the first kron factor acts on x
-            eye = sp.identity(self.n, format="csr")
-            avg = 0.5 * (eye[:-1] + eye[1:])
-            diff = (eye[1:] - eye[:-1]) / self.h
-            ops = ([avg, diff] if self.dimension == 1 else
-                   [sp.kron(avg, avg), sp.kron(diff, avg), sp.kron(avg, diff)])
-            E = sp.vstack(ops, format="csr")
-            self._element_ops = E[:, np.flatnonzero(~self.boundary_mask())]
-        return self._element_ops
+        if self._jac_pattern is None:
+            dim, m = self.dimension, (self.n - 2) ** self.dimension
+            corners = np.array(list(np.ndindex((2,) * dim))).T  # (dim, 2^dim)
+            B = np.vstack([np.full(2 ** dim, 0.5 ** dim),
+                           (2 * corners - 1) * 0.5 ** (dim - 1) / self.h])
+            number = np.full(self.node_shape, -1)
+            number[~self.boundary_mask()] = np.arange(m)
+            cells = np.indices((self.n - 1,) * dim).reshape(dim, -1, 1)
+            u = number[tuple(cells + corners[:, None, :])]
+            dofs = np.hstack([u, np.where(u < 0, -1, u + m)])
+            rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+            kept = (rows >= 0) & (cols >= 0)
+            keys, inverse = np.unique(cols[kept] * (2 * m) + rows[kept],
+                                      return_inverse=True)
+            slots = np.full(kept.shape, keys.size)
+            slots[kept] = inverse
+            indptr = np.searchsorted(keys, 2 * m * np.arange(2 * m + 1))
+            self._jac_pattern = (B, dofs, slots.ravel(),
+                                 (keys % (2 * m)).astype(np.int32),
+                                 indptr.astype(np.int32))
+        return self._jac_pattern
 
     # -- discrete Laplacian ----------------------------------------------------
 

@@ -229,13 +229,14 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact sparse Jacobian J of
     ``dJ_jacobian`` and the Dirichlet stiffness K of ``Grid.stiffness``,
-    factorized by ``splu``: Levenberg-Marquardt damping toward the
-    Sobolev gradient step -K^-1 F.  A step is accepted when the energy
-    norm F^T K^-1 F of the residual (the square of ``residual_norm``)
-    decreases.  mu starts at 0, a plain Newton step; a rejected step
-    (no decrease, non-finite trial loads or a singular factor) sets
-    mu <- max(4 mu, 1e-3) and solves again, and an accepted one quarters
-    mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is
+    factorized by ``splu`` in the minimum-degree order of A^T A + A (the
+    matrix is structurally symmetric; this fills less than COLAMD):
+    Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
+    A step is accepted when the energy norm F^T K^-1 F of the residual
+    (the square of ``residual_norm``) decreases.  mu starts at 0, a plain
+    Newton step; a rejected step (no decrease, non-finite trial loads or
+    a singular factor) sets mu <- max(4 mu, 1e-3) and solves again, and
+    an accepted one quarters mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is
     <= tol * 1e-2.  Returns the refined pair, or None when the loads at
     the start are not finite, mu passes 1e8, or max_iter steps do not
     converge.  Whether the point is kept (level, nontriviality) is left
@@ -280,7 +281,8 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         jac = dJ_jacobian(unpack(x), mf)
         while True:
             try:
-                dx = splu(jac + mu * damping if mu else jac).solve(-f)
+                dx = splu(jac + mu * damping if mu else jac,
+                          permc_spec="MMD_AT_PLUS_A").solve(-f)
             except RuntimeError:  # exactly singular factor
                 state = None
             else:
@@ -482,11 +484,12 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
     ``count`` searches, start m from the ray through the sine mode
     ``_structured_start(grid, m)``, with its endpoint and validation set
     by the same rule as ``certify_geometry`` (start 0 is the certify
-    endpoint's ray).  Drops starts that do not validate, non-converged
-    or collapsed runs, and candidates equal to a kept one up to the
-    dedup tolerance or a global sign flip, and returns the survivors
-    sorted by level.  May return fewer than ``count`` candidates.  The
-    seeds only label the provenance past ``seeds[0]``.
+    endpoint's ray, so it reuses that certificate).  Drops starts that do
+    not validate, non-converged or collapsed runs, and candidates equal to
+    a kept one up to the dedup tolerance or a global sign flip, and
+    returns the survivors sorted by level.  May return fewer than
+    ``count`` candidates.  The seeds only label the provenance past
+    ``seeds[0]``.
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
@@ -495,7 +498,8 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
                                  seed=seeds[0] if seeds else 0, mf=mf)
     results: list[CriticalPointCandidate] = []
     for m in range(count):
-        cert = _with_endpoint(base_cert, _structured_start(grid, m), cfg, mf)
+        cert = (base_cert if m == 0 else
+                _with_endpoint(base_cert, _structured_start(grid, m), cfg, mf))
         if not cert.validated:
             continue
         cand = mountain_pass_search(

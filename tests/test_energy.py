@@ -103,6 +103,12 @@ def _smooth_pair(g, scale_u, scale_v):
     return FieldPair(field(scale_u), field(scale_v))
 
 
+def _smooth_point(g):
+    """The point the Jacobian tests linearize at, both components nonzero."""
+    return _smooth_pair(g, lambda x, y: 1.0 + 0.3 * x,
+                        lambda x, y: 0.8 - 0.2 * y)
+
+
 class TestJacobian:
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("cfg_name",
@@ -112,8 +118,7 @@ class TestJacobian:
         of the point and of the direction nonzero: error slope 2."""
         mf = ModelFunctions(request.getfixturevalue(cfg_name))
         g = Grid(dimension, 33)
-        fp = _smooth_pair(g, lambda x, y: 1.0 + 0.3 * x,
-                          lambda x, y: 0.8 - 0.2 * y)
+        fp = _smooth_point(g)
         d = _smooth_pair(g, lambda x, y: 0.5 * np.cos(2 * np.pi * y + x),
                          lambda x, y: 0.5 * np.sin(3 * np.pi * x))
         interior = ~g.boundary_mask()
@@ -131,6 +136,85 @@ class TestJacobian:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
         assert errs[-1] <= 1e-3 * np.max(np.abs(jd))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cfg_name",
+                             ["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    def test_matches_dense_reference(self, cfg_name, dimension, request):
+        """vol E2^T H E2 with E the (midpoint; gradient) maps on unit
+        vectors and H the per-cell Hessian as a dense block matrix."""
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(dimension, 5)
+        fp = _smooth_point(g)
+        interior = np.flatnonzero(~g.boundary_mask())
+        cells, k = g.num_cells, dimension + 1
+        E = np.zeros((k * cells, interior.size))
+        for col, node in enumerate(interior):
+            e = g.zeros()
+            e.flat[node] = 1.0
+            E[:cells, col] = g.midpoint_values(e).ravel()
+            E[cells:, col] = g.element_gradients(e).reshape(cells, -1).T.ravel()
+        um, vm = (g.midpoint_values(f.values).ravel() for f in (fp.u, fp.v))
+        ug, vg = (g.element_gradients(f.values).reshape(cells, -1)
+                  for f in (fp.u, fp.v))
+        g_uu, g_uv, g_vv = mf.G_hessian(um, vm)
+        H = np.zeros((2 * k * cells, 2 * k * cells))
+
+        def put(a, b, diag):  # diagonal (cells x cells) block (a, b)
+            H[a * cells:(a + 1) * cells, b * cells:(b + 1) * cells] = \
+                np.diag(diag)
+
+        for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):
+            tt, t_xi, xi_xi = mf.coef_hessian(t, xi, c + 1)
+            o = c * k
+            put(o, o, tt - g_tt)
+            for a in range(dimension):
+                put(o, o + 1 + a, t_xi[:, a])
+                put(o + 1 + a, o, t_xi[:, a])
+                for b in range(dimension):
+                    put(o + 1 + a, o + 1 + b, xi_xi[:, a, b])
+        put(0, k, -g_uv)
+        put(k, 0, -g_uv)
+        E2 = np.block([[E, np.zeros_like(E)], [np.zeros_like(E), E]])
+        ref = g.cell_volume * E2.T @ H @ E2
+        jac = dJ_jacobian(fp, mf).toarray()
+        assert np.max(np.abs(jac - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_decoupled_stores_no_coupling(self, dimension, decoupled_cfg):
+        # c* = 0: the u-v blocks are exactly zero and must not be stored
+        mf = ModelFunctions(decoupled_cfg)
+        g = Grid(dimension, 5)
+        fp = _smooth_point(g)
+        jac = dJ_jacobian(fp, mf)
+        m = jac.shape[0] // 2
+        assert jac[:m, m:].nnz == 0 and jac[m:, :m].nnz == 0
+        assert jac.nnz == jac[:m, :m].nnz + jac[m:, m:].nnz
+        assert np.all(jac.data != 0.0)
+
+    @pytest.mark.parametrize("mutate", ["eliminate_zeros", "reorder"])
+    def test_result_does_not_share_the_cached_pattern(self, mutate,
+                                                      coupled_cfg):
+        # eliminate_zeros and sort_indices rewrite indices in place, so an
+        # in-place edit of one result must not reach the next one
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 5)
+        fp = _smooth_point(g)
+        ref = dJ_jacobian(fp, mf)
+        ref_indices, ref_indptr = ref.indices.copy(), ref.indptr.copy()
+        first = dJ_jacobian(fp, mf)
+        if mutate == "eliminate_zeros":
+            first.data[::2] = 0.0
+            first.eliminate_zeros()
+        else:  # reverse the rows of every column in place
+            for a, b in zip(first.indptr[:-1], first.indptr[1:]):
+                first.indices[a:b] = first.indices[a:b][::-1].copy()
+                first.data[a:b] = first.data[a:b][::-1].copy()
+            first.has_sorted_indices = False
+        nxt = dJ_jacobian(fp, mf)
+        assert np.array_equal(nxt.indices, ref_indices)
+        assert np.array_equal(nxt.indptr, ref_indptr)
+        assert np.array_equal(nxt.data, ref.data)
 
 
 class TestGradientRepresentative:

@@ -10,6 +10,7 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       ell_norm, first_eigenpair, j_value,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
+from quasivar import mpsolver
 from quasivar.grid import random_field_pair, sine_modes
 from quasivar.energy import residual_norm
 from quasivar.mpsolver import (_polish_candidate, _scale_until_negative,
@@ -220,17 +221,44 @@ class TestMountainPassSearch:
         assert np.array_equal(a.fields.u.values, b.fields.u.values)
 
 
-class TestPolish:
-    def test_first_ridge_point_polishes_to_reference_saddle(self, coupled_cfg):
-        # the exact Newton lands on the saddle from the first path maximum,
-        # a move of about half the start norm, so no deformation step runs
-        g = Grid(2, 33)
-        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
+@pytest.fixture(scope="module")
+def coupled_polish(coupled_cfg):
+    """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies and
+    splu calls counted."""
+    counts = {"dJ_jacobian": 0, "splu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    g = Grid(2, 33)
+    cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in counts:
+            patch.setattr(mpsolver, name, counted(name, getattr(mpsolver, name)))
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(max_iters=500))
+    return cand, counts
+
+
+class TestPolish:
+    def test_first_ridge_point_polishes_to_reference_saddle(
+            self, coupled_polish):
+        # the exact Newton lands on the saddle from the first path maximum,
+        # a move of about half the start norm, so no deformation step runs
+        cand, _ = coupled_polish
         assert cand.converged
         assert cand.iterations == 1
         assert round(cand.level, 4) == 6.9948
+
+    def test_reference_saddle_step_counts(self, coupled_polish):
+        # counts repeat exactly, so a polish that starts wasting Newton
+        # steps or LM retries fails here without any timing
+        _, counts = coupled_polish
+        assert counts["dJ_jacobian"] <= 9
+        assert counts["splu"] <= 17
 
     def test_reaches_higher_mode_saddle_from_first_ridge_point(
             self, decoupled_cfg):
@@ -259,6 +287,21 @@ class TestPolish:
 
 
 class TestMultiplicity:
+    def test_scales_one_ray_per_start(self, decoupled_cfg_1d, monkeypatch):
+        # start 0 reuses the certificate's endpoint instead of scaling the
+        # bubble ray a second time
+        calls = []
+        real = mpsolver._scale_until_negative
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mpsolver, "_scale_until_negative", counted)
+        multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
+                            n_geo_samples=4)
+        assert len(calls) == 3
+
     def test_distinct_increasing_levels(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 4)
         assert len(cands) >= 2
