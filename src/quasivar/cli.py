@@ -370,6 +370,7 @@ def _candidate_record(kind: str, cand, rec) -> dict:
             "provenance": cand.provenance,
             "verified_level": rec.level, "verified_residual": rec.residual,
             "cerami_residual": rec.cerami_residual, "trivial": rec.trivial,
+            "semitrivial": rec.semitrivial,
             "positive_level": rec.positive_level}
 
 

@@ -42,19 +42,15 @@ class EnergyReport:
     residual: float | None = None
 
 
-def _element_data(fp: FieldPair):
-    grid = fp.grid
-    um = grid.midpoint_values(fp.u.values)
-    ug = grid.element_gradients(fp.u.values)
-    vm = grid.midpoint_values(fp.v.values)
-    vg = grid.element_gradients(fp.v.values)
-    return um, ug, vm, vg
+def _element_data(grid: Grid, u: np.ndarray, v: np.ndarray):
+    return (grid.midpoint_values(u), grid.element_gradients(u),
+            grid.midpoint_values(v), grid.element_gradients(v))
 
 
 def energy_terms(fp: FieldPair, mf: ModelFunctions) -> tuple[float, float, float]:
     """Quadrature values of (int A, int B, int G); raises on overflow."""
     grid = fp.grid
-    um, ug, vm, vg = _element_data(fp)
+    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
     vol = grid.cell_volume
     with np.errstate(over="raise"):
         try:
@@ -73,6 +69,50 @@ def j_value(fp: FieldPair, mf: ModelFunctions) -> float:
     """Fast path: the scalar energy J(u, v)."""
     a, b, g = energy_terms(fp, mf)
     return a + b - g
+
+
+def ray_energies(grid: Grid, u: np.ndarray, v: np.ndarray,
+                 mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents e and coefficients c of J along the rays through pairs.
+
+    ``u`` and ``v`` are stacked nodal values, node axes last.  Under the
+    midpoint quadrature of ``j_value``, J(tau (u, v)) = sum_k c[..., k]
+    tau^e_k for tau >= 0, with the seven terms of
+    ``ModelFunctions.ray_densities``; evaluate it with ``ray_energy``.
+    Raises NonFiniteEnergyError on overflow, as ``j_value`` does.
+    """
+    with np.errstate(over="raise"):
+        try:
+            exponents, densities = mf.ray_densities(
+                *_element_data(grid, u, v))
+            coeffs = np.stack([grid.cell_integrals(d) for d in densities],
+                              axis=-1)
+        except FloatingPointError as exc:
+            raise NonFiniteEnergyError("energy integrand overflow") from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise NonFiniteEnergyError("non-finite energy term")
+    return np.asarray(exponents, dtype=float), coeffs
+
+
+def ray_energy(ray: tuple[np.ndarray, np.ndarray], tau) -> np.ndarray:
+    """J at the scales ``tau`` along the rays of ``ray_energies``.
+
+    ``tau`` broadcasts against the leading axes of the coefficients.
+    Terms whose coefficient is zero on every ray are skipped, so only
+    the terms present can overflow; an overflow raises
+    NonFiniteEnergyError.
+    """
+    exponents, coeffs = ray
+    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 1)))
+    with np.errstate(over="raise"):
+        try:
+            scaled = np.asarray(tau, dtype=float)[..., None] ** exponents[live]
+            out = np.sum(coeffs[..., live] * scaled, axis=-1)
+        except FloatingPointError as exc:
+            raise NonFiniteEnergyError("energy overflow along the ray") from exc
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteEnergyError("non-finite energy along the ray")
+    return out
 
 
 def J_eval(fp: FieldPair, mf: ModelFunctions,
@@ -100,7 +140,7 @@ def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]
     for nodal directions.
     """
     grid = fp.grid
-    um, ug, vm, vg = _element_data(fp)
+    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
     fu = grid.scatter(mf.At_eval(um, ug) - mf.Gu_eval(um, vm), mf.a_eval(um, ug))
     fv = grid.scatter(mf.Bt_eval(vm, vg) - mf.Gv_eval(um, vm), mf.b_eval(vm, vg))
     return fu, fv
@@ -120,7 +160,7 @@ def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
     """
     grid = fp.grid
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
-    um, ug, vm, vg = _element_data(fp)
+    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
     g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
     H = np.zeros((cells, 2 * k, 2 * k))
     for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):

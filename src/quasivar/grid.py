@@ -76,22 +76,31 @@ class Grid:
     # -- element operations --------------------------------------------------
 
     def midpoint_values(self, values: np.ndarray) -> np.ndarray:
-        """Interpolated field values at element centers."""
+        """Interpolated field values at element centers.
+
+        The node axes of ``values`` come last; leading axes index a stack
+        of fields, as in ``element_gradients``.
+        """
         if self.dimension == 1:
-            return 0.5 * (values[:-1] + values[1:])
-        return 0.25 * (values[:-1, :-1] + values[1:, :-1]
-                       + values[:-1, 1:] + values[1:, 1:])
+            return 0.5 * (values[..., :-1] + values[..., 1:])
+        return 0.25 * (values[..., :-1, :-1] + values[..., 1:, :-1]
+                       + values[..., :-1, 1:] + values[..., 1:, 1:])
 
     def element_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Shape-function gradients at element centers, shape (*cells, dim)."""
+        """Shape-function gradients at element centers, shape (..., *cells, dim)."""
         h = self.h
         if self.dimension == 1:
-            return ((values[1:] - values[:-1]) / h)[:, None]
-        gx = (values[1:, :-1] + values[1:, 1:]
-              - values[:-1, :-1] - values[:-1, 1:]) / (2 * h)
-        gy = (values[:-1, 1:] + values[1:, 1:]
-              - values[:-1, :-1] - values[1:, :-1]) / (2 * h)
+            return ((values[..., 1:] - values[..., :-1]) / h)[..., None]
+        gx = (values[..., 1:, :-1] + values[..., 1:, 1:]
+              - values[..., :-1, :-1] - values[..., :-1, 1:]) / (2 * h)
+        gy = (values[..., :-1, 1:] + values[..., 1:, 1:]
+              - values[..., :-1, :-1] - values[..., 1:, :-1]) / (2 * h)
         return np.stack([gx, gy], axis=-1)
+
+    def cell_integrals(self, density: np.ndarray) -> np.ndarray:
+        """Midpoint-quadrature integrals of per-cell densities (..., *cells)."""
+        lead = density.shape[:density.ndim - self.dimension]
+        return density.reshape(lead + (-1,)).sum(axis=-1) * self.cell_volume
 
     def scatter(self, density: np.ndarray | None,
                 gradvec: np.ndarray | None) -> np.ndarray:
@@ -318,9 +327,25 @@ def norm_W(gf: GridFunction, p: float) -> float:
     """Gradient p-norm (integral of |grad|^p)^(1/p) by midpoint quadrature."""
     if p < 1:
         raise ValueError("norm_W requires p >= 1")
-    g = gradient_at_quadrature(gf)
-    mag = np.sqrt(np.sum(g * g, axis=-1))
-    return integrate(mag ** p, gf.grid) ** (1.0 / p)
+    return float(_w_norms(gf.grid, gf.values, p))
+
+
+def squared_magnitude(vec: np.ndarray) -> np.ndarray:
+    """|vec|^2 over the last axis, equal to np.sum(vec * vec, axis=-1).
+
+    The components are added one by one: numpy reduces over a short last
+    axis about ten times slower.
+    """
+    out = vec[..., 0] * vec[..., 0]
+    for k in range(1, vec.shape[-1]):
+        out = out + vec[..., k] * vec[..., k]
+    return out
+
+
+def _w_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
+    """Gradient p-norms of stacked nodal fields (node axes last)."""
+    mag = np.sqrt(squared_magnitude(grid.element_gradients(values)))
+    return grid.cell_integrals(mag ** p) ** (1.0 / p)
 
 
 def norm_Lp(gf: GridFunction, p: float) -> float:
@@ -350,17 +375,26 @@ def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
     return norm_W(fp.u, p1) + norm_W(fp.v, p2)
 
 
-def ray_coefficients(fp: FieldPair, cfg: "ExponentConfig",
-                     ) -> tuple[float, float, float]:
-    """Coefficients (a, b1, b2) of the ell-norm along the ray tau -> tau w.
+def ell_coefficients(grid: Grid, u: np.ndarray, v: np.ndarray,
+                     cfg: "ExponentConfig",
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (a, b1, b2) of the ell-norm along the rays through pairs.
 
-    a is the W-norm of w = (u, v), and b1, b2 are the W-norms of the
-    power-mapped components |u|^s1 u and |v|^s2 v, so that
+    ``u`` and ``v`` are stacked nodal values, node axes last.  a is the
+    W-norm of w = (u, v), and b1, b2 are the W-norms of the power-mapped
+    components |u|^s1 u and |v|^s2 v, so that
     ell(tau w) = max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2) for tau >= 0.
     """
-    return (pair_norm_W(fp, cfg.p1, cfg.p2),
-            norm_W(power_map(fp.u, cfg.s1), cfg.p1),
-            norm_W(power_map(fp.v, cfg.s2), cfg.p2))
+    return (_w_norms(grid, u, cfg.p1) + _w_norms(grid, v, cfg.p2),
+            _w_norms(grid, np.abs(u) ** cfg.s1 * u, cfg.p1),
+            _w_norms(grid, np.abs(v) ** cfg.s2 * v, cfg.p2))
+
+
+def ray_coefficients(fp: FieldPair, cfg: "ExponentConfig",
+                     ) -> tuple[float, float, float]:
+    """``ell_coefficients`` of the one ray through ``fp``."""
+    a, b1, b2 = ell_coefficients(fp.grid, fp.u.values, fp.v.values, cfg)
+    return float(a), float(b1), float(b2)
 
 
 def ell_norm(fp: FieldPair, cfg: "ExponentConfig") -> float:
@@ -377,26 +411,33 @@ def sine_modes(grid: Grid, n_modes: int) -> np.ndarray:
     return np.sin((np.arange(1, n_modes + 1) * np.pi)[:, None] * grid._axis)
 
 
+def sine_mode_fields(grid: Grid, coeffs: np.ndarray,
+                     modes: np.ndarray) -> np.ndarray:
+    """Nodal values of sine-mode combinations, zero on the boundary.
+
+    ``coeffs`` has one coefficient per mode (per mode pair in 2D, in
+    row-major order) in its trailing axes; leading axes index a stack of
+    fields.  ``modes`` is the table of :func:`sine_modes`.
+    """
+    if grid.dimension == 1:
+        vals = coeffs @ modes
+    else:
+        vals = modes.T @ coeffs @ modes
+    vals[..., grid.boundary_mask()] = 0.0
+    return vals
+
+
 def random_field_pair(grid: Grid, rng: np.random.Generator,
                       modes: np.ndarray) -> FieldPair:
     """Seeded random pair of sine-mode combinations, u drawn before v.
 
     Each component draws one standard normal coefficient per mode
-    (per mode pair in 2D, in row-major order) and sums the tabulated
-    ``modes`` of :func:`sine_modes` with them.
+    (per mode pair in 2D, in row-major order) for
+    :func:`sine_mode_fields`.
     """
-    n_modes = modes.shape[0]
-
-    def one() -> GridFunction:
-        coeffs = rng.standard_normal((n_modes,) * grid.dimension)
-        if grid.dimension == 1:
-            vals = coeffs @ modes
-        else:
-            vals = modes.T @ coeffs @ modes
-        vals[grid.boundary_mask()] = 0.0
-        return GridFunction(grid, vals)
-
-    return FieldPair(one(), one())
+    coeffs = rng.standard_normal((2,) + (modes.shape[0],) * grid.dimension)
+    u, v = sine_mode_fields(grid, coeffs, modes)
+    return FieldPair(GridFunction(grid, u), GridFunction(grid, v))
 
 
 def dump_field(gf: GridFunction) -> str:

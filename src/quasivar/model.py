@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentConfig, compute_model_constants
+from .grid import squared_magnitude
 
 
 def _sgn_pow(t: np.ndarray, e: float) -> np.ndarray:
@@ -66,8 +67,11 @@ class ModelFunctions:
     Satisfies the generic coefficient-evaluator contract (methods
     A_eval/a_eval/At_eval, the B-family, and G_eval/Gu_eval/Gv_eval, plus
     the second derivatives coef_hessian and G_hessian that the Newton
-    polish assembles its Jacobian from), so user-supplied plugin bundles
-    with the same methods are accepted everywhere a ModelFunctions is.
+    polish assembles its Jacobian from, and ray_densities, the power-law
+    terms of the energy along a ray that certification, the endpoint
+    scaling and the initial search path evaluate in closed form), so
+    user-supplied plugin bundles with the same methods are accepted
+    everywhere a ModelFunctions is.
     """
 
     cfg: ExponentConfig
@@ -208,6 +212,34 @@ class ModelFunctions:
             guv = (c * g1 * g2 * np.sign(u) * _pow_limit(u, g1 - 1.0)
                    * np.sign(v) * _pow_limit(v, g2 - 1.0))
         return guu, guv, gvv
+
+    # -- energy along a ray ----------------------------------------------------
+
+    def ray_densities(self, um, ug, vm, vg,
+                      ) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+        """Exponents e_k and densities d_k of the energy along a ray.
+
+        For midpoint values um, vm (shape (...)) and gradients ug, vg
+        (shape (..., dim)) of a pair w, the integrand A + B - G at tau w
+        is sum_k tau^e_k d_k for tau >= 0.  The seven terms, in order:
+        |ug|^p1/p1 and |um|^{s1 p1} |ug|^p1/p1 (exponents p1, p1 (1+s1)),
+        the two B terms likewise, then -|um|^q1/q1, -|vm|^q2/q2 and
+        -c* |um|^g1 |vm|^g2 (exponents q1, q2, g1 + g2).  The energy is
+        never regularized.
+        """
+        cfg = self.cfg
+        au, av = np.abs(um), np.abs(vm)
+        gu = np.sqrt(squared_magnitude(ug)) ** cfg.p1 / cfg.p1
+        gv = np.sqrt(squared_magnitude(vg)) ** cfg.p2 / cfg.p2
+        coupling = (-cfg.c_star * au ** cfg.gamma1 * av ** cfg.gamma2
+                    if cfg.c_star > 0 else np.zeros_like(au))
+        exponents = (cfg.p1, cfg.p1 * (1.0 + cfg.s1),
+                     cfg.p2, cfg.p2 * (1.0 + cfg.s2),
+                     cfg.q1, cfg.q2, cfg.gamma1 + cfg.gamma2)
+        densities = (gu, au ** (cfg.s1 * cfg.p1) * gu,
+                     gv, av ** (cfg.s2 * cfg.p2) * gv,
+                     -au ** cfg.q1 / cfg.q1, -av ** cfg.q2 / cfg.q2, coupling)
+        return exponents, densities
 
     def exact(self) -> "ModelFunctions":
         """The unregularized (eps = 0) evaluator bundle."""

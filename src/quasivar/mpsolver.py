@@ -23,10 +23,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .energy import (dJ_jacobian, dJ_loads, gradient_representative, j_value,
-                     residual_norm)
+                     ray_energies, ray_energy, residual_norm)
 from .exponents import ExponentConfig
-from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf,
-                   pair_norm_W, random_field_pair, ray_coefficients,
+from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
+                   norm_Linf, pair_norm_W, ray_coefficients, sine_mode_fields,
                    sine_modes)
 from .model import ModelFunctions
 
@@ -50,6 +50,10 @@ class SolverParams:
 _ARMIJO_C = 1e-4
 _REPARAM_EVERY = 10
 _POLISH_EVERY = 250
+
+# nodes per block of certify samples, which bounds the memory of the
+# batched ray coefficients (7 samples on the 2D n=65 grid)
+_CERTIFY_BLOCK_NODES = 2 ** 15
 
 
 @dataclass
@@ -86,17 +90,26 @@ class VerificationRecord:
     linf_u: float
     linf_v: float
     trivial: bool
+    semitrivial: bool
     positive_level: bool
 
 
 def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
                           target: float = -1.0, max_doublings: int = 60,
                           ) -> tuple[FieldPair, float]:
+    """The scaling field0 * tau with J < target, and tau.
+
+    tau doubles from 1 until J(tau field0) < target, then 30 bisection
+    steps move it back toward the crossing.  J along the ray is the
+    closed form of ``ray_energies``, built once, so no field is scaled
+    until the end.  Raises NoNegativeEnergyError when no doubling reaches
+    the target, and NonFiniteEnergyError when the energy overflows.
+    """
+    ray = ray_energies(field0.grid, field0.u.values, field0.v.values, mf)
     tau = 1.0
     found = None
     for _ in range(max_doublings):
-        trial = field0 * tau
-        if j_value(trial, mf) < target:
+        if ray_energy(ray, tau) < target:
             found = tau
             break
         tau *= 2.0
@@ -109,7 +122,7 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
     lo, hi = found / 2.0, found
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if j_value(field0 * mid, mf) < target:
+        if ray_energy(ray, mid) < target:
             hi = mid
         else:
             lo = mid
@@ -143,11 +156,11 @@ def _mapped_scale(b1: float, e1: float, b2: float, e2: float,
                   r0: float) -> float:
     """The tau > 0 with b1 tau^e1 + b2 tau^e2 = r0, for b1 + b2 > 0.
 
-    Closed form when one term is absent or the exponents agree; otherwise
-    a bracketed root-find of the increasing sum of two power laws.
+    Closed form when one term is absent; otherwise a bracketed root-find
+    of the increasing sum of two power laws.
     """
-    if b2 == 0.0 or e1 == e2:
-        return (r0 / (b1 + b2)) ** (1.0 / e1)
+    if b2 == 0.0:
+        return (r0 / b1) ** (1.0 / e1)
     if b1 == 0.0:
         return (r0 / b2) ** (1.0 / e2)
     # each term alone reaches r0 by its own crossing, so at twice the
@@ -158,14 +171,28 @@ def _mapped_scale(b1: float, e1: float, b2: float, e2: float,
         xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
+def _ell_scales(a, b1, b2, cfg: ExponentConfig, r0: float) -> np.ndarray:
+    """The scales tau with ell(tau w) = r0, from the coefficients of the
+    rays w (``ell_coefficients``).
+
+    Both branches of the fibering map increase in tau, so the scale is
+    the smaller of their crossings of r0: r0/a, and the root of the
+    power-law branch (closed form when s1 = s2).
+    """
+    e1, e2 = cfg.s1 + 1.0, cfg.s2 + 1.0
+    if e1 == e2:
+        mapped = (r0 / (b1 + b2)) ** (1.0 / e1)
+    else:
+        mapped = np.vectorize(_mapped_scale)(b1, e1, b2, e2, r0)
+    return np.minimum(r0 / a, mapped)
+
+
 def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
     """Rescale a nonzero pair so its ell-norm equals r0.
 
     Along the ray tau -> tau w the ell-norm is the fibering map
     max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2), with the coefficients of
-    ``ray_coefficients``.  Both branches increase in tau, so the scale is
-    the smaller of their crossings of r0: r0/a, and the root of the
-    power-law branch (closed form when s1 = s2).
+    ``ray_coefficients``; the scale is that of ``_ell_scales``.
     """
     with np.errstate(over="ignore"):
         a, b1, b2 = ray_coefficients(fp, cfg)
@@ -177,8 +204,7 @@ def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
             raise ValueError("cannot rescale the zero pair")
         fp = fp * (1.0 / peak)
         a, b1, b2 = ray_coefficients(fp, cfg)
-    tau = min(r0 / a, _mapped_scale(b1, cfg.s1 + 1.0, b2, cfg.s2 + 1.0, r0))
-    return fp * tau
+    return fp * float(_ell_scales(a, b1, b2, cfg, r0))
 
 
 def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
@@ -187,7 +213,12 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     """Sampled mountain-pass geometry check on the ell-sphere of radius r0.
 
     Samples seeded random Fourier-mode pairs rescaled to ell = r0 and
-    records the minimum energy rho0.  The endpoint is the product-of-sines
+    records the minimum energy rho0.  The samples are built in blocks of
+    about 2^15 grid nodes: per block, the ell-norm and energy coefficients
+    of every sample's ray (``ell_coefficients``, ``ray_energies``) give
+    its scale to the sphere and its energy there in closed form.  Only
+    the minimizing sample becomes a field pair, and rho0 is its
+    ``j_value``.  The endpoint is the product-of-sines
     bubble (u, 0) of ``_structured_start`` scaled until J < -1: the
     superlinear G makes J negative far out on every ray, so any ray
     serves and no eigenpair is needed.  The certificate validates when
@@ -203,17 +234,25 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     mf = mf or ModelFunctions(cfg)
     rng = np.random.default_rng(seed)
     modes = sine_modes(grid, 4)
-    rho0 = math.inf
-    min_sample = None
-    for _ in range(n_samples):
-        sample = scale_to_ell(random_field_pair(grid, rng, modes), cfg, r0)
-        val = j_value(sample, mf)
-        if val < rho0:
-            rho0 = val
-            min_sample = sample
-    cert = GeometryCertificate(r0=r0, rho0=rho0, endpoint=None,
-                               endpoint_level=math.nan, samples=n_samples,
-                               min_sample=min_sample, validated=False)
+    # one draw in the order of n_samples random_field_pair calls
+    coeffs = rng.standard_normal((n_samples, 2)
+                                 + (modes.shape[0],) * grid.dimension)
+    block = max(1, _CERTIFY_BLOCK_NODES // grid.n ** grid.dimension)
+    best, best_level = None, math.inf
+    for start in range(0, n_samples, block):
+        fields = sine_mode_fields(grid, coeffs[start:start + block], modes)
+        u, v = fields[:, 0], fields[:, 1]
+        tau = _ell_scales(*ell_coefficients(grid, u, v, cfg), cfg, r0)
+        levels = ray_energy(ray_energies(grid, u, v, mf), tau)
+        k = int(np.argmin(levels))
+        if levels[k] < best_level:
+            best_level, best = levels[k], fields[k] * tau[k]
+    min_sample = FieldPair(GridFunction(grid, best[0]),
+                           GridFunction(grid, best[1]))
+    cert = GeometryCertificate(r0=r0, rho0=j_value(min_sample, mf),
+                               endpoint=None, endpoint_level=math.nan,
+                               samples=n_samples, min_sample=min_sample,
+                               validated=False)
     return _with_endpoint(cert, _structured_start(grid, 0), cfg, mf)
 
 
@@ -331,12 +370,16 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                          ) -> CriticalPointCandidate:
     """Deform a path from the origin to the certificate endpoint.
 
-    Each iteration locates the path energy maximum (ties broken at the
-    lowest index), moves it along the negative gradient representative
-    with Armijo backtracking (halving, c = 1e-4), drags the
-    two stencil neighbors by half the accepted step (reverted when that
-    raises their energy), and periodically re-parameterizes the path by
-    arc length.  Stops when the residual at the path maximum is <= tol.
+    The default initial path is the straight segment of ``path_points``
+    points on the endpoint's ray, so its levels come from the closed
+    form of J along that ray (``ray_energies``); a given
+    ``initial_path`` is evaluated point by point.  Each iteration
+    locates the path energy maximum (ties broken at the lowest index),
+    moves it along the negative gradient representative with Armijo
+    backtracking (halving, c = 1e-4), drags the two stencil neighbors by
+    half the accepted step (reverted when that raises their energy), and
+    periodically re-parameterizes the path by arc length.  Stops when the
+    residual at the path maximum is <= tol.
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
@@ -347,9 +390,12 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     if initial_path is not None:
         path = [p.copy() for p in initial_path]
         npts = len(path)
+        levels = [j_value(p, mf) for p in path]
     else:
-        path = [endpoint * (k / (npts - 1)) for k in range(npts)]
-    levels = [j_value(p, mf) for p in path]
+        taus = [k / (npts - 1) for k in range(npts)]
+        path = [endpoint * t for t in taus]
+        ray = ray_energies(grid, endpoint.u.values, endpoint.v.values, mf)
+        levels = ray_energy(ray, np.array(taus)).tolist()
 
     converged = False
     residual = math.inf
@@ -528,6 +574,8 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
     Recomputes level, residual, nontriviality and sup-norm bounds, and
     reports the Cerami-weighted residual  residual * (1 + |fields|_X)
     with the X-norm surrogate  |u|_W1 + |v|_W2 + |u|_inf + |v|_inf.
+    ``semitrivial`` is true when exactly one component is identically
+    zero: a solution of one scalar equation, not a vector solution.
     """
     mf = mf or ModelFunctions(cfg)
     fp = cand.fields
@@ -541,4 +589,5 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
         cerami_residual=res * (1.0 + x_norm),
         nontriviality=nontrivial, linf_u=linf_u, linf_v=linf_v,
         trivial=bool(nontrivial < nontrivial_floor),
+        semitrivial=(linf_u == 0.0) != (linf_v == 0.0),
         positive_level=bool(level > 0.0))

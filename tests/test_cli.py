@@ -235,6 +235,8 @@ class TestSolveAndMulti:
         cand = [r for r in records if r["record"] == "candidate"][0]
         assert cand["converged"] is True
         assert cand["level"] > 0.0
+        # the bubble start keeps v = 0
+        assert cand["semitrivial"] is True
 
     def test_unconverged_solve_exits_one_with_json_lines(self, capsys,
                                                           tmp_path):

@@ -5,7 +5,8 @@ from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
                       NonFiniteEnergyError, dJ_apply, gradient_representative,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
-from quasivar.energy import dJ_jacobian, dJ_loads, energy_terms
+from quasivar.energy import (dJ_jacobian, dJ_loads, energy_terms, ray_energies,
+                             ray_energy)
 from quasivar.grid import random_field_pair, sine_modes
 
 
@@ -55,6 +56,49 @@ class TestEnergyValue:
         fp = random_pair(g, np.random.default_rng(0)) * 1e60
         with pytest.raises(NonFiniteEnergyError):
             j_value(fp, mf)
+
+
+class TestRayEnergy:
+    """J along a ray as the seven power-law terms of ray_energies."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cfg_name",
+                             ["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    def test_matches_j_value(self, cfg_name, dimension, exact, request):
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        mf = mf.exact() if exact else mf
+        g = Grid(dimension, 17)
+        for seed in range(3):
+            w = random_pair(g, np.random.default_rng(seed))
+            ray = ray_energies(g, w.u.values, w.v.values, mf)
+            for tau in (0.3, 1.0, 2.5):
+                ref = j_value(w * tau, mf)
+                assert ray_energy(ray, tau) == pytest.approx(ref, rel=1e-13)
+
+    def test_stacked_rays_match_single_rays(self, coupled_cfg):
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 17)
+        pairs = [random_pair(g, np.random.default_rng(s)) for s in range(3)]
+        u = np.stack([w.u.values for w in pairs])
+        v = np.stack([w.v.values for w in pairs])
+        taus = np.array([0.3, 1.0, 2.5])
+        stacked = ray_energy(ray_energies(g, u, v, mf), taus)
+        for w, tau, level in zip(pairs, taus, stacked):
+            one = ray_energies(g, w.u.values, w.v.values, mf)
+            assert level == pytest.approx(float(ray_energy(one, tau)),
+                                          rel=1e-15)
+
+    def test_overflow_raises(self, coupled_cfg):
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 9)
+        w = random_pair(g, np.random.default_rng(0))
+        ray = ray_energies(g, w.u.values, w.v.values, mf)
+        with pytest.raises(NonFiniteEnergyError):
+            ray_energy(ray, 1e50)
+        big = w * 1e60
+        with pytest.raises(NonFiniteEnergyError):
+            ray_energies(g, big.u.values, big.v.values, mf)
 
 
 class TestDifferential:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
-                      NoNegativeEnergyError, SolverParams, certify_geometry,
+                      NoNegativeEnergyError, NonFiniteEnergyError,
+                      SolverParams, certify_geometry,
                       ell_norm, first_eigenpair, j_value,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
@@ -14,7 +15,7 @@ from quasivar import mpsolver
 from quasivar.grid import random_field_pair, sine_modes
 from quasivar.energy import residual_norm
 from quasivar.mpsolver import (_polish_candidate, _scale_until_negative,
-                               _structured_start)
+                               _structured_start, _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump
 
@@ -30,6 +31,22 @@ def solved_1d(decoupled_cfg_1d, grid_1d):
                             n_samples=64, seed=0)
     cand = mountain_pass_search(decoupled_cfg_1d, grid_1d, cert)
     return cert, cand
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls mpsolver makes to the named functions."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(mpsolver, name,
+                            counted(name, getattr(mpsolver, name)))
+    return counts
 
 
 class TestFindEndpoint:
@@ -59,12 +76,30 @@ class TestFindEndpoint:
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
         mf.G_eval = lambda u, v: np.zeros_like(np.asarray(u))
+        ray_densities = mf.ray_densities
+
+        def no_g_terms(um, ug, vm, vg):
+            # the last three of the seven ray terms are those of G
+            exponents, densities = ray_densities(um, ug, vm, vg)
+            return exponents, densities[:4] + tuple(
+                np.zeros_like(d) for d in densities[4:])
+
+        mf.ray_densities = no_g_terms
         with pytest.raises(NoNegativeEnergyError):
             _scale_until_negative(_structured_start(g, 0), mf)
         cert = certify_geometry(decoupled_cfg, g, 0.1, n_samples=8, seed=0,
                                 mf=mf)
         assert cert.endpoint is None
         assert not cert.validated
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "mixed_cfg"])
+    def test_overflowing_start_raises(self, cfg_name, dimension, request):
+        # |u|^q1 overflows at this amplitude, as it does in j_value
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        start = _structured_start(Grid(dimension, 17), 0) * 1e60
+        with pytest.raises(NonFiniteEnergyError):
+            _scale_until_negative(start, mf)
 
 
 class TestScaleToEll:
@@ -150,7 +185,68 @@ def test_random_pair_matches_per_mode_loop(dimension, n_modes):
             assert np.max(np.abs(gf.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _per_sample_certify(cfg, grid, r0, n_samples, seed, mf):
+    """Reference: the per-sample loop certify sampled the sphere with."""
+    rng = np.random.default_rng(seed)
+    modes = sine_modes(grid, 4)
+    rho0, best = np.inf, None
+    for _ in range(n_samples):
+        sample = scale_to_ell(random_field_pair(grid, rng, modes), cfg, r0)
+        val = j_value(sample, mf)
+        if val < rho0:
+            rho0, best = val, sample
+    return rho0, best
+
+
+def _bisected_endpoint(field0, mf):
+    """Reference: the doubling and bisection on j_value of the endpoint."""
+    tau = 1.0
+    while j_value(field0 * tau, mf) >= -1.0:
+        tau *= 2.0
+    lo, hi = tau / 2.0, tau
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if j_value(field0 * mid, mf) < -1.0:
+            hi = mid
+        else:
+            lo = mid
+    return field0 * hi
+
+
 class TestCertifyGeometry:
+    # 33 samples are 30 + 3 blocks on the 2D n=33 grid and 32 + 1 on the
+    # 1D n=1025 grid
+    @pytest.mark.parametrize("seed", [0, 1000003])
+    @pytest.mark.parametrize("n_samples", [1, 7, 33])
+    @pytest.mark.parametrize("dimension, n", [(1, 1025), (2, 33)])
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
+    def test_matches_per_sample_loop(self, cfg_name, dimension, n, n_samples,
+                                     seed, request):
+        cfg = request.getfixturevalue(cfg_name)
+        g = Grid(dimension, n)
+        mf = ModelFunctions(cfg)
+        cert = certify_geometry(cfg, g, 0.1, n_samples=n_samples, seed=seed,
+                                mf=mf)
+        rho0, best = _per_sample_certify(cfg, g, 0.1, n_samples, seed, mf)
+        assert cert.rho0 == pytest.approx(rho0, rel=1e-14)
+        for got, ref in ((cert.min_sample.u, best.u),
+                         (cert.min_sample.v, best.v)):
+            assert (np.max(np.abs(got.values - ref.values))
+                    <= 1e-14 * np.max(np.abs(ref.values)))
+        endpoint = _bisected_endpoint(_structured_start(g, 0), mf)
+        assert np.array_equal(cert.endpoint.u.values, endpoint.u.values)
+        assert np.array_equal(cert.endpoint.v.values, endpoint.v.values)
+
+    @pytest.mark.parametrize("n_samples", [1, 33])
+    @pytest.mark.parametrize("dimension, n", [(1, 1025), (2, 33)])
+    def test_mixed_min_sample_on_sphere(self, mixed_cfg, dimension, n,
+                                        n_samples):
+        # s1 != s2: each sample's scale is a bracketed root
+        cert = certify_geometry(mixed_cfg, Grid(dimension, n), 0.1,
+                                n_samples=n_samples, seed=0)
+        assert ell_norm(cert.min_sample, mixed_cfg) == pytest.approx(
+            0.1, rel=1e-12)
+
     def test_decoupled_validates(self, decoupled_cfg):
         g = Grid(2, 33)
         cert = certify_geometry(decoupled_cfg, g, 0.1, n_samples=256, seed=0)
@@ -225,19 +321,10 @@ class TestMountainPassSearch:
 def coupled_polish(coupled_cfg):
     """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies and
     splu calls counted."""
-    counts = {"dJ_jacobian": 0, "splu": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     g = Grid(2, 33)
     cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
     with pytest.MonkeyPatch.context() as patch:
-        for name in counts:
-            patch.setattr(mpsolver, name, counted(name, getattr(mpsolver, name)))
+        counts = _count_calls(patch, "dJ_jacobian", "splu")
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(max_iters=500))
     return cand, counts
@@ -290,17 +377,10 @@ class TestMultiplicity:
     def test_scales_one_ray_per_start(self, decoupled_cfg_1d, monkeypatch):
         # start 0 reuses the certificate's endpoint instead of scaling the
         # bubble ray a second time
-        calls = []
-        real = mpsolver._scale_until_negative
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mpsolver, "_scale_until_negative", counted)
+        counts = _count_calls(monkeypatch, "_scale_until_negative")
         multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
                             n_geo_samples=4)
-        assert len(calls) == 3
+        assert counts["_scale_until_negative"] == 3
 
     def test_distinct_increasing_levels(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 4)
@@ -348,6 +428,26 @@ class TestMultiplicity:
                 1 + rec.nontriviality + rec.linf_u + rec.linf_v)
 
 
+class TestEvaluationCounts:
+    """Energy evaluations, counted instead of timed."""
+
+    def test_certify_evaluates_two_energies(self, coupled_cfg, monkeypatch):
+        # the samples and the endpoint ray are evaluated in closed form;
+        # j_value gives rho0 and the endpoint level
+        counts = _count_calls(monkeypatch, "j_value", "scale_to_ell")
+        certify_geometry(coupled_cfg, Grid(2, 33), 0.1, n_samples=256)
+        assert counts == {"j_value": 2, "scale_to_ell": 0}
+
+    def test_multiplicity_energy_calls(self, decoupled_cfg_1d, monkeypatch):
+        # 7 measured: rho0 and the endpoint level of the certificate, the
+        # endpoint levels of starts 1 and 2, and one polished level per
+        # start; the initial paths are evaluated in closed form
+        counts = _count_calls(monkeypatch, "j_value")
+        multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
+                            n_geo_samples=4)
+        assert counts["j_value"] <= 7
+
+
 class TestVerifyCandidate:
     def test_zero_field_trivial(self, decoupled_cfg):
         from quasivar.mpsolver import CriticalPointCandidate
@@ -358,8 +458,32 @@ class TestVerifyCandidate:
             converged=False)
         rec = verify_candidate(cand, decoupled_cfg, g)
         assert rec.trivial
+        assert not rec.semitrivial
         assert rec.residual == 0.0
         assert rec.nontriviality == 0.0
+
+    def test_reference_saddle_is_semitrivial(self, coupled_polish,
+                                             coupled_cfg):
+        # the bubble endpoint has v = 0, a set the search never leaves
+        cand, _ = coupled_polish
+        rec = verify_candidate(cand, coupled_cfg, cand.fields.grid)
+        assert rec.semitrivial
+        assert not rec.trivial
+
+    def test_vector_start_is_not_semitrivial(self, coupled_cfg):
+        g = Grid(2, 33)
+        mf = ModelFunctions(coupled_cfg)
+        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0,
+                                mf=mf)
+        b = _structured_start(g, 0).u
+        cert = _with_endpoint(cert, FieldPair(b, b), coupled_cfg, mf)
+        cand = mountain_pass_search(coupled_cfg, g, cert,
+                                    SolverParams(max_iters=500), mf)
+        rec = verify_candidate(cand, coupled_cfg, g, mf)
+        assert cand.converged
+        assert round(rec.level, 4) == 7.4693
+        assert not rec.semitrivial
+        assert not rec.trivial
 
     def test_cerami_weight(self, solved_1d, decoupled_cfg_1d, grid_1d):
         _, cand = solved_1d
