@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, integrate, norm_Lp
+from .grid import Grid, GridFunction, integrate, norm_Lp, squared_magnitude
 
 
 @dataclass
@@ -39,7 +39,7 @@ def rayleigh_quotient(y: GridFunction, p: float) -> float:
     """Quadrature ratio int |grad y|^p / int |y|^p."""
     grid = y.grid
     g = grid.element_gradients(y.values)
-    num = integrate(np.sqrt(np.sum(g * g, axis=-1)) ** p, grid)
+    num = integrate(np.sqrt(squared_magnitude(g)) ** p, grid)
     m = grid.midpoint_values(y.values)
     den = integrate(np.abs(m) ** p, grid)
     if den == 0.0:
@@ -69,7 +69,7 @@ def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
         # Sobolev gradient of the quotient at |y|_p = 1:
         # dR[d] = p int |grad y|^{p-2} grad y . grad d - q p int |y|^{p-2} y d
         g = grid.element_gradients(y.values)
-        g_sq = np.sum(g * g, axis=-1)
+        g_sq = squared_magnitude(g)
         coef = (g_sq + epsilon_reg ** 2) ** ((p - 2.0) / 2.0)
         m = grid.midpoint_values(y.values)
         load = grid.scatter(-q * p * np.abs(m) ** (p - 2.0) * m,

@@ -42,7 +42,12 @@ class EnergyReport:
     residual: float | None = None
 
 
-def _element_data(grid: Grid, u: np.ndarray, v: np.ndarray):
+def element_data(grid: Grid, u: np.ndarray, v: np.ndarray):
+    """Midpoint values and element gradients (um, ug, vm, vg) of a pair.
+
+    ``u`` and ``v`` are nodal values, node axes last; leading axes index
+    a stack of pairs.
+    """
     return (grid.midpoint_values(u), grid.element_gradients(u),
             grid.midpoint_values(v), grid.element_gradients(v))
 
@@ -50,13 +55,12 @@ def _element_data(grid: Grid, u: np.ndarray, v: np.ndarray):
 def energy_terms(fp: FieldPair, mf: ModelFunctions) -> tuple[float, float, float]:
     """Quadrature values of (int A, int B, int G); raises on overflow."""
     grid = fp.grid
-    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
-    vol = grid.cell_volume
+    um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
     with np.errstate(over="raise"):
         try:
-            int_A = float(np.sum(mf.A_eval(um, ug)) * vol)
-            int_B = float(np.sum(mf.B_eval(vm, vg)) * vol)
-            int_G = float(np.sum(mf.G_eval(um, vm)) * vol)
+            int_A = float(grid.cell_integrals(mf.A_eval(um, ug)))
+            int_B = float(grid.cell_integrals(mf.B_eval(vm, vg)))
+            int_G = float(grid.cell_integrals(mf.G_eval(um, vm)))
         except FloatingPointError as exc:
             raise NonFiniteEnergyError("energy integrand overflow") from exc
     for val in (int_A, int_B, int_G):
@@ -71,11 +75,11 @@ def j_value(fp: FieldPair, mf: ModelFunctions) -> float:
     return a + b - g
 
 
-def ray_energies(grid: Grid, u: np.ndarray, v: np.ndarray,
+def ray_energies(grid: Grid, data: tuple[np.ndarray, ...],
                  mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]:
     """Exponents e and coefficients c of J along the rays through pairs.
 
-    ``u`` and ``v`` are stacked nodal values, node axes last.  Under the
+    ``data`` is the ``element_data`` of stacked pairs (u, v).  Under the
     midpoint quadrature of ``j_value``, J(tau (u, v)) = sum_k c[..., k]
     tau^e_k for tau >= 0, with the seven terms of
     ``ModelFunctions.ray_densities``; evaluate it with ``ray_energy``.
@@ -83,8 +87,7 @@ def ray_energies(grid: Grid, u: np.ndarray, v: np.ndarray,
     """
     with np.errstate(over="raise"):
         try:
-            exponents, densities = mf.ray_densities(
-                *_element_data(grid, u, v))
+            exponents, densities = mf.ray_densities(*data)
             coeffs = np.stack([grid.cell_integrals(d) for d in densities],
                               axis=-1)
         except FloatingPointError as exc:
@@ -140,7 +143,7 @@ def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]
     for nodal directions.
     """
     grid = fp.grid
-    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
+    um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
     fu = grid.scatter(mf.At_eval(um, ug) - mf.Gu_eval(um, vm), mf.a_eval(um, ug))
     fv = grid.scatter(mf.Bt_eval(vm, vg) - mf.Gv_eval(um, vm), mf.b_eval(vm, vg))
     return fu, fv
@@ -160,7 +163,7 @@ def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
     """
     grid = fp.grid
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
-    um, ug, vm, vg = _element_data(grid, fp.u.values, fp.v.values)
+    um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
     g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
     H = np.zeros((cells, 2 * k, 2 * k))
     for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):

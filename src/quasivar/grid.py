@@ -230,7 +230,7 @@ def integrate(f, grid: Grid) -> float:
         vals = np.asarray(f, dtype=float).ravel()
     if vals.size != grid.num_cells:
         raise ValueError(f"expected {grid.num_cells} element values, got {vals.size}")
-    return float(vals.sum() * grid.cell_volume)
+    return float(grid.cell_integrals(vals.reshape((grid.n - 1,) * grid.dimension)))
 
 
 @dataclass
@@ -344,7 +344,12 @@ def squared_magnitude(vec: np.ndarray) -> np.ndarray:
 
 def _w_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
     """Gradient p-norms of stacked nodal fields (node axes last)."""
-    mag = np.sqrt(squared_magnitude(grid.element_gradients(values)))
+    return _gradient_norms(grid, grid.element_gradients(values), p)
+
+
+def _gradient_norms(grid: Grid, grads: np.ndarray, p: float) -> np.ndarray:
+    """(int |grad|^p)^(1/p) of stacked element gradients (..., *cells, dim)."""
+    mag = np.sqrt(squared_magnitude(grads))
     return grid.cell_integrals(mag ** p) ** (1.0 / p)
 
 
@@ -376,16 +381,19 @@ def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
 
 
 def ell_coefficients(grid: Grid, u: np.ndarray, v: np.ndarray,
-                     cfg: "ExponentConfig",
+                     ug: np.ndarray, vg: np.ndarray, cfg: "ExponentConfig",
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients (a, b1, b2) of the ell-norm along the rays through pairs.
 
-    ``u`` and ``v`` are stacked nodal values, node axes last.  a is the
-    W-norm of w = (u, v), and b1, b2 are the W-norms of the power-mapped
-    components |u|^s1 u and |v|^s2 v, so that
+    ``u`` and ``v`` are stacked nodal values, node axes last, and ``ug``,
+    ``vg`` their ``element_gradients``, which callers that also evaluate
+    the energy already hold.  a is the W-norm of w = (u, v), and b1, b2
+    are the W-norms of the power-mapped components |u|^s1 u and
+    |v|^s2 v, so that
     ell(tau w) = max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2) for tau >= 0.
     """
-    return (_w_norms(grid, u, cfg.p1) + _w_norms(grid, v, cfg.p2),
+    return (_gradient_norms(grid, ug, cfg.p1)
+            + _gradient_norms(grid, vg, cfg.p2),
             _w_norms(grid, np.abs(u) ** cfg.s1 * u, cfg.p1),
             _w_norms(grid, np.abs(v) ** cfg.s2 * v, cfg.p2))
 
@@ -393,7 +401,9 @@ def ell_coefficients(grid: Grid, u: np.ndarray, v: np.ndarray,
 def ray_coefficients(fp: FieldPair, cfg: "ExponentConfig",
                      ) -> tuple[float, float, float]:
     """``ell_coefficients`` of the one ray through ``fp``."""
-    a, b1, b2 = ell_coefficients(fp.grid, fp.u.values, fp.v.values, cfg)
+    grid, u, v = fp.grid, fp.u.values, fp.v.values
+    a, b1, b2 = ell_coefficients(grid, u, v, grid.element_gradients(u),
+                                 grid.element_gradients(v), cfg)
     return float(a), float(b1), float(b2)
 
 

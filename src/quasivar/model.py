@@ -86,13 +86,13 @@ class ModelFunctions:
     def A_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        mag = np.sqrt(squared_magnitude(xi))
         return (1.0 / cfg.p1) * (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * mag ** cfg.p1
 
     def a_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        xi_sq = np.sum(xi * xi, axis=-1)
+        xi_sq = squared_magnitude(xi)
         coef = (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * _xi_factor(xi_sq, cfg.p1,
                                                                  self.epsilon_reg)
         return coef[..., None] * xi
@@ -100,7 +100,7 @@ class ModelFunctions:
     def At_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        mag = np.sqrt(squared_magnitude(xi))
         if cfg.s1 == 0:
             return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
         return cfg.s1 * _sgn_pow(t, cfg.s1 * cfg.p1 - 1.0) * mag ** cfg.p1
@@ -110,13 +110,13 @@ class ModelFunctions:
     def B_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        mag = np.sqrt(squared_magnitude(xi))
         return (1.0 / cfg.p2) * (1.0 + _abs_pow(t, cfg.s2 * cfg.p2)) * mag ** cfg.p2
 
     def b_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        xi_sq = np.sum(xi * xi, axis=-1)
+        xi_sq = squared_magnitude(xi)
         coef = (1.0 + _abs_pow(t, cfg.s2 * cfg.p2)) * _xi_factor(xi_sq, cfg.p2,
                                                                  self.epsilon_reg)
         return coef[..., None] * xi
@@ -124,7 +124,7 @@ class ModelFunctions:
     def Bt_eval(self, t, xi) -> np.ndarray:
         cfg = self.cfg
         xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        mag = np.sqrt(squared_magnitude(xi))
         if cfg.s2 == 0:
             return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
         return cfg.s2 * _sgn_pow(t, cfg.s2 * cfg.p2 - 1.0) * mag ** cfg.p2
@@ -177,7 +177,7 @@ class ModelFunctions:
         p, s = (cfg.p1, cfg.s1) if component == 1 else (cfg.p2, cfg.s2)
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        xi_sq = np.sum(xi * xi, axis=-1)
+        xi_sq = squared_magnitude(xi)
         eps = self.epsilon_reg if p < 2 else 0.0
         f = _reg_pow(xi_sq, (p - 2.0) / 2.0, eps)
         xi_xi = f[..., None, None] * np.eye(xi.shape[-1])
@@ -324,12 +324,12 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     # keep the exact zero free of rounding noise.
     a = ex.a_eval(t, xi)
     axi = np.sum(a * xi, axis=-1)
-    q = np.sum(xi * xi, axis=-1)
+    q = squared_magnitude(xi)
     axi_alg = (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * _abs_pow(q, (cfg.p1 - 2.0) / 2.0) * q
     margins.append(record("h3", axi_alg - consts.mu0 * axi_alg, (t,),
                           note="model: equality, margin 0"))
 
-    big = np.abs(t) ** 2 + np.sum(xi * xi, axis=-1) >= consts.R ** 2
+    big = np.abs(t) ** 2 + q >= consts.R ** 2
     At = ex.At_eval(t, xi)
     # (h4): a.xi + A_t t >= mu1 a.xi  for |(t,xi)| >= R
     m4 = np.where(big, axi + At * t - consts.mu1 * axi, np.inf)

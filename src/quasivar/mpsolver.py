@@ -22,8 +22,9 @@ import scipy.optimize
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import (dJ_jacobian, dJ_loads, gradient_representative, j_value,
-                     ray_energies, ray_energy, residual_norm)
+from .energy import (dJ_jacobian, dJ_loads, element_data,
+                     gradient_representative, j_value, ray_energies,
+                     ray_energy, residual_norm)
 from .exponents import ExponentConfig
 from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
                    norm_Linf, pair_norm_W, ray_coefficients, sine_mode_fields,
@@ -54,6 +55,10 @@ _POLISH_EVERY = 250
 # nodes per block of certify samples, which bounds the memory of the
 # batched ray coefficients (7 samples on the 2D n=65 grid)
 _CERTIFY_BLOCK_NODES = 2 ** 15
+
+# largest difference allowed between j_value and J in closed form along a
+# ray, relative to the sum of the magnitudes of the ray's seven terms
+_RAY_RTOL = 1e-10
 
 
 @dataclass
@@ -94,18 +99,44 @@ class VerificationRecord:
     positive_level: bool
 
 
+def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
+                   tau: float, mf: ModelFunctions) -> float:
+    """j_value of fp = tau w, checked against J in closed form on the ray.
+
+    ``ray`` holds the ``ray_energies`` of the one ray through w.  The
+    closed form comes from ``mf.ray_densities`` and j_value from
+    A_eval/B_eval/G_eval; a bundle whose two disagree would pick the
+    wrong sample, endpoint and initial path without notice, so a
+    difference beyond 1e-10 of the summed magnitudes of the terms raises
+    ValueError.
+    """
+    level = j_value(fp, mf)
+    exponents, coeffs = ray
+    closed = float(ray_energy(ray, tau))
+    scale = float(ray_energy((exponents, np.abs(coeffs)), tau))
+    if not abs(level - closed) <= _RAY_RTOL * scale:
+        raise ValueError(
+            f"ray_densities gives J = {closed!r} where A_eval, B_eval and "
+            f"G_eval give {level!r}: the evaluator bundle is inconsistent")
+    return level
+
+
 def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
                           target: float = -1.0, max_doublings: int = 60,
                           ) -> tuple[FieldPair, float]:
-    """The scaling field0 * tau with J < target, and tau.
+    """The scaling field0 * tau with J < target, and its level.
 
     tau doubles from 1 until J(tau field0) < target, then 30 bisection
     steps move it back toward the crossing.  J along the ray is the
     closed form of ``ray_energies``, built once, so no field is scaled
-    until the end.  Raises NoNegativeEnergyError when no doubling reaches
-    the target, and NonFiniteEnergyError when the energy overflows.
+    until the end; the level returned is the ``j_value`` of the endpoint,
+    checked against that closed form (``_checked_level``).  Raises
+    NoNegativeEnergyError when no doubling reaches the target, and
+    NonFiniteEnergyError when the energy overflows.
     """
-    ray = ray_energies(field0.grid, field0.u.values, field0.v.values, mf)
+    grid = field0.grid
+    ray = ray_energies(grid, element_data(grid, field0.u.values,
+                                          field0.v.values), mf)
     tau = 1.0
     found = None
     for _ in range(max_doublings):
@@ -126,7 +157,8 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
             hi = mid
         else:
             lo = mid
-    return field0 * hi, hi
+    endpoint = field0 * hi
+    return endpoint, _checked_level(endpoint, ray, hi, mf)
 
 
 def _with_endpoint(cert: GeometryCertificate, start: FieldPair,
@@ -141,11 +173,10 @@ def _with_endpoint(cert: GeometryCertificate, start: FieldPair,
     certificate is not validated.
     """
     try:
-        endpoint, _ = _scale_until_negative(start, mf)
+        endpoint, level = _scale_until_negative(start, mf)
     except NoNegativeEnergyError:
         return replace(cert, endpoint=None, endpoint_level=math.nan,
                        validated=False)
-    level = j_value(endpoint, mf)
     validated = (0.0 < cert.rho0 < math.inf and level < 0.0
                  and ell_norm(endpoint, cfg) > cert.r0)
     return replace(cert, endpoint=endpoint, endpoint_level=level,
@@ -215,10 +246,11 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     Samples seeded random Fourier-mode pairs rescaled to ell = r0 and
     records the minimum energy rho0.  The samples are built in blocks of
     about 2^15 grid nodes: per block, the ell-norm and energy coefficients
-    of every sample's ray (``ell_coefficients``, ``ray_energies``) give
-    its scale to the sphere and its energy there in closed form.  Only
-    the minimizing sample becomes a field pair, and rho0 is its
-    ``j_value``.  The endpoint is the product-of-sines
+    of every sample's ray (``ell_coefficients``, ``ray_energies``, which
+    share one ``element_data``) give its scale to the sphere and its
+    energy there in closed form.  Only the minimizing sample becomes a
+    field pair, and rho0 is its ``j_value``, checked against the closed
+    form (``_checked_level``).  The endpoint is the product-of-sines
     bubble (u, 0) of ``_structured_start`` scaled until J < -1: the
     superlinear G makes J negative far out on every ray, so any ray
     serves and no eigenpair is needed.  The certificate validates when
@@ -238,18 +270,23 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     coeffs = rng.standard_normal((n_samples, 2)
                                  + (modes.shape[0],) * grid.dimension)
     block = max(1, _CERTIFY_BLOCK_NODES // grid.n ** grid.dimension)
-    best, best_level = None, math.inf
+    best_level = math.inf
     for start in range(0, n_samples, block):
         fields = sine_mode_fields(grid, coeffs[start:start + block], modes)
         u, v = fields[:, 0], fields[:, 1]
-        tau = _ell_scales(*ell_coefficients(grid, u, v, cfg), cfg, r0)
-        levels = ray_energy(ray_energies(grid, u, v, mf), tau)
+        data = element_data(grid, u, v)
+        tau = _ell_scales(*ell_coefficients(grid, u, v, data[1], data[3], cfg),
+                          cfg, r0)
+        exponents, ray_coeffs = ray_energies(grid, data, mf)
+        levels = ray_energy((exponents, ray_coeffs), tau)
         k = int(np.argmin(levels))
         if levels[k] < best_level:
             best_level, best = levels[k], fields[k] * tau[k]
+            best_ray, best_tau = (exponents, ray_coeffs[k]), tau[k]
     min_sample = FieldPair(GridFunction(grid, best[0]),
                            GridFunction(grid, best[1]))
-    cert = GeometryCertificate(r0=r0, rho0=j_value(min_sample, mf),
+    rho0 = _checked_level(min_sample, best_ray, best_tau, mf)
+    cert = GeometryCertificate(r0=r0, rho0=rho0,
                                endpoint=None, endpoint_level=math.nan,
                                samples=n_samples, min_sample=min_sample,
                                validated=False)
@@ -365,15 +402,13 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                          certificate: GeometryCertificate,
                          params: SolverParams | None = None,
                          mf: ModelFunctions | None = None,
-                         initial_path: list[FieldPair] | None = None,
                          provenance: str = "mountain_pass",
                          ) -> CriticalPointCandidate:
     """Deform a path from the origin to the certificate endpoint.
 
-    The default initial path is the straight segment of ``path_points``
-    points on the endpoint's ray, so its levels come from the closed
-    form of J along that ray (``ray_energies``); a given
-    ``initial_path`` is evaluated point by point.  Each iteration
+    The initial path is the straight segment of ``path_points`` points
+    on the endpoint's ray, so its levels come from the closed form of J
+    along that ray (``ray_energies``).  Each iteration
     locates the path energy maximum (ties broken at the lowest index),
     moves it along the negative gradient representative with Armijo
     backtracking (halving, c = 1e-4), drags the two stencil neighbors by
@@ -387,15 +422,11 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         raise ValueError("mountain_pass_search requires a validated certificate")
     endpoint = certificate.endpoint
     npts = params.path_points
-    if initial_path is not None:
-        path = [p.copy() for p in initial_path]
-        npts = len(path)
-        levels = [j_value(p, mf) for p in path]
-    else:
-        taus = [k / (npts - 1) for k in range(npts)]
-        path = [endpoint * t for t in taus]
-        ray = ray_energies(grid, endpoint.u.values, endpoint.v.values, mf)
-        levels = ray_energy(ray, np.array(taus)).tolist()
+    taus = [k / (npts - 1) for k in range(npts)]
+    path = [endpoint * t for t in taus]
+    ray = ray_energies(grid, element_data(grid, endpoint.u.values,
+                                          endpoint.v.values), mf)
+    levels = ray_energy(ray, np.array(taus)).tolist()
 
     converged = False
     residual = math.inf

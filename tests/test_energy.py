@@ -5,8 +5,8 @@ from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
                       NonFiniteEnergyError, dJ_apply, gradient_representative,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
-from quasivar.energy import (dJ_jacobian, dJ_loads, energy_terms, ray_energies,
-                             ray_energy)
+from quasivar.energy import (dJ_jacobian, dJ_loads, element_data, energy_terms,
+                             ray_energies, ray_energy)
 from quasivar.grid import random_field_pair, sine_modes
 
 
@@ -58,6 +58,11 @@ class TestEnergyValue:
             j_value(fp, mf)
 
 
+def rays(g, u, v, mf):
+    """ray_energies of the stacked pairs (u, v)."""
+    return ray_energies(g, element_data(g, u, v), mf)
+
+
 class TestRayEnergy:
     """J along a ray as the seven power-law terms of ray_energies."""
 
@@ -71,7 +76,7 @@ class TestRayEnergy:
         g = Grid(dimension, 17)
         for seed in range(3):
             w = random_pair(g, np.random.default_rng(seed))
-            ray = ray_energies(g, w.u.values, w.v.values, mf)
+            ray = rays(g, w.u.values, w.v.values, mf)
             for tau in (0.3, 1.0, 2.5):
                 ref = j_value(w * tau, mf)
                 assert ray_energy(ray, tau) == pytest.approx(ref, rel=1e-13)
@@ -83,9 +88,9 @@ class TestRayEnergy:
         u = np.stack([w.u.values for w in pairs])
         v = np.stack([w.v.values for w in pairs])
         taus = np.array([0.3, 1.0, 2.5])
-        stacked = ray_energy(ray_energies(g, u, v, mf), taus)
+        stacked = ray_energy(rays(g, u, v, mf), taus)
         for w, tau, level in zip(pairs, taus, stacked):
-            one = ray_energies(g, w.u.values, w.v.values, mf)
+            one = rays(g, w.u.values, w.v.values, mf)
             assert level == pytest.approx(float(ray_energy(one, tau)),
                                           rel=1e-15)
 
@@ -93,12 +98,12 @@ class TestRayEnergy:
         mf = ModelFunctions(coupled_cfg)
         g = Grid(2, 9)
         w = random_pair(g, np.random.default_rng(0))
-        ray = ray_energies(g, w.u.values, w.v.values, mf)
+        ray = rays(g, w.u.values, w.v.values, mf)
         with pytest.raises(NonFiniteEnergyError):
             ray_energy(ray, 1e50)
         big = w * 1e60
         with pytest.raises(NonFiniteEnergyError):
-            ray_energies(g, big.u.values, big.v.values, mf)
+            rays(g, big.u.values, big.v.values, mf)
 
 
 class TestDifferential:

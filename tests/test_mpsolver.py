@@ -92,6 +92,18 @@ class TestFindEndpoint:
         assert cert.endpoint is None
         assert not cert.validated
 
+    def test_inconsistent_bundle_raises(self, coupled_cfg):
+        # G_eval is replaced but the inherited ray_densities is not, so the
+        # closed form along a ray no longer matches j_value
+        g = Grid(2, 17)
+        mf = ModelFunctions(coupled_cfg)
+        G_eval = mf.G_eval
+        mf.G_eval = lambda u, v: 2.0 * G_eval(u, v)
+        with pytest.raises(ValueError, match="ray_densities"):
+            _scale_until_negative(_structured_start(g, 0), mf)
+        with pytest.raises(ValueError, match="ray_densities"):
+            certify_geometry(coupled_cfg, g, 0.1, n_samples=8, seed=0, mf=mf)
+
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "mixed_cfg"])
     def test_overflowing_start_raises(self, cfg_name, dimension, request):
@@ -499,7 +511,6 @@ class TestEndpointScaling:
         mf = ModelFunctions(decoupled_cfg_1d)
         eig = first_eigenpair(2.0, grid_1d)
         base = FieldPair(eig.phi1, GridFunction.zero(grid_1d))
-        endpoint, tau = _scale_until_negative(base, mf)
-        level = j_value(endpoint, mf)
+        endpoint, level = _scale_until_negative(base, mf)
+        assert level == j_value(endpoint, mf)
         assert -2.0 < level < -1.0
-        assert tau > 0
