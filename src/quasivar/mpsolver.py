@@ -107,8 +107,8 @@ def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
     closed form comes from ``mf.ray_densities`` and j_value from
     A_eval/B_eval/G_eval; a bundle whose two disagree would pick the
     wrong sample, endpoint and initial path without notice, so a
-    difference beyond 1e-10 of the summed magnitudes of the terms raises
-    ValueError.
+    difference beyond ``_RAY_RTOL`` of the summed magnitudes of the terms
+    raises ValueError.
     """
     level = j_value(fp, mf)
     exponents, coeffs = ray
