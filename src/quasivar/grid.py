@@ -91,11 +91,17 @@ class Grid:
         h = self.h
         if self.dimension == 1:
             return ((values[..., 1:] - values[..., :-1]) / h)[..., None]
-        gx = (values[..., 1:, :-1] + values[..., 1:, 1:]
-              - values[..., :-1, :-1] - values[..., :-1, 1:]) / (2 * h)
-        gy = (values[..., :-1, 1:] + values[..., 1:, 1:]
-              - values[..., :-1, :-1] - values[..., 1:, :-1]) / (2 * h)
-        return np.stack([gx, gy], axis=-1)
+        # the two numerators first, then one result that both divisions
+        # write into: no np.stack copy.  Allocating the result before the
+        # numerators tripled the minor page faults of a certify pass.
+        nx = (values[..., 1:, :-1] + values[..., 1:, 1:]
+              - values[..., :-1, :-1] - values[..., :-1, 1:])
+        ny = (values[..., :-1, 1:] + values[..., 1:, 1:]
+              - values[..., :-1, :-1] - values[..., 1:, :-1])
+        out = np.empty(nx.shape + (2,), dtype=np.result_type(nx, h))
+        np.divide(nx, 2 * h, out=out[..., 0])
+        np.divide(ny, 2 * h, out=out[..., 1])
+        return out
 
     def cell_integrals(self, density: np.ndarray) -> np.ndarray:
         """Midpoint-quadrature integrals of per-cell densities (..., *cells)."""

@@ -13,8 +13,10 @@ this does not certify min-max levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -298,6 +300,42 @@ _LM_MU_MIN = 1e-3
 _LM_MU_MAX = 1e8
 
 
+def _lm_step(jac: sp.csc_matrix, f: np.ndarray, mu: float,
+             K: sp.csc_matrix,
+             damping: Callable[[], sp.csc_matrix]) -> np.ndarray:
+    """Solve (jac + mu blockdiag(K, K)) dx = -f by sparse LU.
+
+    The unknowns are the m interior values of u, then of v.  When both
+    u-v coupling blocks of jac are empty and one component's load is
+    exactly zero, the system is block diagonal with a zero right-hand
+    side in that component: its step is exactly 0, and only the other
+    component's m x m block, J_uu + mu K or J_vv + mu K, is factored.
+    Otherwise the full 2m x 2m matrix is (when both components move, one
+    2m factor is faster than two m factors).  Factors use the
+    minimum-degree order of A^T A + A: the matrix is structurally
+    symmetric, and this fills less than COLAMD.  ``damping`` returns
+    blockdiag(K, K); it is called only for a damped full solve.  Raises
+    RuntimeError on an exactly singular factor (of the factored block
+    alone on the one-block path).
+    """
+    m = K.shape[0]
+    # in CSC the first m columns are the u unknowns: the coupling blocks
+    # are empty when those columns hold no v row and the rest no u row
+    split = jac.indptr[m]
+    if np.all(jac.indices[:split] < m) and np.all(jac.indices[split:] >= m):
+        for moving, idle in ((slice(None, m), slice(m, None)),
+                             (slice(m, None), slice(None, m))):
+            if not np.any(f[idle]):
+                block = jac[moving, moving]
+                dx = np.zeros_like(f)
+                dx[moving] = splu(block + mu * K if mu else block,
+                                  permc_spec="MMD_AT_PLUS_A").solve(-f[moving])
+                return dx
+    if mu:
+        jac = jac + mu * damping()
+    return splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-f)
+
+
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                       max_iter: int = 200) -> FieldPair | None:
     """Exact sparse Newton refinement of an approximate critical point.
@@ -305,24 +343,26 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact sparse Jacobian J of
     ``dJ_jacobian`` and the Dirichlet stiffness K of ``Grid.stiffness``,
-    factorized by ``splu`` in the minimum-degree order of A^T A + A (the
-    matrix is structurally symmetric; this fills less than COLAMD):
-    Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
-    A step is accepted when the energy norm F^T K^-1 F of the residual
-    (the square of ``residual_norm``) decreases.  mu starts at 0, a plain
-    Newton step; a rejected step (no decrease, non-finite trial loads or
-    a singular factor) sets mu <- max(4 mu, 1e-3) and solves again, and
-    an accepted one quarters mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is
-    <= tol * 1e-2.  Returns the refined pair, or None when the loads at
-    the start are not finite, mu passes 1e8, or max_iter steps do not
-    converge.  Whether the point is kept (level, nontriviality) is left
-    to the caller.
+    by ``_lm_step``: Levenberg-Marquardt damping toward the Sobolev
+    gradient step -K^-1 F.  On a semitrivial point, (u, 0) or (0, v), of a
+    model whose u-v coupling vanishes there, J is block diagonal and the
+    idle component's load is exactly zero, so its step is exactly zero
+    and only the moving component's block is factored; the iterates then
+    stay semitrivial.  A step is accepted when the energy norm F^T K^-1 F
+    of the residual (the square of ``residual_norm``) decreases.  mu
+    starts at 0, a plain Newton step; a rejected step (no decrease,
+    non-finite trial loads or a singular factor) sets mu <- max(4 mu,
+    1e-3) and solves again, and an accepted one quarters mu, down to 0
+    below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
+    Returns the refined pair, or None when the loads at the start are not
+    finite, mu passes 1e8, or max_iter steps do not converge.  Whether the
+    point is kept (level, nontriviality) is left to the caller.
     """
     grid = fp.grid
     interior = ~grid.boundary_mask()
     m = int(interior.sum())
     K = grid.stiffness()
-    damping = sp.block_diag((K, K), format="csc")
+    damping = functools.cache(lambda: sp.block_diag((K, K), format="csc"))
 
     def unpack(x: np.ndarray) -> FieldPair:
         u, v = grid.zeros(), grid.zeros()
@@ -357,8 +397,7 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         jac = dJ_jacobian(unpack(x), mf)
         while True:
             try:
-                dx = splu(jac + mu * damping if mu else jac,
-                          permc_spec="MMD_AT_PLUS_A").solve(-f)
+                dx = _lm_step(jac, f, mu, K, damping)
             except RuntimeError:  # exactly singular factor
                 state = None
             else:

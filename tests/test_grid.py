@@ -61,6 +61,25 @@ class TestGrid:
                            atol=1e-12)
 
     @pytest.mark.parametrize("dimension", [1, 2])
+    def test_element_gradients_match_stacked_form(self, dimension):
+        # reference: each component as its own array, then np.stack; the
+        # arithmetic is the same, so the result must be bitwise equal
+        g = Grid(dimension, 17)
+        vals = np.random.default_rng(7).standard_normal((3, 2) + g.node_shape)
+        h = g.h
+        if dimension == 1:
+            comps = [(vals[..., 1:] - vals[..., :-1]) / h]
+        else:
+            comps = [(vals[..., 1:, :-1] + vals[..., 1:, 1:]
+                      - vals[..., :-1, :-1] - vals[..., :-1, 1:]) / (2 * h),
+                     (vals[..., :-1, 1:] + vals[..., 1:, 1:]
+                      - vals[..., :-1, :-1] - vals[..., 1:, :-1]) / (2 * h)]
+        ref = np.stack(comps, axis=-1)
+        got = g.element_gradients(vals)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
     def test_element_operators_match_element_maps(self, dimension):
         # the element-local map of jacobian_pattern: B applied to each
         # cell's corner values (boundary corners read as 0)

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       NoNegativeEnergyError, NonFiniteEnergyError,
@@ -13,9 +15,10 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       scale_to_ell, verify_candidate)
 from quasivar import mpsolver
 from quasivar.grid import random_field_pair, sine_modes
-from quasivar.energy import residual_norm
-from quasivar.mpsolver import (_polish_candidate, _scale_until_negative,
-                               _structured_start, _with_endpoint)
+from quasivar.energy import dJ_jacobian, dJ_loads, residual_norm
+from quasivar.mpsolver import (_lm_step, _polish_candidate,
+                               _scale_until_negative, _structured_start,
+                               _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump
 
@@ -47,6 +50,18 @@ def _count_calls(monkeypatch, *names):
         monkeypatch.setattr(mpsolver, name,
                             counted(name, getattr(mpsolver, name)))
     return counts
+
+
+def _record_splu_shapes(monkeypatch):
+    """Record the shape of every matrix mpsolver factors."""
+    shapes = []
+
+    def recorded(A, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(mpsolver, "splu", recorded)
+    return shapes
 
 
 class TestFindEndpoint:
@@ -331,15 +346,16 @@ class TestMountainPassSearch:
 
 @pytest.fixture(scope="module")
 def coupled_polish(coupled_cfg):
-    """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies and
-    splu calls counted."""
+    """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies
+    counted and the shape of every matrix given to splu recorded."""
     g = Grid(2, 33)
     cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
     with pytest.MonkeyPatch.context() as patch:
-        counts = _count_calls(patch, "dJ_jacobian", "splu")
+        counts = _count_calls(patch, "dJ_jacobian")
+        shapes = _record_splu_shapes(patch)
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(max_iters=500))
-    return cand, counts
+    return cand, counts, shapes
 
 
 class TestPolish:
@@ -347,7 +363,7 @@ class TestPolish:
             self, coupled_polish):
         # the exact Newton lands on the saddle from the first path maximum,
         # a move of about half the start norm, so no deformation step runs
-        cand, _ = coupled_polish
+        cand, *_ = coupled_polish
         assert cand.converged
         assert cand.iterations == 1
         assert round(cand.level, 4) == 6.9948
@@ -355,9 +371,63 @@ class TestPolish:
     def test_reference_saddle_step_counts(self, coupled_polish):
         # counts repeat exactly, so a polish that starts wasting Newton
         # steps or LM retries fails here without any timing
-        _, counts = coupled_polish
+        _, counts, shapes = coupled_polish
         assert counts["dJ_jacobian"] <= 9
-        assert counts["splu"] <= 17
+        assert len(shapes) <= 17
+        # every iterate has v = 0, where the u-v coupling vanishes, so only
+        # the u-block over the 31^2 interior nodes is factored
+        assert set(shapes) == {(961, 961)}
+
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 1.0])
+    def test_one_block_step_matches_full_solve(self, cfg_name, mirror, mu,
+                                               request):
+        # reference: splu on the full 2m system; on a semitrivial point
+        # the restricted solve must agree and leave the idle component
+        # exactly where it is
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(2, 17)
+        fp = _structured_start(g, 1) * 3.0
+        if mirror:
+            fp = FieldPair(fp.v, fp.u)
+        interior = ~g.boundary_mask()
+        m = int(interior.sum())
+        f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
+        moving, idle = ((slice(m, None), slice(None, m)) if mirror
+                        else (slice(None, m), slice(m, None)))
+        assert not np.any(f[idle]) and np.any(f[moving])
+        jac = dJ_jacobian(fp, mf)
+        K = g.stiffness()
+        damping = sp.block_diag((K, K), format="csc")
+        ref = splu(jac + mu * damping,
+                   permc_spec="MMD_AT_PLUS_A").solve(-f)
+        step = _lm_step(jac, f, mu, K, lambda: damping)
+        assert not np.any(step[idle])
+        assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_mirror_start_polishes_to_mirror_saddle(self, decoupled_cfg,
+                                                    monkeypatch):
+        # (0, b) is the mirror of (b, 0): it polishes to the same level
+        # with u exactly 0, factoring only the v-block
+        g = Grid(2, 17)
+        mf = ModelFunctions(decoupled_cfg)
+        cert = certify_geometry(decoupled_cfg, g, 0.1, n_samples=16, seed=0,
+                                mf=mf)
+        start = _structured_start(g, 0)
+        cands = []
+        for fp in (start, FieldPair(start.v, start.u)):
+            shapes = _record_splu_shapes(monkeypatch)
+            cands.append(mountain_pass_search(
+                decoupled_cfg, g, _with_endpoint(cert, fp, decoupled_cfg, mf),
+                SolverParams(max_iters=300), mf))
+            assert shapes and set(shapes) == {(225, 225)}
+        ucand, vcand = cands
+        assert ucand.converged and vcand.converged
+        assert vcand.level == pytest.approx(ucand.level, rel=1e-12)
+        assert not np.any(ucand.fields.v.values)
+        assert not np.any(vcand.fields.u.values)
+        assert np.any(vcand.fields.v.values)
 
     def test_reaches_higher_mode_saddle_from_first_ridge_point(
             self, decoupled_cfg):
@@ -477,22 +547,26 @@ class TestVerifyCandidate:
     def test_reference_saddle_is_semitrivial(self, coupled_polish,
                                              coupled_cfg):
         # the bubble endpoint has v = 0, a set the search never leaves
-        cand, _ = coupled_polish
+        cand, *_ = coupled_polish
         rec = verify_candidate(cand, coupled_cfg, cand.fields.grid)
         assert rec.semitrivial
         assert not rec.trivial
 
-    def test_vector_start_is_not_semitrivial(self, coupled_cfg):
+    def test_vector_start_is_not_semitrivial(self, coupled_cfg,
+                                             monkeypatch):
         g = Grid(2, 33)
         mf = ModelFunctions(coupled_cfg)
         cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0,
                                 mf=mf)
         b = _structured_start(g, 0).u
         cert = _with_endpoint(cert, FieldPair(b, b), coupled_cfg, mf)
+        shapes = _record_splu_shapes(monkeypatch)
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(max_iters=500), mf)
         rec = verify_candidate(cand, coupled_cfg, g, mf)
         assert cand.converged
+        # both components move, so the polish factors the full 2m system
+        assert shapes and set(shapes) == {(1922, 1922)}
         assert round(rec.level, 4) == 7.4693
         assert not rec.semitrivial
         assert not rec.trivial
