@@ -1,14 +1,14 @@
 """Mountain-pass geometry certification and critical-point search.
 
-The search is a path-deformation method: a discretized path from the
-origin to a negative-energy endpoint is deformed by moving its energy
-maximum (and a small stencil of neighbors) along the negative Sobolev
-gradient with Armijo backtracking, until the preconditioned residual at
-the path maximum drops below tolerance.  An exact sparse Newton polish,
-damped toward the Sobolev gradient step, jumps from a ridge point to the
-nearby critical point.  Multiplicity is approximated heuristically by
-multi-start over sign-structured seeds plus deduplication up to sign;
-this does not certify min-max levels.
+The search takes the energy maximum of the straight path from the origin
+to a negative-energy endpoint, a ridge point of the mountain-pass
+geometry, and refines it with an exact sparse Newton polish, damped
+toward the Sobolev gradient step (Levenberg-Marquardt), to the nearby
+critical point.  When that fails at a ridge point with both components
+nonzero, its semitrivial projections (u, 0) and (0, v) are polished
+instead.  Multiplicity is approximated heuristically by multi-start over
+sign-structured seeds plus deduplication up to sign; this does not
+certify min-max levels.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import scipy.optimize
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import (dJ_jacobian, dJ_loads, element_data,
-                     gradient_representative, j_value, ray_energies,
-                     ray_energy, residual_norm)
+from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
+                     ray_energies, ray_energy, residual_norm)
 from .exponents import ExponentConfig
 from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
                    norm_Linf, pair_norm_W, ray_coefficients, sine_mode_fields,
@@ -47,12 +46,6 @@ class SolverParams:
     dedup_tol: float = 1e-2
     epsilon_reg: float = 1e-8
 
-
-# Armijo constant of the deformation step, and the iteration periods of
-# arc-length re-tensioning and of the Newton polish attempts
-_ARMIJO_C = 1e-4
-_REPARAM_EVERY = 10
-_POLISH_EVERY = 250
 
 # nodes per block of certify samples, which bounds the memory of the
 # batched ray coefficients (7 samples on the 2D n=65 grid)
@@ -108,7 +101,7 @@ def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
     ``ray`` holds the ``ray_energies`` of the one ray through w.  The
     closed form comes from ``mf.ray_densities`` and j_value from
     A_eval/B_eval/G_eval; a bundle whose two disagree would pick the
-    wrong sample, endpoint and initial path without notice, so a
+    wrong sample, endpoint and ridge point without notice, so a
     difference beyond ``_RAY_RTOL`` of the summed magnitudes of the terms
     raises ValueError.
     """
@@ -299,6 +292,11 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
 _LM_MU_MIN = 1e-3
 _LM_MU_MAX = 1e8
 
+# the polish gives up when an accepted step leaves F^T K^-1 F above
+# _STALL_RATIO of its value _STALL_STEPS accepted steps earlier
+_STALL_STEPS = 10
+_STALL_RATIO = 0.5
+
 
 def _lm_step(jac: sp.csc_matrix, f: np.ndarray, mu: float,
              K: sp.csc_matrix,
@@ -355,8 +353,10 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     1e-3) and solves again, and an accepted one quarters mu, down to 0
     below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
     Returns the refined pair, or None when the loads at the start are not
-    finite, mu passes 1e8, or max_iter steps do not converge.  Whether the
-    point is kept (level, nontriviality) is left to the caller.
+    finite, mu passes 1e8, an accepted step leaves F^T K^-1 F above half
+    its value 10 accepted steps earlier (a stagnating iteration), or
+    max_iter steps do not converge.  Whether the point is kept (level,
+    nontriviality) is left to the caller.
     """
     grid = fp.grid
     interior = ~grid.boundary_mask()
@@ -391,6 +391,7 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     f, res, energy = state
     fatol = tol * 1e-2
     mu = 0.0
+    energies = [energy]
     for _ in range(max_iter):
         if res <= fatol:
             break
@@ -409,6 +410,10 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                 return None
         x = x + dx
         f, res, energy = state
+        energies.append(energy)
+        if (res > fatol and len(energies) > _STALL_STEPS
+                and energy > _STALL_RATIO * energies[-1 - _STALL_STEPS]):
+            return None
         mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
     return unpack(x) if res <= fatol else None
 
@@ -417,43 +422,26 @@ def _pair_dist_W(a: FieldPair, b: FieldPair, cfg: ExponentConfig) -> float:
     return pair_norm_W(a - b, cfg.p1, cfg.p2)
 
 
-def _reparametrize(path: list[FieldPair], cfg: ExponentConfig) -> list[FieldPair]:
-    """Redistribute path points uniformly by W-norm arc length."""
-    npts = len(path)
-    seg = [_pair_dist_W(path[k], path[k - 1], cfg) for k in range(1, npts)]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total <= 0:
-        return path
-    targets = np.linspace(0.0, total, npts)
-    out = [path[0]]
-    for t in targets[1:-1]:
-        j = int(np.searchsorted(cum, t, side="right")) - 1
-        j = min(j, npts - 2)
-        denom = cum[j + 1] - cum[j]
-        w = 0.0 if denom == 0 else (t - cum[j]) / denom
-        out.append(path[j] * (1.0 - w) + path[j + 1] * w)
-    out.append(path[-1])
-    return out
-
-
 def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                          certificate: GeometryCertificate,
                          params: SolverParams | None = None,
                          mf: ModelFunctions | None = None,
                          provenance: str = "mountain_pass",
                          ) -> CriticalPointCandidate:
-    """Deform a path from the origin to the certificate endpoint.
+    """Polish the ridge point of the path from the origin to the endpoint.
 
-    The initial path is the straight segment of ``path_points`` points
-    on the endpoint's ray, so its levels come from the closed form of J
-    along that ray (``ray_energies``).  Each iteration
-    locates the path energy maximum (ties broken at the lowest index),
-    moves it along the negative gradient representative with Armijo
-    backtracking (halving, c = 1e-4), drags the two stencil neighbors by
-    half the accepted step (reverted when that raises their energy), and
-    periodically re-parameterizes the path by arc length.  Stops when the
-    residual at the path maximum is <= tol.
+    The ridge point is the energy maximum (ties broken at the lowest
+    index) of the ``path_points`` points tau e, tau = k / (path_points -
+    1), of the straight path to the certificate endpoint e; their levels
+    come from the closed form of J along that ray (``ray_energies``).
+    ``_polish_candidate`` refines it with at most ``max_iters`` Newton
+    steps, and a result is kept when its residual is <= tol, its level is
+    at least half of max(rho0, 0) (a min-max level dominates rho0) and its
+    W-norm is at least ``nontrivial_floor``.  When that fails and both
+    components of the ridge point are nonzero, its semitrivial projections
+    (u, 0) and then (0, v) are polished in turn, and the one kept is named
+    in the provenance.  ``iterations`` counts the polish attempts.  When
+    no attempt is kept the ridge point itself is returned, unconverged.
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
@@ -462,111 +450,38 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     endpoint = certificate.endpoint
     npts = params.path_points
     taus = [k / (npts - 1) for k in range(npts)]
-    path = [endpoint * t for t in taus]
     ray = ray_energies(grid, element_data(grid, endpoint.u.values,
                                           endpoint.v.values), mf)
-    levels = ray_energy(ray, np.array(taus)).tolist()
-
-    converged = False
-    residual = math.inf
-    alpha0 = 1.0
-    it = 0
-    # a drained path has its maximum below the certified sphere minimum
-    # (the min-max level dominates rho0); such maxima are tunneling
-    # artifacts, not saddle approximations
+    ridge = endpoint * taus[int(np.argmax(ray_energy(ray, np.array(taus))))]
+    attempts = [(ridge, "")]
+    if np.any(ridge.u.values) and np.any(ridge.v.values):
+        zero = GridFunction.zero(grid)
+        attempts += [(FieldPair(ridge.u, zero), " (u, 0)"),
+                     (FieldPair(zero, ridge.v), " (0, v)")]
     level_floor = 0.5 * max(certificate.rho0, 0.0)
-    for it in range(1, params.max_iters + 1):
-        k_max = int(np.argmax(levels))  # argmax returns the lowest tied index
-        if k_max in (0, npts - 1) or levels[k_max] < level_floor:
-            # the discrete path has drained past the ridge; re-tension it
-            # by arc length so interpolated points re-cross the ridge
-            path = _reparametrize(path, cfg)
-            levels = [j_value(p, mf) for p in path]
-            k_max = int(np.argmax(levels))
-            if k_max in (0, npts - 1) or levels[k_max] < level_floor:
-                break  # still drained: report the best iterate, unconverged
-        point = path[k_max]
-        rep, residual = gradient_representative(point, mf)
-        # the deformation only needs to localize the saddle; the polish
-        # stage below pushes the residual the rest of the way to tol
-        if residual <= max(params.tol, 1e-3):
-            converged = residual <= params.tol
-            break
-        if it == 1 or it % _POLISH_EVERY == 0:
-            # try to jump from the current path maximum straight to the
-            # nearby saddle, starting with the initial ridge point; long
-            # deformation runs let rounding noise break symmetries of the
-            # starting path and drift to lower saddles
-            refined = _polish_candidate(point, mf, params.tol)
-            if refined is not None:
-                r_res = residual_norm(refined, mf)
-                r_level = j_value(refined, mf)
-                if (r_res <= params.tol and r_level >= level_floor
-                        and pair_norm_W(refined, cfg.p1, cfg.p2)
-                        >= params.nontrivial_floor):
-                    return CriticalPointCandidate(
-                        fields=refined, level=r_level, residual=r_res,
-                        nontriviality=pair_norm_W(refined, cfg.p1, cfg.p2),
-                        linf_u=norm_Linf(refined.u),
-                        linf_v=norm_Linf(refined.v),
-                        iterations=it, converged=True,
-                        provenance=provenance)
-        res_sq = residual * residual
-        # cap the move to the local path spacing so one step cannot jump
-        # the ridge and drain the path
-        rep_norm = pair_norm_W(rep, cfg.p1, cfg.p2)
-        spacing = max(_pair_dist_W(path[k_max], path[k_max - 1], cfg),
-                      _pair_dist_W(path[k_max + 1], path[k_max], cfg))
-        step = min(alpha0, spacing / rep_norm) if rep_norm > 0 else alpha0
-        accepted = False
-        while step > 1e-18:
-            trial = point - step * rep
-            try:
-                val = j_value(trial, mf)
-            except ArithmeticError:
-                step *= 0.5
-                continue
-            if val < levels[k_max] - _ARMIJO_C * step * res_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # stalled below machine step: report best iterate
-        path[k_max], levels[k_max] = trial, val
-        alpha0 = min(step * 2.0, 1e3)
-        for kn in (k_max - 1, k_max + 1):
-            if 0 < kn < npts - 1:
-                moved = path[kn] - (0.5 * step) * rep
-                try:
-                    mval = j_value(moved, mf)
-                except ArithmeticError:
-                    continue
-                if mval < levels[kn]:
-                    path[kn], levels[kn] = moved, mval
-        if it % _REPARAM_EVERY == 0:
-            path = _reparametrize(path, cfg)
-            levels = [j_value(p, mf) for p in path]
-
-    best = path[int(np.argmax(levels))]
-    residual = residual_norm(best, mf)
-    if residual > params.tol:
-        refined = _polish_candidate(best, mf, params.tol)
-        if refined is not None:
-            r_res = residual_norm(refined, mf)
-            if (r_res < residual
-                    and pair_norm_W(refined, cfg.p1, cfg.p2)
-                    >= params.nontrivial_floor):
-                best, residual = refined, r_res
-    converged = residual <= params.tol
-    level = j_value(best, mf)
-    nontrivial = pair_norm_W(best, cfg.p1, cfg.p2)
-    collapsed = nontrivial < params.nontrivial_floor
+    for it, (start, label) in enumerate(attempts, start=1):
+        refined = _polish_candidate(start, mf, params.tol, params.max_iters)
+        if refined is None:
+            continue
+        residual = residual_norm(refined, mf)
+        level = j_value(refined, mf)
+        nontrivial = pair_norm_W(refined, cfg.p1, cfg.p2)
+        if (residual <= params.tol and level >= level_floor
+                and nontrivial >= params.nontrivial_floor):
+            return CriticalPointCandidate(
+                fields=refined, level=level, residual=residual,
+                nontriviality=nontrivial,
+                linf_u=norm_Linf(refined.u), linf_v=norm_Linf(refined.v),
+                iterations=it, converged=True,
+                provenance=provenance + label)
+    nontrivial = pair_norm_W(ridge, cfg.p1, cfg.p2)
     return CriticalPointCandidate(
-        fields=best, level=level, residual=residual,
-        nontriviality=nontrivial,
-        linf_u=norm_Linf(best.u), linf_v=norm_Linf(best.v),
-        iterations=it, converged=bool(converged and not collapsed),
-        collapsed=collapsed, provenance=provenance)
+        fields=ridge, level=j_value(ridge, mf),
+        residual=residual_norm(ridge, mf), nontriviality=nontrivial,
+        linf_u=norm_Linf(ridge.u), linf_v=norm_Linf(ridge.v),
+        iterations=len(attempts), converged=False,
+        collapsed=nontrivial < params.nontrivial_floor,
+        provenance=provenance)
 
 
 def _structured_start(grid: Grid, index: int) -> FieldPair:

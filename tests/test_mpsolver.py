@@ -64,6 +64,21 @@ def _record_splu_shapes(monkeypatch):
     return shapes
 
 
+def _ridge_point(endpoint, mf):
+    """The energy maximum of the 33-point straight path to endpoint."""
+    path = [endpoint * (k / 32) for k in range(33)]
+    return path[int(np.argmax([j_value(p, mf) for p in path]))]
+
+
+@pytest.fixture(scope="module")
+def coupled_start(coupled_cfg):
+    """Coupled 2D n=33 model, seed-0 certificate and bubble values b."""
+    g = Grid(2, 33)
+    mf = ModelFunctions(coupled_cfg)
+    cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0, mf=mf)
+    return mf, cert, _structured_start(g, 0).u
+
+
 class TestFindEndpoint:
     """The endpoint a certificate carries: the bubble ray scaled to J < -1."""
 
@@ -345,15 +360,14 @@ class TestMountainPassSearch:
 
 
 @pytest.fixture(scope="module")
-def coupled_polish(coupled_cfg):
+def coupled_polish(coupled_cfg, coupled_start):
     """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies
     counted and the shape of every matrix given to splu recorded."""
-    g = Grid(2, 33)
-    cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0)
+    _, cert, b = coupled_start
     with pytest.MonkeyPatch.context() as patch:
         counts = _count_calls(patch, "dJ_jacobian")
         shapes = _record_splu_shapes(patch)
-        cand = mountain_pass_search(coupled_cfg, g, cert,
+        cand = mountain_pass_search(coupled_cfg, b.grid, cert,
                                     SolverParams(max_iters=500))
     return cand, counts, shapes
 
@@ -362,7 +376,7 @@ class TestPolish:
     def test_first_ridge_point_polishes_to_reference_saddle(
             self, coupled_polish):
         # the exact Newton lands on the saddle from the first path maximum,
-        # a move of about half the start norm, so no deformation step runs
+        # a move of about half the start norm, so one polish attempt does
         cand, *_ = coupled_polish
         assert cand.converged
         assert cand.iterations == 1
@@ -435,11 +449,8 @@ class TestPolish:
         # decrease of max|K^-1 F| stalls there, pure Newton diverges
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
-        start = _structured_start(g, 4)
-        endpoint, _ = _scale_until_negative(start, mf)
-        path = [endpoint * (k / 32) for k in range(33)]
-        ridge = path[int(np.argmax([j_value(p, mf) for p in path]))]
-        refined = _polish_candidate(ridge, mf, 1e-6)
+        endpoint, _ = _scale_until_negative(_structured_start(g, 4), mf)
+        refined = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
         assert refined is not None
         assert residual_norm(refined, mf) <= 1e-6
         assert round(j_value(refined, mf), 4) == 2952.3134
@@ -453,6 +464,50 @@ class TestPolish:
         fp = random_field_pair(g, np.random.default_rng(0),
                                sine_modes(g, 3)) * amplitude
         assert _polish_candidate(fp, mf, 1e-6) is None
+
+    def test_stagnating_polish_gives_up(self, coupled_cfg, coupled_start,
+                                        monkeypatch):
+        # from the (b, 0.2b) ridge point the residual energy creeps down by
+        # 0-2% per step; without a stall exit all 500 steps run
+        mf, cert, b = coupled_start
+        endpoint = _with_endpoint(cert, FieldPair(b, b * 0.2), coupled_cfg,
+                                  mf).endpoint
+        counts = _count_calls(monkeypatch, "dJ_jacobian")
+        assert _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
+                                 max_iter=500) is None
+        assert counts["dJ_jacobian"] <= 40
+
+
+class TestSemitrivialFallback:
+    """Polish attempts past the ridge point: (u, 0), then (0, v)."""
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_partial_start_reaches_semitrivial_saddle(
+            self, coupled_cfg, coupled_start, mirror):
+        # the polish of the (b, 0.5b) ridge point fails near v = 0, where
+        # p2 < 2 makes B non-C^2; its projection (u, 0) polishes at once
+        mf, cert, b = coupled_start
+        fp = FieldPair(b * 0.5, b) if mirror else FieldPair(b, b * 0.5)
+        cand = mountain_pass_search(
+            coupled_cfg, b.grid, _with_endpoint(cert, fp, coupled_cfg, mf),
+            mf=mf)
+        rec = verify_candidate(cand, coupled_cfg, b.grid, mf)
+        assert cand.converged and rec.semitrivial
+        assert round(cand.level, 10) == 6.9947511641
+        assert cand.provenance.endswith("(0, v)" if mirror else "(u, 0)")
+        assert cand.iterations == (3 if mirror else 2)
+
+    def test_unreachable_tol_ends_unconverged_quickly(self, coupled_cfg,
+                                                      monkeypatch):
+        # tol 1e-30 is below rounding: each attempt must stop at the stall
+        # exit, not run its max_iters = 10000 Newton steps
+        g = Grid(1, 13)
+        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=256, seed=0)
+        counts = _count_calls(monkeypatch, "dJ_jacobian")
+        cand = mountain_pass_search(coupled_cfg, g, cert,
+                                    SolverParams(tol=1e-30))
+        assert not cand.converged
+        assert counts["dJ_jacobian"] <= 50
 
 
 class TestMultiplicity:
@@ -490,6 +545,15 @@ class TestMultiplicity:
         for ref, cand in zip(refs, cands):
             assert cand.level == pytest.approx(ref, rel=1e-6)
         assert [round(c.level, 4) for c in cands[4:6]] == [2952.3134] * 2
+
+    def test_drops_repeated_starts(self, decoupled_cfg):
+        # 2D starts cycle through 7 sine modes, so starts 7 and 8 repeat
+        # starts 0 and 1 and are dropped as duplicates
+        cands = multiplicity_search(decoupled_cfg, Grid(2, 17), 9,
+                                    n_geo_samples=16)
+        starts = sorted(int(c.provenance.split("[")[1].split("]")[0])
+                        for c in cands)
+        assert starts == list(range(7))
 
     def test_modes_match_oracle_family(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 2)
@@ -553,12 +617,9 @@ class TestVerifyCandidate:
         assert not rec.trivial
 
     def test_vector_start_is_not_semitrivial(self, coupled_cfg,
-                                             monkeypatch):
-        g = Grid(2, 33)
-        mf = ModelFunctions(coupled_cfg)
-        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0,
-                                mf=mf)
-        b = _structured_start(g, 0).u
+                                             coupled_start, monkeypatch):
+        mf, cert, b = coupled_start
+        g = b.grid
         cert = _with_endpoint(cert, FieldPair(b, b), coupled_cfg, mf)
         shapes = _record_splu_shapes(monkeypatch)
         cand = mountain_pass_search(coupled_cfg, g, cert,
