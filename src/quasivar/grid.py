@@ -211,10 +211,16 @@ class Grid:
         return spla.factorized(self.stiffness())
 
     def laplacian_solve(self, rhs_nodal: np.ndarray) -> np.ndarray:
-        """Solve K y = rhs on interior nodes (homogeneous Dirichlet)."""
+        """Solve K y = rhs on interior nodes (homogeneous Dirichlet).
+
+        An exactly zero rhs (the idle component's load at a semitrivial
+        point) returns zeros without a solve.
+        """
+        out = self.zeros()
+        if not np.any(rhs_nodal):
+            return out
         if self._lap_solve is None:
             self._lap_solve = self._build_laplacian()
-        out = self.zeros()
         if self.dimension == 1:
             out[1:-1] = self._lap_solve(rhs_nodal[1:-1])
         else:

@@ -13,16 +13,14 @@ certify min-max levels.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 import scipy.optimize
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv
 
 from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
                      ray_energies, ray_energy, residual_norm)
@@ -298,23 +296,52 @@ _STALL_STEPS = 10
 _STALL_RATIO = 0.5
 
 
+def _band_solve(a: sp.csc_matrix, rhs: np.ndarray,
+                position: np.ndarray | None = None) -> np.ndarray:
+    """Solve a x = rhs by LAPACK's banded LU with partial pivoting.
+
+    Unknown i of a sits at ``position[i]`` of the banded system (its
+    own index when ``position`` is None); the bandwidths are read off
+    a's index arrays in that order, which must hold no duplicate entry
+    (canonical CSC, as the sums and slices of ``dJ_jacobian`` and
+    ``Grid.stiffness`` are).  Raises RuntimeError on an exactly singular
+    factor.
+    """
+    n = a.shape[0]
+    rows = a.indices
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    if position is not None:
+        rows, cols = position[rows], position[cols]
+        b = np.empty_like(rhs)
+        b[position] = rhs
+        rhs = b
+    offset = rows - cols
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    # LAPACK band storage: a[i, j] at ab[kl + ku + i - j, j]; the first kl
+    # rows hold the fill of the pivoting
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl + ku + offset, cols] = a.data
+    _, _, x, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("exactly singular factor")
+    return x if position is None else x[position]
+
+
 def _lm_step(jac: sp.csc_matrix, f: np.ndarray, mu: float,
-             K: sp.csc_matrix,
-             damping: Callable[[], sp.csc_matrix]) -> np.ndarray:
-    """Solve (jac + mu blockdiag(K, K)) dx = -f by sparse LU.
+             K: sp.csc_matrix) -> np.ndarray:
+    """Solve (jac + mu blockdiag(K, K)) dx = -f by banded LU.
 
     The unknowns are the m interior values of u, then of v.  When both
     u-v coupling blocks of jac are empty and one component's load is
     exactly zero, the system is block diagonal with a zero right-hand
     side in that component: its step is exactly 0, and only the other
-    component's m x m block, J_uu + mu K or J_vv + mu K, is factored.
-    Otherwise the full 2m x 2m matrix is (when both components move, one
-    2m factor is faster than two m factors).  Factors use the
-    minimum-degree order of A^T A + A: the matrix is structurally
-    symmetric, and this fills less than COLAMD.  ``damping`` returns
-    blockdiag(K, K); it is called only for a damped full solve.  Raises
-    RuntimeError on an exactly singular factor (of the factored block
-    alone on the one-block path).
+    component's m x m block, J_uu + mu K or J_vv + mu K, is factored, in
+    the natural order of the interior nodes (bandwidth n - 1 on the 2D
+    n x n grid, 1 in 1D).  Otherwise the full 2m x 2m matrix is, with u
+    and v interleaved (unknown i of u at 2i, of v at 2i + 1) so that the
+    bandwidth stays about 2(n - 1) + 1.  Raises RuntimeError on an
+    exactly singular factor (of the factored block alone on the one-block
+    path).
     """
     m = K.shape[0]
     # in CSC the first m columns are the u unknowns: the coupling blocks
@@ -326,12 +353,14 @@ def _lm_step(jac: sp.csc_matrix, f: np.ndarray, mu: float,
             if not np.any(f[idle]):
                 block = jac[moving, moving]
                 dx = np.zeros_like(f)
-                dx[moving] = splu(block + mu * K if mu else block,
-                                  permc_spec="MMD_AT_PLUS_A").solve(-f[moving])
+                dx[moving] = _band_solve(block + mu * K if mu else block,
+                                         -f[moving])
                 return dx
     if mu:
-        jac = jac + mu * damping()
-    return splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-f)
+        jac = jac + mu * sp.block_diag((K, K), format="csc")
+    interleaved = np.concatenate([np.arange(0, 2 * m, 2),
+                                  np.arange(1, 2 * m, 2)])
+    return _band_solve(jac, -f, interleaved)
 
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
@@ -341,17 +370,17 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact sparse Jacobian J of
     ``dJ_jacobian`` and the Dirichlet stiffness K of ``Grid.stiffness``,
-    by ``_lm_step``: Levenberg-Marquardt damping toward the Sobolev
-    gradient step -K^-1 F.  On a semitrivial point, (u, 0) or (0, v), of a
-    model whose u-v coupling vanishes there, J is block diagonal and the
-    idle component's load is exactly zero, so its step is exactly zero
-    and only the moving component's block is factored; the iterates then
-    stay semitrivial.  A step is accepted when the energy norm F^T K^-1 F
-    of the residual (the square of ``residual_norm``) decreases.  mu
-    starts at 0, a plain Newton step; a rejected step (no decrease,
-    non-finite trial loads or a singular factor) sets mu <- max(4 mu,
-    1e-3) and solves again, and an accepted one quarters mu, down to 0
-    below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
+    by the banded LU of ``_lm_step``: Levenberg-Marquardt damping toward
+    the Sobolev gradient step -K^-1 F.  On a semitrivial point, (u, 0) or
+    (0, v), of a model whose u-v coupling vanishes there, J is block
+    diagonal and the idle component's load is exactly zero, so its step
+    is exactly zero and only the moving component's block is factored;
+    the iterates then stay semitrivial.  A step is accepted when the
+    energy norm F^T K^-1 F of the residual (the square of
+    ``residual_norm``) decreases.  mu starts at 0, a plain Newton step; a
+    rejected step (no decrease, non-finite trial loads or a singular
+    factor) sets mu <- max(4 mu, 1e-3) and solves again, and an accepted
+    one quarters mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
     Returns the refined pair, or None when the loads at the start are not
     finite, mu passes 1e8, an accepted step leaves F^T K^-1 F above half
     its value 10 accepted steps earlier (a stagnating iteration), or
@@ -362,7 +391,6 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     interior = ~grid.boundary_mask()
     m = int(interior.sum())
     K = grid.stiffness()
-    damping = functools.cache(lambda: sp.block_diag((K, K), format="csc"))
 
     def unpack(x: np.ndarray) -> FieldPair:
         u, v = grid.zeros(), grid.zeros()
@@ -398,7 +426,7 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         jac = dJ_jacobian(unpack(x), mf)
         while True:
             try:
-                dx = _lm_step(jac, f, mu, K, damping)
+                dx = _lm_step(jac, f, mu, K)
             except RuntimeError:  # exactly singular factor
                 state = None
             else:

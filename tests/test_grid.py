@@ -61,6 +61,21 @@ class TestGrid:
                            atol=1e-12)
 
     @pytest.mark.parametrize("dimension", [1, 2])
+    def test_zero_load_skips_the_solve(self, dimension):
+        # the idle component's load at a semitrivial point is exactly zero;
+        # its solution is zero without a call to the factor
+        g = Grid(dimension, 17)
+        g.laplacian_solve(_random_field(g, 5).values)
+        calls = []
+        solve = g._lap_solve
+        g._lap_solve = lambda rhs: calls.append(rhs) or solve(rhs)
+        sol = g.laplacian_solve(g.zeros())
+        assert not calls
+        assert sol.shape == g.node_shape and not np.any(sol)
+        assert np.any(g.laplacian_solve(_random_field(g, 6).values))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dimension", [1, 2])
     def test_element_gradients_match_stacked_form(self, dimension):
         # reference: each component as its own array, then np.stack; the
         # arithmetic is the same, so the result must be bitwise equal

@@ -52,16 +52,17 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
-def _record_splu_shapes(monkeypatch):
-    """Record the shape of every matrix mpsolver factors."""
-    shapes = []
+def _record_bands(monkeypatch):
+    """Record (order, kl, ku) of every banded matrix mpsolver factors."""
+    bands = []
+    dgbsv = mpsolver.dgbsv
 
-    def recorded(A, **kwargs):
-        shapes.append(A.shape)
-        return splu(A, **kwargs)
+    def recorded(kl, ku, ab, b, **kwargs):
+        bands.append((ab.shape[1], kl, ku))
+        return dgbsv(kl, ku, ab, b, **kwargs)
 
-    monkeypatch.setattr(mpsolver, "splu", recorded)
-    return shapes
+    monkeypatch.setattr(mpsolver, "dgbsv", recorded)
+    return bands
 
 
 def _ridge_point(endpoint, mf):
@@ -362,14 +363,15 @@ class TestMountainPassSearch:
 @pytest.fixture(scope="module")
 def coupled_polish(coupled_cfg, coupled_start):
     """Coupled 2D n=33, seed-0 search, with its Jacobian assemblies
-    counted and the shape of every matrix given to splu recorded."""
+    counted and the order and bandwidths of every banded factorization
+    recorded."""
     _, cert, b = coupled_start
     with pytest.MonkeyPatch.context() as patch:
         counts = _count_calls(patch, "dJ_jacobian")
-        shapes = _record_splu_shapes(patch)
+        bands = _record_bands(patch)
         cand = mountain_pass_search(coupled_cfg, b.grid, cert,
                                     SolverParams(max_iters=500))
-    return cand, counts, shapes
+    return cand, counts, bands
 
 
 class TestPolish:
@@ -385,12 +387,13 @@ class TestPolish:
     def test_reference_saddle_step_counts(self, coupled_polish):
         # counts repeat exactly, so a polish that starts wasting Newton
         # steps or LM retries fails here without any timing
-        _, counts, shapes = coupled_polish
+        _, counts, bands = coupled_polish
         assert counts["dJ_jacobian"] <= 9
-        assert len(shapes) <= 17
+        assert len(bands) <= 17
         # every iterate has v = 0, where the u-v coupling vanishes, so only
-        # the u-block over the 31^2 interior nodes is factored
-        assert set(shapes) == {(961, 961)}
+        # the u-block over the 31^2 interior nodes is factored, in grid
+        # order: the 9-point stencil reaches 31 + 1 places away
+        assert set(bands) == {(961, 32, 32)}
 
     @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
     @pytest.mark.parametrize("mirror", [False, True])
@@ -416,9 +419,75 @@ class TestPolish:
         damping = sp.block_diag((K, K), format="csc")
         ref = splu(jac + mu * damping,
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
-        step = _lm_step(jac, f, mu, K, lambda: damping)
+        step = _lm_step(jac, f, mu, K)
         assert not np.any(step[idle])
         assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dimension, n", [(2, 17), (1, 65)])
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 1.0])
+    def test_interleaved_full_step_matches_splu(self, coupled_cfg,
+                                                dimension, n, mu,
+                                                monkeypatch):
+        # reference: splu on the full 2m system in the u-then-v order; the
+        # banded solve factors it with u and v interleaved.  Two LU orders
+        # differ by about cond(J) eps; J here has cond about 4e2 (2D) and
+        # 7e3 (1D)
+        cfg = dataclasses.replace(coupled_cfg, N=dimension)
+        mf = ModelFunctions(cfg)
+        g = Grid(dimension, n)
+        b = _structured_start(g, 0).u
+        fp = FieldPair(b * 3.0, b * 1.5)
+        interior = ~g.boundary_mask()
+        m = int(interior.sum())
+        f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
+        assert np.any(f[:m]) and np.any(f[m:])
+        jac = dJ_jacobian(fp, mf)
+        K = g.stiffness()
+        ref = splu(jac + mu * sp.block_diag((K, K), format="csc"),
+                   permc_spec="MMD_AT_PLUS_A").solve(-f)
+        bands = _record_bands(monkeypatch)
+        step = _lm_step(jac, f, mu, K)
+        # interleaved, a neighbor k places away in one component sits
+        # 2k + 1 places away in the other: bandwidth 2(n - 1) + 1 in 2D
+        width = 2 * (n - 1 if dimension == 2 else 1) + 1
+        assert bands == [(2 * m, width, width)]
+        assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("one_block", [False, True])
+    def test_singular_step_raises(self, one_block):
+        # a zero Jacobian at mu = 0 has an exactly singular factor, which
+        # the LM schedule treats as a rejected step
+        g = Grid(2, 9)
+        K = g.stiffness()
+        m = K.shape[0]
+        f = np.ones(2 * m)
+        if one_block:
+            f[m:] = 0.0
+        with pytest.raises(RuntimeError):
+            _lm_step(sp.csc_matrix((2 * m, 2 * m)), f, 0.0, K)
+
+    def test_zero_load_skip_keeps_candidate(self, decoupled_cfg,
+                                            monkeypatch):
+        # reference: every Laplacian solve goes through the factor, zero
+        # loads included; skipping the zero loads must not move a bit
+        g = Grid(2, 17)
+        mf = ModelFunctions(decoupled_cfg)
+        cert = certify_geometry(decoupled_cfg, g, 0.1, n_samples=16, seed=0,
+                                mf=mf)
+        skipped = mountain_pass_search(decoupled_cfg, g, cert, mf=mf)
+        interior, solve = ~g.boundary_mask(), g._build_laplacian()
+
+        def always_solve(grid, rhs):
+            out = grid.zeros()
+            out[interior] = solve(rhs[interior])
+            return out
+
+        monkeypatch.setattr(Grid, "laplacian_solve", always_solve)
+        solved = mountain_pass_search(decoupled_cfg, g, cert, mf=mf)
+        assert skipped.converged and solved.converged
+        assert skipped.level == solved.level
+        assert np.array_equal(skipped.fields.u.values, solved.fields.u.values)
+        assert not np.any(skipped.fields.v.values)
 
     def test_mirror_start_polishes_to_mirror_saddle(self, decoupled_cfg,
                                                     monkeypatch):
@@ -431,11 +500,11 @@ class TestPolish:
         start = _structured_start(g, 0)
         cands = []
         for fp in (start, FieldPair(start.v, start.u)):
-            shapes = _record_splu_shapes(monkeypatch)
+            bands = _record_bands(monkeypatch)
             cands.append(mountain_pass_search(
                 decoupled_cfg, g, _with_endpoint(cert, fp, decoupled_cfg, mf),
                 SolverParams(max_iters=300), mf))
-            assert shapes and set(shapes) == {(225, 225)}
+            assert bands and set(bands) == {(225, 16, 16)}
         ucand, vcand = cands
         assert ucand.converged and vcand.converged
         assert vcand.level == pytest.approx(ucand.level, rel=1e-12)
@@ -621,13 +690,14 @@ class TestVerifyCandidate:
         mf, cert, b = coupled_start
         g = b.grid
         cert = _with_endpoint(cert, FieldPair(b, b), coupled_cfg, mf)
-        shapes = _record_splu_shapes(monkeypatch)
+        bands = _record_bands(monkeypatch)
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(max_iters=500), mf)
         rec = verify_candidate(cand, coupled_cfg, g, mf)
         assert cand.converged
-        # both components move, so the polish factors the full 2m system
-        assert shapes and set(shapes) == {(1922, 1922)}
+        # both components move, so the polish factors the full 2m system,
+        # u and v interleaved
+        assert bands and set(bands) == {(1922, 65, 65)}
         assert round(rec.level, 4) == 7.4693
         assert not rec.semitrivial
         assert not rec.trivial
