@@ -32,9 +32,8 @@ from .exponents import (ExponentConfig, InfeasibleIntervalError,
 from .grid import (Grid, GridFunction, dump_field, random_field_pair,
                    sine_modes)
 from .model import ModelFunctions
-from .mpsolver import (NoNegativeEnergyError, SolverParams, certify_geometry,
-                       mountain_pass_search, multiplicity_search,
-                       verify_candidate)
+from .mpsolver import (SolverParams, certify_geometry, mountain_pass_search,
+                       multiplicity_search, verify_candidate)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -386,11 +385,7 @@ def cmd_solve(rc: RunConfig, em: Emitter) -> int:
     if not cert.validated:
         em.emit({"record": "error", "message": "geometry not validated"})
         return EXIT_FAIL
-    try:
-        cand = mountain_pass_search(cfg, grid, cert, params, mf)
-    except NoNegativeEnergyError as exc:
-        em.emit({"record": "error", "message": str(exc)})
-        return EXIT_FAIL
+    cand = mountain_pass_search(cfg, grid, cert, params, mf)
     rec = verify_candidate(cand, cfg, grid, mf,
                            nontrivial_floor=params.nontrivial_floor)
     em.emit(_candidate_record("candidate", cand, rec))
@@ -407,7 +402,7 @@ def cmd_multi(rc: RunConfig, em: Emitter) -> int:
     cands = multiplicity_search(cfg, grid, rc.count,
                                 seeds=[rc.seed + k for k in range(rc.count)],
                                 params=params, mf=mf, r0=rc.r0,
-                                n_geo_samples=min(rc.n_geo_samples, 64))
+                                n_geo_samples=rc.n_geo_samples)
     for m, cand in enumerate(cands):
         rec = verify_candidate(cand, cfg, grid, mf,
                                nontrivial_floor=params.nontrivial_floor)

@@ -1,4 +1,5 @@
-"""Discrete energy functional, its weak differential, and descent machinery.
+"""Discrete energy functional, its closed form along rays, its weak
+differential and its Jacobian.
 
 The energy of a field pair is
 

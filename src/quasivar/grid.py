@@ -9,12 +9,12 @@ exists for analytic and shooting oracles only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 if TYPE_CHECKING:
     from .exponents import ExponentConfig
@@ -38,7 +38,7 @@ class Grid:
         self.cell_volume = self.h ** dimension
         self.num_cells = (n - 1) ** dimension
         self._stiffness = None  # cached stiffness matrix
-        self._lap_solve = None  # cached factorized stiffness
+        self._eigenvalues = None  # cached eigenvalues of K in the sine basis
         self._jac_pattern = None  # cached element map of dJ_jacobian
         axis = np.linspace(0.0, 1.0, n)
         self._axis = axis
@@ -206,26 +206,36 @@ class Grid:
             self._stiffness = K
         return self._stiffness
 
-    def _build_laplacian(self):
-        """Factorized stiffness matrix."""
-        return spla.factorized(self.stiffness())
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of K in the type-I sine basis, shape (n-2,)*dim.
+
+        With l_k = 2 cos(k pi/(n-1)), k = 1..n-2: (2 - l_k)/h in 1D and
+        8/3 - (l_i + l_j + l_i l_j)/3 in 2D.  Built once, on first use.
+        """
+        if self._eigenvalues is None:
+            lam = 2.0 * np.cos(np.arange(1, self.n - 1) * np.pi / (self.n - 1))
+            if self.dimension == 1:
+                self._eigenvalues = (2.0 - lam) / self.h
+            else:
+                li, lj = lam[:, None], lam[None, :]
+                self._eigenvalues = 8.0 / 3.0 - (li + lj + li * lj) / 3.0
+        return self._eigenvalues
 
     def laplacian_solve(self, rhs_nodal: np.ndarray) -> np.ndarray:
         """Solve K y = rhs on interior nodes (homogeneous Dirichlet).
 
-        An exactly zero rhs (the idle component's load at a semitrivial
-        point) returns zeros without a solve.
+        K is diagonal in the type-I discrete sine basis (the fast Poisson
+        solver of Buzbee, Golub and Nielson, 1970), so the solve is a DST,
+        a division by ``laplacian_eigenvalues`` and the inverse DST; there
+        is no factorization.  An exactly zero rhs (the idle component's
+        load at a semitrivial point) returns zeros without a transform.
         """
         out = self.zeros()
         if not np.any(rhs_nodal):
             return out
-        if self._lap_solve is None:
-            self._lap_solve = self._build_laplacian()
-        if self.dimension == 1:
-            out[1:-1] = self._lap_solve(rhs_nodal[1:-1])
-        else:
-            sol = self._lap_solve(rhs_nodal[1:-1, 1:-1].ravel())
-            out[1:-1, 1:-1] = sol.reshape(self.n - 2, self.n - 2)
+        inner = (slice(1, -1),) * self.dimension
+        out[inner] = idstn(dstn(rhs_nodal[inner], type=1)
+                           / self.laplacian_eigenvalues(), type=1)
         return out
 
 

@@ -18,7 +18,8 @@ limit value 0 is used at xi = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
@@ -81,53 +82,42 @@ class ModelFunctions:
         if self.epsilon_reg < 0:
             raise ValueError("epsilon_reg must be >= 0")
 
-    # -- A-family ------------------------------------------------------------
+    # -- coefficients: A (component 1) and B (component 2) -------------------
 
-    def A_eval(self, t, xi) -> np.ndarray:
+    def _exponents(self, component: int) -> tuple[float, float]:
+        """(p1, s1) for A (component 1), (p2, s2) for B (component 2)."""
         cfg = self.cfg
-        xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(squared_magnitude(xi))
-        return (1.0 / cfg.p1) * (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * mag ** cfg.p1
+        return (cfg.p1, cfg.s1) if component == 1 else (cfg.p2, cfg.s2)
 
-    def a_eval(self, t, xi) -> np.ndarray:
-        cfg = self.cfg
+    def _coef(self, t, xi, component: int) -> np.ndarray:
+        """A or B: (1/p) (1 + |t|^{s p}) |xi|^p."""
+        p, s = self._exponents(component)
+        mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
+        return (1.0 / p) * (1.0 + _abs_pow(t, s * p)) * mag ** p
+
+    def _coef_xi(self, t, xi, component: int) -> np.ndarray:
+        """a or b, the xi-gradient of A or B, with |xi|^{p-2} regularized."""
+        p, s = self._exponents(component)
         xi = np.asarray(xi, dtype=float)
-        xi_sq = squared_magnitude(xi)
-        coef = (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * _xi_factor(xi_sq, cfg.p1,
-                                                                 self.epsilon_reg)
+        coef = (1.0 + _abs_pow(t, s * p)) * _xi_factor(squared_magnitude(xi), p,
+                                                       self.epsilon_reg)
         return coef[..., None] * xi
 
-    def At_eval(self, t, xi) -> np.ndarray:
-        cfg = self.cfg
-        xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(squared_magnitude(xi))
-        if cfg.s1 == 0:
+    def _coef_t(self, t, xi, component: int) -> np.ndarray:
+        """A_t or B_t, the t-partial of A or B."""
+        p, s = self._exponents(component)
+        mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
+        if s == 0:
             return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
-        return cfg.s1 * _sgn_pow(t, cfg.s1 * cfg.p1 - 1.0) * mag ** cfg.p1
+        return s * _sgn_pow(t, s * p - 1.0) * mag ** p
 
-    # -- B-family ------------------------------------------------------------
-
-    def B_eval(self, t, xi) -> np.ndarray:
-        cfg = self.cfg
-        xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(squared_magnitude(xi))
-        return (1.0 / cfg.p2) * (1.0 + _abs_pow(t, cfg.s2 * cfg.p2)) * mag ** cfg.p2
-
-    def b_eval(self, t, xi) -> np.ndarray:
-        cfg = self.cfg
-        xi = np.asarray(xi, dtype=float)
-        xi_sq = squared_magnitude(xi)
-        coef = (1.0 + _abs_pow(t, cfg.s2 * cfg.p2)) * _xi_factor(xi_sq, cfg.p2,
-                                                                 self.epsilon_reg)
-        return coef[..., None] * xi
-
-    def Bt_eval(self, t, xi) -> np.ndarray:
-        cfg = self.cfg
-        xi = np.asarray(xi, dtype=float)
-        mag = np.sqrt(squared_magnitude(xi))
-        if cfg.s2 == 0:
-            return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
-        return cfg.s2 * _sgn_pow(t, cfg.s2 * cfg.p2 - 1.0) * mag ** cfg.p2
+    # the plugin names of the evaluator contract
+    A_eval = partialmethod(_coef, component=1)
+    a_eval = partialmethod(_coef_xi, component=1)
+    At_eval = partialmethod(_coef_t, component=1)
+    B_eval = partialmethod(_coef, component=2)
+    b_eval = partialmethod(_coef_xi, component=2)
+    Bt_eval = partialmethod(_coef_t, component=2)
 
     # -- nonlinearity ----------------------------------------------------------
 
@@ -173,8 +163,7 @@ class ModelFunctions:
         of a_eval, so the mixed derivative is one array for both; the
         t = 0 limit of |t|^{sp-2} (singular for sp < 2) is taken as 0.
         """
-        cfg = self.cfg
-        p, s = (cfg.p1, cfg.s1) if component == 1 else (cfg.p2, cfg.s2)
+        p, s = self._exponents(component)
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
         xi_sq = squared_magnitude(xi)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasivar import cli
 from quasivar.cli import (ConfigError, RunConfig, json_line, main,
                           parse_config)
 
@@ -258,6 +259,19 @@ class TestSolveAndMulti:
         levels = [r["level"] for r in records if r["record"] == "candidate"]
         assert len(levels) >= 2
         assert all(b > a for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("samples", [None, 100])
+    def test_multi_passes_n_geo_samples(self, capsys, monkeypatch, tmp_path,
+                                        samples):
+        # multi certifies with the configured n_geo_samples (default 256)
+        seen = []
+        monkeypatch.setattr(cli, "multiplicity_search", lambda *a, **kw: (
+            seen.append(kw["n_geo_samples"]) or []))
+        p = tmp_path / "multi.txt"
+        p.write_text(DECOUPLED_TEXT + (f"n_geo_samples = {samples}\n"
+                                       if samples else ""))
+        run_cli(capsys, "multi", "--config", str(p))
+        assert seen == [samples or 256]
 
 
 class TestCertifyDump:

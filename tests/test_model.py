@@ -66,6 +66,26 @@ class TestAFamily:
                                              rel=1e-5, abs=1e-7)
 
 
+class TestBFamily:
+    def test_is_the_A_family_of_the_swapped_config(self, mixed_cfg):
+        # B is A with the component indices exchanged; this fails whenever
+        # a B evaluator takes (p1, s1) in place of (p2, s2)
+        assert (mixed_cfg.p1, mixed_cfg.s1) != (mixed_cfg.p2, mixed_cfg.s2)
+        mf = ModelFunctions(mixed_cfg)
+        swapped = ModelFunctions(mixed_cfg.swapped())
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-3, 3, 64)
+        xi = rng.uniform(-3, 3, (64, 2))
+        t[0], xi[1] = 0.0, 0.0
+        for b, a in (("B_eval", "A_eval"), ("b_eval", "a_eval"),
+                     ("Bt_eval", "At_eval")):
+            assert np.array_equal(getattr(mf, b)(t, xi),
+                                  getattr(swapped, a)(t, xi))
+        for mine, theirs in zip(mf.coef_hessian(t, xi, 2),
+                                swapped.coef_hessian(t, xi, 1)):
+            assert np.array_equal(mine, theirs)
+
+
 class TestGFamily:
     def test_vanishes_at_origin(self, mf_coupled):
         assert mf_coupled.G_eval(0.0, 0.0) == 0.0
