@@ -99,6 +99,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.epsilon_reg < 0:
             raise ConfigError("epsilon_reg must be non-negative")
+        try:
+            self.exponent_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def exponent_config(self) -> ExponentConfig:
         return ExponentConfig(**{k: getattr(self, k) for k in _EXPONENT_FIELDS})

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, integrate, norm_Lp, squared_magnitude
+from .grid import (Grid, GridFunction, integrate, norm_Lp, sine_product,
+                   squared_magnitude)
 
 
 @dataclass
@@ -26,13 +27,6 @@ class EigenPair:
     iterations: int
     residual: float
     converged: bool = True
-
-
-def _bubble(grid: Grid) -> GridFunction:
-    if grid.dimension == 1:
-        return GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
-    return GridFunction.from_callable(
-        grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 
 def rayleigh_quotient(y: GridFunction, p: float) -> float:
@@ -60,7 +54,7 @@ def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
     """First eigenvalue and positive normalized eigenfunction of -Delta_p."""
     if p <= 1:
         raise ValueError("first_eigenpair requires p > 1")
-    y = _normalize(_bubble(grid), p)
+    y = _normalize(sine_product(grid, *(1,) * grid.dimension), p)
     q = rayleigh_quotient(y, p)
     converged = False
     it = 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf, norm_W)
 from .model import ModelFunctions
@@ -150,17 +149,18 @@ def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]
     return fu, fv
 
 
-def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
-    """Exact Jacobian of the interior loads (F_u, F_v) as one sparse matrix.
+def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> np.ndarray:
+    """Element Jacobians of the interior loads (F_u, F_v), one per cell.
 
-    Unknowns and equations are the interior nodal values of u, then of v.
     The per-cell Hessian H, over (value, gradient) of u then of v, has
     entries A_tt - G_uu (value, value), the mixed derivative (value,
     gradient and gradient, value) and the xi-Jacobian of a (gradient,
     gradient); the v-block likewise from B, and -G_uv couples the two
-    values.  Each cell contributes vol B2^T H B2, with B2 = blockdiag(B, B)
-    the cell's corner map from ``Grid.jacobian_pattern``, summed into that
-    cached CSC pattern.  Entries that sum to exactly zero are not stored.
+    values.  Returns vol B2^T H B2 per cell, shape (num_cells, 2c, 2c)
+    with c = 2^dim corners, u corners first, then v; B2 = blockdiag(B, B)
+    with B the corner map of ``Grid.jacobian_pattern``.  Summing the
+    entries over the interior numbers of the corners (dropping boundary
+    corners) gives the exact 2m x 2m Jacobian, u unknowns before v.
     """
     grid = fp.grid
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
@@ -174,16 +174,9 @@ def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> sp.csc_matrix:
         H[:, o, grad] = H[:, grad, o] = t_xi.reshape(cells, dim)
         H[:, grad, grad] = xi_xi.reshape(cells, dim, dim)
     H[:, 0, k] = H[:, k, 0] = -g_uv
-    B, _, slots, indices, indptr = grid.jacobian_pattern()
-    B2 = np.kron(np.eye(2), B)
-    local = np.einsum("ai,cab,bj->cij", B2, H, B2, optimize=True)
-    data = np.bincount(slots, weights=grid.cell_volume * local.ravel(),
-                       minlength=indices.size + 1)[:-1]
-    # the cached index arrays are copied: eliminate_zeros rewrites them
-    jac = sp.csc_matrix((data, indices.copy(), indptr.copy()),
-                        shape=(indptr.size - 1,) * 2)
-    jac.eliminate_zeros()
-    return jac
+    B2 = np.kron(np.eye(2), grid.jacobian_pattern()[0])
+    return grid.cell_volume * np.einsum("ai,cab,bj->cij", B2, H, B2,
+                                        optimize=True)
 
 
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:

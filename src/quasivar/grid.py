@@ -144,17 +144,14 @@ class Grid:
         out[self.boundary_mask()] = 0.0
         return out
 
-    def jacobian_pattern(self) -> tuple[np.ndarray, ...]:
+    def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """Element-local map of the pair Jacobian, built once on first use.
 
-        Returns (B, dofs, slots, indices, indptr).  B, shape (dim+1, 2^dim),
-        maps the corner values of every cell to its midpoint value and
-        gradient, as ``midpoint_values`` and ``element_gradients`` do.
-        dofs, shape (num_cells, 2^(dim+1)), holds the interior index of
-        each cell corner for u, then for v (offset by the interior count
-        m), or -1 on the boundary.  slots gives each raveled per-cell entry
-        (cell, i, j) its position in the data of the 2m x 2m CSC pattern
-        (indices, indptr), or the extra position nnz for a boundary corner.
+        Returns (B, corners).  B, shape (dim+1, 2^dim), maps the corner
+        values of every cell to its midpoint value and gradient, as
+        ``midpoint_values`` and ``element_gradients`` do.  corners, shape
+        (num_cells, 2^dim), holds the interior index of each cell corner,
+        in the order of ``values[~boundary_mask()]``, or -1 on the boundary.
         """
         if self._jac_pattern is None:
             dim, m = self.dimension, (self.n - 2) ** self.dimension
@@ -164,18 +161,7 @@ class Grid:
             number = np.full(self.node_shape, -1)
             number[~self.boundary_mask()] = np.arange(m)
             cells = np.indices((self.n - 1,) * dim).reshape(dim, -1, 1)
-            u = number[tuple(cells + corners[:, None, :])]
-            dofs = np.hstack([u, np.where(u < 0, -1, u + m)])
-            rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-            kept = (rows >= 0) & (cols >= 0)
-            keys, inverse = np.unique(cols[kept] * (2 * m) + rows[kept],
-                                      return_inverse=True)
-            slots = np.full(kept.shape, keys.size)
-            slots[kept] = inverse
-            indptr = np.searchsorted(keys, 2 * m * np.arange(2 * m + 1))
-            self._jac_pattern = (B, dofs, slots.ravel(),
-                                 (keys % (2 * m)).astype(np.int32),
-                                 indptr.astype(np.int32))
+            self._jac_pattern = (B, number[tuple(cells + corners[:, None, :])])
         return self._jac_pattern
 
     # -- discrete Laplacian ----------------------------------------------------
@@ -441,6 +427,20 @@ def sine_modes(grid: Grid, n_modes: int) -> np.ndarray:
     Shape (n_modes, n); the same table serves every axis of the grid.
     """
     return np.sin((np.arange(1, n_modes + 1) * np.pi)[:, None] * grid._axis)
+
+
+def sine_product(grid: Grid, *wavenumbers: int) -> GridFunction:
+    """The field prod_a sin(k_a pi x_a), one wavenumber k_a per axis.
+
+    Built from the rows of the :func:`sine_modes` table and zeroed on the
+    boundary.
+    """
+    if len(wavenumbers) != grid.dimension:
+        raise ValueError("need one wavenumber per axis")
+    rows = sine_modes(grid, max(wavenumbers))[np.array(wavenumbers) - 1]
+    vals = rows[0] if grid.dimension == 1 else np.outer(rows[0], rows[1])
+    vals[grid.boundary_mask()] = 0.0
+    return GridFunction(grid, vals)
 
 
 def sine_mode_fields(grid: Grid, coeffs: np.ndarray,

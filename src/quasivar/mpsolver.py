@@ -13,13 +13,13 @@ certify min-max levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 import scipy.optimize
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv
 
 from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
@@ -27,7 +27,7 @@ from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
 from .exponents import ExponentConfig
 from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
                    norm_Linf, pair_norm_W, ray_coefficients, sine_mode_fields,
-                   sine_modes)
+                   sine_modes, sine_product)
 from .model import ModelFunctions
 
 
@@ -296,71 +296,86 @@ _STALL_STEPS = 10
 _STALL_RATIO = 0.5
 
 
-def _band_solve(a: sp.csc_matrix, rhs: np.ndarray,
-                position: np.ndarray | None = None) -> np.ndarray:
-    """Solve a x = rhs by LAPACK's banded LU with partial pivoting.
+@functools.lru_cache(maxsize=2)
+def _band_layout(dimension: int, n: int,
+                 pair: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """LAPACK band layout of the Newton matrix on ``Grid(dimension, n)``.
 
-    Unknown i of a sits at ``position[i]`` of the banded system (its
-    own index when ``position`` is None); the bandwidths are read off
-    a's index arrays in that order, which must hold no duplicate entry
-    (canonical CSC, as the sums and slices of ``dJ_jacobian`` and
-    ``Grid.stiffness`` are).  Raises RuntimeError on an exactly singular
-    factor.
+    The unknowns are one component's m interior values in grid order or,
+    when ``pair``, both interleaved (u_i at 2i, v_i at 2i + 1).  The grid
+    sets kl = ku: n - 1 in 2D and 1 in 1D for one component, 2 kl + 1 for
+    the pair.  Entry (i, j) sits at ab[2 kl + i - j, j] of the
+    Fortran-ordered band array; its first kl rows hold the pivoting fill.
+    Returns (kl, slots, k_data): slots holds the flat position in ab of
+    each raveled (cell, i, j) element entry (one component's c x c block,
+    or the pair's 2c x 2c), ab.size for a boundary corner, followed by
+    the positions of the entries k_data of K (blockdiag(K, K) for the
+    pair).  Built once per grid size; the arrays are read-only.
     """
-    n = a.shape[0]
-    rows = a.indices
-    cols = np.repeat(np.arange(n), np.diff(a.indptr))
-    if position is not None:
-        rows, cols = position[rows], position[cols]
-        b = np.empty_like(rhs)
-        b[position] = rhs
-        rhs = b
-    offset = rows - cols
-    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-    # LAPACK band storage: a[i, j] at ab[kl + ku + i - j, j]; the first kl
-    # rows hold the fill of the pivoting
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    ab[kl + ku + offset, cols] = a.data
-    _, _, x, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=True)
+    grid = Grid(dimension, n)
+    _, corners = grid.jacobian_pattern()
+    kl = n - 1 if dimension == 2 else 1
+    K = grid.stiffness().tocoo()
+    rows, cols, k_data = K.row, K.col, K.data
+    if pair:
+        kl = 2 * kl + 1
+        # boundary corners stay negative: 2(-1) and 2(-1) + 1
+        corners = np.hstack([2 * corners, 2 * corners + 1])
+        rows = np.concatenate([2 * rows, 2 * rows + 1])
+        cols = np.concatenate([2 * cols, 2 * cols + 1])
+        k_data = np.concatenate([k_data, k_data])
+    ldab = 3 * kl + 1
+    size = ldab * K.shape[0] * (2 if pair else 1)
+    r, c = np.broadcast_arrays(corners[:, :, None], corners[:, None, :])
+    slots = np.where((r >= 0) & (c >= 0), 2 * kl + r - c + c * ldab, size)
+    slots = np.concatenate([slots.ravel(), 2 * kl + rows - cols + cols * ldab])
+    slots.flags.writeable = k_data.flags.writeable = False
+    return kl, slots, k_data
+
+
+def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
+             grid: Grid) -> np.ndarray:
+    """Solve (J + mu blockdiag(K, K)) dx = -f by banded LU.
+
+    The unknowns are the m interior values of u, then of v.  J is summed
+    from the element Jacobians ``jac`` of ``dJ_jacobian`` straight into
+    LAPACK band storage (``_band_layout``) in their raveled (cell, i, j)
+    order, and the entries of mu K are added after them.  When every
+    element's u-v blocks are exactly zero and one component's load is
+    exactly zero, the system is block diagonal with a zero right-hand side
+    in that component: its step is exactly 0, and only the other
+    component's m x m block, J_uu + mu K or J_vv + mu K, is assembled and
+    factored.  Otherwise the full 2m x 2m matrix is, u and v interleaved.
+    Raises RuntimeError on an exactly singular factor.
+    """
+    m, c = f.size // 2, jac.shape[1] // 2
+    moving = None
+    if not (np.any(jac[:, :c, c:]) or np.any(jac[:, c:, :c])):
+        for o, active, idle in ((0, slice(None, m), slice(m, None)),
+                                (c, slice(m, None), slice(None, m))):
+            if not np.any(f[idle]):
+                moving, jac = active, jac[:, o:o + c, o:o + c]
+                break
+    kl, slots, k_data = _band_layout(grid.dimension, grid.n, moving is None)
+    if moving is None:
+        rhs = -f.reshape(2, m).T.ravel()  # u_i at 2i, v_i at 2i + 1
+    else:
+        rhs = -f[moving]
+    weights = jac.ravel()
+    if mu:
+        weights = np.concatenate([weights, mu * k_data])
+    size = (3 * kl + 1) * rhs.size
+    ab = np.bincount(slots[:weights.size], weights=weights,
+                     minlength=size + 1)[:-1]
+    _, _, x, info = dgbsv(kl, kl, ab.reshape(rhs.size, -1).T, rhs,
+                          overwrite_ab=True)
     if info > 0:
         raise RuntimeError("exactly singular factor")
-    return x if position is None else x[position]
-
-
-def _lm_step(jac: sp.csc_matrix, f: np.ndarray, mu: float,
-             K: sp.csc_matrix) -> np.ndarray:
-    """Solve (jac + mu blockdiag(K, K)) dx = -f by banded LU.
-
-    The unknowns are the m interior values of u, then of v.  When both
-    u-v coupling blocks of jac are empty and one component's load is
-    exactly zero, the system is block diagonal with a zero right-hand
-    side in that component: its step is exactly 0, and only the other
-    component's m x m block, J_uu + mu K or J_vv + mu K, is factored, in
-    the natural order of the interior nodes (bandwidth n - 1 on the 2D
-    n x n grid, 1 in 1D).  Otherwise the full 2m x 2m matrix is, with u
-    and v interleaved (unknown i of u at 2i, of v at 2i + 1) so that the
-    bandwidth stays about 2(n - 1) + 1.  Raises RuntimeError on an
-    exactly singular factor (of the factored block alone on the one-block
-    path).
-    """
-    m = K.shape[0]
-    # in CSC the first m columns are the u unknowns: the coupling blocks
-    # are empty when those columns hold no v row and the rest no u row
-    split = jac.indptr[m]
-    if np.all(jac.indices[:split] < m) and np.all(jac.indices[split:] >= m):
-        for moving, idle in ((slice(None, m), slice(m, None)),
-                             (slice(m, None), slice(None, m))):
-            if not np.any(f[idle]):
-                block = jac[moving, moving]
-                dx = np.zeros_like(f)
-                dx[moving] = _band_solve(block + mu * K if mu else block,
-                                         -f[moving])
-                return dx
-    if mu:
-        jac = jac + mu * sp.block_diag((K, K), format="csc")
-    interleaved = np.concatenate([np.arange(0, 2 * m, 2),
-                                  np.arange(1, 2 * m, 2)])
-    return _band_solve(jac, -f, interleaved)
+    if moving is None:
+        return x.reshape(m, 2).T.ravel()
+    dx = np.zeros_like(f)
+    dx[moving] = x
+    return dx
 
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
@@ -368,13 +383,14 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     """Exact sparse Newton refinement of an approximate critical point.
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
-    loads F = (F_u, F_v), with the exact sparse Jacobian J of
-    ``dJ_jacobian`` and the Dirichlet stiffness K of ``Grid.stiffness``,
-    by the banded LU of ``_lm_step``: Levenberg-Marquardt damping toward
-    the Sobolev gradient step -K^-1 F.  On a semitrivial point, (u, 0) or
-    (0, v), of a model whose u-v coupling vanishes there, J is block
-    diagonal and the idle component's load is exactly zero, so its step
-    is exactly zero and only the moving component's block is factored;
+    loads F = (F_u, F_v), with the exact Jacobian J summed from the
+    element Jacobians of ``dJ_jacobian`` and the Dirichlet stiffness K of
+    ``Grid.stiffness``, by the banded LU of ``_lm_step``:
+    Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
+    On a semitrivial point, (u, 0) or (0, v), of a model whose u-v
+    coupling vanishes there, the element Jacobians have zero u-v blocks
+    and the idle component's load is exactly zero, so its step is exactly
+    zero and only the moving component's block is assembled and factored;
     the iterates then stay semitrivial.  A step is accepted when the
     energy norm F^T K^-1 F of the residual (the square of
     ``residual_norm``) decreases.  mu starts at 0, a plain Newton step; a
@@ -390,7 +406,6 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     grid = fp.grid
     interior = ~grid.boundary_mask()
     m = int(interior.sum())
-    K = grid.stiffness()
 
     def unpack(x: np.ndarray) -> FieldPair:
         u, v = grid.zeros(), grid.zeros()
@@ -426,7 +441,7 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         jac = dJ_jacobian(unpack(x), mf)
         while True:
             try:
-                dx = _lm_step(jac, f, mu, K)
+                dx = _lm_step(jac, f, mu, grid)
             except RuntimeError:  # exactly singular factor
                 state = None
             else:
@@ -516,18 +531,10 @@ def _structured_start(grid: Grid, index: int) -> FieldPair:
     """Sign-structured start (u, 0) with u a sine mode; index 0 is the
     positive product-of-sines bubble."""
     if grid.dimension == 1:
-        x = grid.node_coords()[:, 0]
-        vals = np.sin((index + 1) * np.pi * x)
+        u = sine_product(grid, index + 1)
     else:
         modes = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3)]
-        kx, ky = modes[index % len(modes)]
-        coords = grid.node_coords()
-        x = coords[:, 0].reshape(grid.node_shape)
-        y = coords[:, 1].reshape(grid.node_shape)
-        vals = np.sin(kx * np.pi * x) * np.sin(ky * np.pi * y)
-    vals = vals.reshape(grid.node_shape).copy()
-    vals[grid.boundary_mask()] = 0.0
-    u = GridFunction(grid, vals)
+        u = sine_product(grid, *modes[index % len(modes)])
     return FieldPair(u, GridFunction.zero(grid))
 
 

@@ -102,7 +102,9 @@ class TestConfigParsing:
         ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("n", "2"),
         ("dimension", "3"), ("dimension", "0"), ("path_points", "2"),
         ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0"),
-        ("tol", "0"), ("epsilon_reg", "-1"), ("gradcheck_runs", "0")])
+        ("tol", "0"), ("epsilon_reg", "-1"), ("gradcheck_runs", "0"),
+        ("p1", "1"), ("s1", "-0.5"), ("q1", "0.5"), ("theta1", "0"),
+        ("c_star", "-1"), ("N", "0")])
     def test_out_of_range_value_exits_two(self, capsys, tmp_path, key,
                                           value):
         p = tmp_path / "bad.txt"
@@ -336,7 +338,8 @@ _CLI_BASES = {
            ("n", 2), ("dimension", 3), ("tol", math.nan), ("r0", math.inf),
            ("r0", -1.0), ("path_points", 2), ("count", 0),
            ("n_geo_samples", 0), ("tol", 0.0), ("epsilon_reg", -1.0),
-           ("gradcheck_runs", 0))))
+           ("gradcheck_runs", 0), ("p1", 1.0), ("s1", -0.5), ("q1", 0.5),
+           ("theta1", 0.0), ("c_star", -1.0), ("N", 0))))
 @settings(max_examples=20, deadline=10_000)
 def test_cli_emits_json_lines_with_documented_exit_code(base, command,
                                                         values, bad):

@@ -15,13 +15,14 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
 from quasivar import mpsolver
-from quasivar.grid import random_field_pair, sine_modes
+from quasivar.grid import random_field_pair, sine_modes, sine_product
 from quasivar.energy import dJ_jacobian, dJ_loads, residual_norm
 from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _scale_until_negative, _structured_start,
                                _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump
+from util import assemble_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,52 @@ def coupled_start(coupled_cfg):
     mf = ModelFunctions(coupled_cfg)
     cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, seed=0, mf=mf)
     return mf, cert, _structured_start(g, 0).u
+
+
+def _sine_start_by_coordinates(g, index):
+    """The sine starts as built before the sine_modes table: sines of the
+    node coordinates, the bubble through from_callable."""
+    if index is None:  # the bubble of first_eigenpair
+        if g.dimension == 1:
+            return GridFunction.from_callable(
+                g, lambda x: np.sin(np.pi * x)).values
+        return GridFunction.from_callable(
+            g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)).values
+    if g.dimension == 1:
+        x = g.node_coords()[:, 0]
+        vals = np.sin((index + 1) * np.pi * x)
+    else:
+        modes = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3)]
+        kx, ky = modes[index % len(modes)]
+        coords = g.node_coords()
+        x = coords[:, 0].reshape(g.node_shape)
+        y = coords[:, 1].reshape(g.node_shape)
+        vals = np.sin(kx * np.pi * x) * np.sin(ky * np.pi * y)
+    vals = vals.reshape(g.node_shape).copy()
+    vals[g.boundary_mask()] = 0.0
+    return vals
+
+
+class TestSineStarts:
+    @pytest.mark.parametrize("n", [3, 17, 33, 65])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_sine_table_matches_coordinate_sines(self, dimension, n):
+        # every start and the eigen bubble come from the sine_modes table;
+        # the fields must not move a bit, since the reference levels of
+        # the multi-start search depend on them
+        g = Grid(dimension, n)
+        for index in range(7 if dimension == 2 else 4):
+            start = _structured_start(g, index)
+            assert (start.u.values.tobytes()
+                    == _sine_start_by_coordinates(g, index).tobytes())
+            assert not np.any(start.v.values)
+        bubble = sine_product(g, *(1,) * dimension)
+        assert (bubble.values.tobytes()
+                == _sine_start_by_coordinates(g, None).tobytes())
+        assert np.array_equal(bubble.values, _structured_start(g, 0).u.values)
+        if dimension == 2:  # the seven 2D modes cycle
+            assert np.array_equal(_structured_start(g, 7).u.values,
+                                  _structured_start(g, 0).u.values)
 
 
 class TestFindEndpoint:
@@ -418,9 +465,9 @@ class TestPolish:
         jac = dJ_jacobian(fp, mf)
         K = g.stiffness()
         damping = sp.block_diag((K, K), format="csc")
-        ref = splu(jac + mu * damping,
+        ref = splu(assemble_jacobian(g, jac, sparse=True) + mu * damping,
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
-        step = _lm_step(jac, f, mu, K)
+        step = _lm_step(jac, f, mu, g)
         assert not np.any(step[idle])
         assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -444,10 +491,11 @@ class TestPolish:
         assert np.any(f[:m]) and np.any(f[m:])
         jac = dJ_jacobian(fp, mf)
         K = g.stiffness()
-        ref = splu(jac + mu * sp.block_diag((K, K), format="csc"),
+        ref = splu(assemble_jacobian(g, jac, sparse=True)
+                   + mu * sp.block_diag((K, K), format="csc"),
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
         bands = _record_bands(monkeypatch)
-        step = _lm_step(jac, f, mu, K)
+        step = _lm_step(jac, f, mu, g)
         # interleaved, a neighbor k places away in one component sits
         # 2k + 1 places away in the other: bandwidth 2(n - 1) + 1 in 2D
         width = 2 * (n - 1 if dimension == 2 else 1) + 1
@@ -459,13 +507,59 @@ class TestPolish:
         # a zero Jacobian at mu = 0 has an exactly singular factor, which
         # the LM schedule treats as a rejected step
         g = Grid(2, 9)
-        K = g.stiffness()
-        m = K.shape[0]
+        jac = np.zeros((g.num_cells, 8, 8))
+        m = (g.n - 2) ** 2
+        assert not np.any(assemble_jacobian(g, jac))
         f = np.ones(2 * m)
         if one_block:
             f[m:] = 0.0
         with pytest.raises(RuntimeError):
-            _lm_step(sp.csc_matrix((2 * m, 2 * m)), f, 0.0, K)
+            _lm_step(jac, f, 0.0, g)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_band_scatter_matches_dense_assembly(self, coupled_cfg, dimension,
+                                                 n, mu, interleaved,
+                                                 monkeypatch):
+        # reference: the dense np.add.at assembly plus mu blockdiag(K, K),
+        # its u-block at (u, 0) or, at (u, v), the full matrix with u_i at
+        # 2i and v_i at 2i + 1; the band array handed to dgbsv holds
+        # exactly its entries, with the fill rows of the pivoting zero
+        mf = ModelFunctions(dataclasses.replace(coupled_cfg, N=dimension))
+        g = Grid(dimension, n)
+        b = _structured_start(g, 0).u
+        fp = FieldPair(b * 3.0, b * (1.5 if interleaved else 0.0))
+        interior = ~g.boundary_mask()
+        m = int(interior.sum())
+        f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
+        jac = dJ_jacobian(fp, mf)
+        dense = (assemble_jacobian(g, jac)
+                 + mu * np.kron(np.eye(2), g.stiffness().toarray()))
+        if interleaved:
+            order = np.arange(2 * m).reshape(2, m).T.ravel()
+            dense = dense[np.ix_(order, order)]
+        else:
+            dense = dense[:m, :m]
+        captured = []
+        dgbsv = mpsolver.dgbsv
+
+        def capture(kl, ku, ab, rhs, **kwargs):
+            captured.append((kl, ku, ab.copy()))
+            return dgbsv(kl, ku, ab, rhs, **kwargs)
+
+        monkeypatch.setattr(mpsolver, "dgbsv", capture)
+        _lm_step(jac, f, mu, g)
+        [(kl, ku, ab)] = captured
+        reach = n - 1 if dimension == 2 else 1
+        assert kl == ku == (2 * reach + 1 if interleaved else reach)
+        i, j = np.indices(dense.shape)
+        inside = np.abs(i - j) <= kl
+        assert not np.any(dense[~inside])
+        expected = np.zeros((3 * kl + 1, dense.shape[0]))
+        expected[2 * kl + i[inside] - j[inside], j[inside]] = dense[inside]
+        assert np.array_equal(ab, expected)
 
     def test_zero_load_skip_keeps_candidate(self, decoupled_cfg,
                                             monkeypatch):

@@ -1,8 +1,10 @@
-"""Shared test helpers: random admissible configuration sampling."""
+"""Shared test helpers: random admissible configuration sampling and
+Jacobian assembly."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from quasivar import ExponentConfig, check_model_hypotheses
 
@@ -51,3 +53,22 @@ def random_admissible_configs(count: int, seed: int = 0,
         raise RuntimeError(f"only {len(out)} admissible configs in "
                            f"{max_draws} draws")
     return out
+
+
+def assemble_jacobian(grid, jac: np.ndarray, sparse: bool = False):
+    """The 2m x 2m Jacobian, u unknowns before v, from element Jacobians.
+
+    ``jac`` holds one (2c, 2c) matrix per cell, u corners before v, as
+    ``dJ_jacobian`` returns; its entries are summed by ``np.add.at`` over
+    the interior numbers of the corners, and boundary corners dropped.
+    Returns a dense array, or a CSC matrix of its nonzeros when
+    ``sparse``.
+    """
+    _, corners = grid.jacobian_pattern()
+    m = (grid.n - 2) ** grid.dimension
+    dofs = np.hstack([corners, np.where(corners < 0, -1, corners + m)])
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    kept = (rows >= 0) & (cols >= 0)
+    out = np.zeros((2 * m, 2 * m))
+    np.add.at(out, (rows[kept], cols[kept]), jac[kept])
+    return sp.csc_matrix(out) if sparse else out
