@@ -149,34 +149,45 @@ def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]
     return fu, fv
 
 
-def dJ_jacobian(fp: FieldPair, mf: ModelFunctions) -> np.ndarray:
+def dJ_jacobian(fp: FieldPair, mf: ModelFunctions,
+                idle: int | None = None) -> np.ndarray:
     """Element Jacobians of the interior loads (F_u, F_v), one per cell.
 
     The per-cell Hessian H, over (value, gradient) of u then of v, has
     entries A_tt - G_uu (value, value), the mixed derivative (value,
     gradient and gradient, value) and the xi-Jacobian of a (gradient,
     gradient); the v-block likewise from B, and -G_uv couples the two
-    values.  Returns vol B2^T H B2 per cell, shape (num_cells, 2c, 2c)
-    with c = 2^dim corners, u corners first, then v; B2 = blockdiag(B, B)
-    with B the corner map of ``Grid.jacobian_pattern``.  Summing the
-    entries over the interior numbers of the corners (dropping boundary
-    corners) gives the exact 2m x 2m Jacobian, u unknowns before v.
+    values.  Returns vol (B2^T H) B2 per cell, two matmuls, shape
+    (num_cells, 2c, 2c) with c = 2^dim corners, u corners first, then v;
+    B2 = blockdiag(B, B) with B the corner map of
+    ``Grid.jacobian_pattern``.  Summing the entries over the interior
+    numbers of the corners (dropping boundary corners) gives the exact
+    2m x 2m Jacobian, u unknowns before v.  When ``idle`` names a
+    component (0 for u, 1 for v) whose load the caller found exactly
+    zero and every midpoint G_uv is exactly zero, the Jacobian is block
+    diagonal and only the other component's Hessian H_c is formed: the
+    result is vol (B^T H_c) B, shape (num_cells, c, c), bitwise the
+    matching block of the pair's.
     """
     grid = fp.grid
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
     um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
     g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
-    H = np.zeros((cells, 2 * k, 2 * k))
-    for c, (t, xi, g_tt) in enumerate(((um, ug, g_uu), (vm, vg, g_vv))):
-        tt, t_xi, xi_xi = mf.coef_hessian(t, xi, c + 1)
-        o, grad = c * k, slice(c * k + 1, (c + 1) * k)
+    parts = [(1, um, ug, g_uu), (2, vm, vg, g_vv)]
+    pair = idle is None or np.any(g_uv)
+    if not pair:
+        del parts[idle]
+    B = np.kron(np.eye(len(parts)), grid.jacobian_pattern()[0])
+    H = np.zeros((cells, len(B), len(B)))
+    for o, (comp, t, xi, g_tt) in zip(range(0, 2 * k, k), parts):
+        tt, t_xi, xi_xi = mf.coef_hessian(t, xi, comp)
+        grad = slice(o + 1, o + k)
         H[:, o, o] = tt.ravel() - g_tt
         H[:, o, grad] = H[:, grad, o] = t_xi.reshape(cells, dim)
         H[:, grad, grad] = xi_xi.reshape(cells, dim, dim)
-    H[:, 0, k] = H[:, k, 0] = -g_uv
-    B2 = np.kron(np.eye(2), grid.jacobian_pattern()[0])
-    return grid.cell_volume * np.einsum("ai,cab,bj->cij", B2, H, B2,
-                                        optimize=True)
+    if pair:
+        H[:, 0, k] = H[:, k, 0] = -g_uv
+    return grid.cell_volume * ((B.T @ H) @ B)
 
 
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:

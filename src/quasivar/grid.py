@@ -40,6 +40,9 @@ class Grid:
         self._stiffness = None  # cached stiffness matrix
         self._eigenvalues = None  # cached eigenvalues of K in the sine basis
         self._jac_pattern = None  # cached element map of dJ_jacobian
+        self._boundary = np.ones(self.node_shape, dtype=bool)
+        self._boundary[(slice(1, -1),) * dimension] = False
+        self._boundary.flags.writeable = False
         axis = np.linspace(0.0, 1.0, n)
         self._axis = axis
         centers = 0.5 * (axis[:-1] + axis[1:])
@@ -62,13 +65,8 @@ class Grid:
         return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.node_shape, dtype=bool)
-        if self.dimension == 1:
-            mask[0] = mask[-1] = True
-        else:
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
-        return mask
+        """Mask of the boundary nodes, one read-only array per grid."""
+        return self._boundary
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.node_shape)

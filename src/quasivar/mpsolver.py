@@ -340,26 +340,22 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     The unknowns are the m interior values of u, then of v.  J is summed
     from the element Jacobians ``jac`` of ``dJ_jacobian`` straight into
     LAPACK band storage (``_band_layout``) in their raveled (cell, i, j)
-    order, and the entries of mu K are added after them.  When every
-    element's u-v blocks are exactly zero and one component's load is
-    exactly zero, the system is block diagonal with a zero right-hand side
-    in that component: its step is exactly 0, and only the other
-    component's m x m block, J_uu + mu K or J_vv + mu K, is assembled and
-    factored.  Otherwise the full 2m x 2m matrix is, u and v interleaved.
-    Raises RuntimeError on an exactly singular factor.
+    order, and the entries of mu K are added after them.  When ``jac``
+    holds one component's c x c blocks (``dJ_jacobian`` given an idle
+    component, whose load must be exactly zero), the system is block
+    diagonal: the idle step is exactly 0 and only the moving component's
+    m x m block, J_uu + mu K or J_vv + mu K, is assembled and factored;
+    u moves when v's load is exactly zero, else v.  Otherwise the full
+    2m x 2m matrix is, u and v interleaved.  Raises RuntimeError on an
+    exactly singular factor.
     """
-    m, c = f.size // 2, jac.shape[1] // 2
-    moving = None
-    if not (np.any(jac[:, :c, c:]) or np.any(jac[:, c:, :c])):
-        for o, active, idle in ((0, slice(None, m), slice(m, None)),
-                                (c, slice(m, None), slice(None, m))):
-            if not np.any(f[idle]):
-                moving, jac = active, jac[:, o:o + c, o:o + c]
-                break
-    kl, slots, k_data = _band_layout(grid.dimension, grid.n, moving is None)
-    if moving is None:
+    m = f.size // 2
+    pair = jac.shape[1] == 2 ** (grid.dimension + 1)
+    kl, slots, k_data = _band_layout(grid.dimension, grid.n, pair)
+    if pair:
         rhs = -f.reshape(2, m).T.ravel()  # u_i at 2i, v_i at 2i + 1
     else:
+        moving = slice(m, None) if np.any(f[m:]) else slice(None, m)
         rhs = -f[moving]
     weights = jac.ravel()
     if mu:
@@ -371,7 +367,7 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
                           overwrite_ab=True)
     if info > 0:
         raise RuntimeError("exactly singular factor")
-    if moving is None:
+    if pair:
         return x.reshape(m, 2).T.ravel()
     dx = np.zeros_like(f)
     dx[moving] = x
@@ -388,10 +384,11 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     ``Grid.stiffness``, by the banded LU of ``_lm_step``:
     Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
     On a semitrivial point, (u, 0) or (0, v), of a model whose u-v
-    coupling vanishes there, the element Jacobians have zero u-v blocks
-    and the idle component's load is exactly zero, so its step is exactly
-    zero and only the moving component's block is assembled and factored;
-    the iterates then stay semitrivial.  A step is accepted when the
+    coupling vanishes there, the idle component's load is exactly zero
+    and so is every midpoint G_uv, so ``dJ_jacobian`` forms only the
+    moving component's element Hessians and ``_lm_step`` assembles and
+    factors only its block; the idle component's step is exactly zero
+    and the iterates stay semitrivial.  A step is accepted when the
     energy norm F^T K^-1 F of the residual (the square of
     ``residual_norm``) decreases.  mu starts at 0, a plain Newton step; a
     rejected step (no decrease, non-finite trial loads or a singular
@@ -438,7 +435,8 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     for _ in range(max_iter):
         if res <= fatol:
             break
-        jac = dJ_jacobian(unpack(x), mf)
+        idle = 1 if not np.any(f[m:]) else 0 if not np.any(f[:m]) else None
+        jac = dJ_jacobian(unpack(x), mf, idle)
         while True:
             try:
                 dx = _lm_step(jac, f, mu, grid)

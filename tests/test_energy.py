@@ -244,6 +244,33 @@ class TestJacobian:
         assert not np.any(jac[:, :c, c:]) and not np.any(jac[:, c:, :c])
         assert np.any(jac[:, :c, :c]) and np.any(jac[:, c:, c:])
 
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_idle_component_keeps_pair_while_coupled(self, coupled_cfg,
+                                                     idle):
+        # with both components nonzero G_uv couples them: naming an idle
+        # component must not drop the coupling blocks
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 5)
+        fp = _smooth_point(g)
+        full = dJ_jacobian(fp, mf)
+        assert np.any(full[:, :4, 4:])
+        assert np.array_equal(dJ_jacobian(fp, mf, idle), full)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_idle_component_drops_its_block(self, decoupled_cfg, dimension,
+                                            idle):
+        # c* = 0: every G_uv is zero, so only the other component's c x c
+        # element blocks are formed, bitwise those of the pair
+        mf = ModelFunctions(decoupled_cfg)
+        g = Grid(dimension, 5)
+        fp = _smooth_point(g)
+        full = dJ_jacobian(fp, mf)
+        c = 2 ** dimension
+        o = c * (1 - idle)
+        assert np.array_equal(dJ_jacobian(fp, mf, idle),
+                              full[:, o:o + c, o:o + c])
+
 
 class TestHourglassModes:
     def test_smallest_pencil_eigenvalue_decays_as_h_squared(

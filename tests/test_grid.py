@@ -25,6 +25,20 @@ class TestGrid:
         assert g.cell_volume == g.h ** 2
         assert g.num_cells == 64 ** 2
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_boundary_mask_is_cached_and_read_only(self, dimension):
+        # GridFunction and scatter read it on every call: one array per
+        # grid, which no caller may change
+        g = Grid(dimension, 5)
+        mask = g.boundary_mask()
+        assert g.boundary_mask() is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = False
+        inner = np.zeros(g.node_shape, dtype=bool)
+        inner[(slice(1, -1),) * dimension] = True
+        assert np.array_equal(mask, ~inner)
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             Grid(3, 9)

@@ -417,6 +417,13 @@ def coupled_polish(coupled_cfg, coupled_start):
     with pytest.MonkeyPatch.context() as patch:
         counts = _count_calls(patch, "dJ_jacobian")
         bands = _record_bands(patch)
+        coef_hessian = ModelFunctions.coef_hessian
+
+        def counted(self, *args):
+            counts["coef_hessian"] = counts.get("coef_hessian", 0) + 1
+            return coef_hessian(self, *args)
+
+        patch.setattr(ModelFunctions, "coef_hessian", counted)
         cand = mountain_pass_search(coupled_cfg, b.grid, cert,
                                     SolverParams(max_iters=500))
     return cand, counts, bands
@@ -443,11 +450,45 @@ class TestPolish:
         # order: the 9-point stencil reaches 31 + 1 places away
         assert set(bands) == {(961, 32, 32)}
 
+    def test_one_element_hessian_per_semitrivial_jacobian(self,
+                                                          coupled_polish):
+        # on {v = 0} only the u-block is factored, so only the u-component
+        # Hessian is formed: one coef_hessian call per Jacobian, not two
+        _, counts, _ = coupled_polish
+        assert counts["dJ_jacobian"] >= 1
+        assert counts["coef_hessian"] == counts["dJ_jacobian"]
+
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_one_block_jacobian_is_block_of_pair(self, cfg_name, mirror,
+                                                 request):
+        # at (3b, 0) and (0, 3b) the one-block element Jacobians equal the
+        # moving block of the pair's bitwise, and so does the step: the
+        # reference solves with that block sliced out of the pair's
+        # element Jacobians
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(2, 17)
+        b = _structured_start(g, 0).u
+        fp = FieldPair(b * 0.0, b * 3.0) if mirror else FieldPair(b * 3.0,
+                                                                  b * 0.0)
+        interior = ~g.boundary_mask()
+        f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
+        full = dJ_jacobian(fp, mf)
+        c = full.shape[1] // 2
+        block = np.ascontiguousarray(full[:, c:, c:] if mirror
+                                     else full[:, :c, :c])
+        jac = dJ_jacobian(fp, mf, int(not mirror))
+        assert jac.shape == block.shape
+        assert jac.tobytes() == block.tobytes()
+        for mu in (0.0, 1e-3, 1.0):
+            assert (_lm_step(jac, f, mu, g).tobytes()
+                    == _lm_step(block, f, mu, g).tobytes())
+
     @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
     @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("mu", [0.0, 1e-3, 1.0])
     def test_one_block_step_matches_full_solve(self, cfg_name, mirror, mu,
-                                               request):
+                                               request, monkeypatch):
         # reference: splu on the full 2m system; on a semitrivial point
         # the restricted solve must agree and leave the idle component
         # exactly where it is
@@ -467,7 +508,9 @@ class TestPolish:
         damping = sp.block_diag((K, K), format="csc")
         ref = splu(assemble_jacobian(g, jac, sparse=True) + mu * damping,
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
-        step = _lm_step(jac, f, mu, g)
+        bands = _record_bands(monkeypatch)
+        step = _lm_step(dJ_jacobian(fp, mf, int(not mirror)), f, mu, g)
+        assert bands == [(m, 16, 16)]
         assert not np.any(step[idle])
         assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -513,6 +556,7 @@ class TestPolish:
         f = np.ones(2 * m)
         if one_block:
             f[m:] = 0.0
+            jac = jac[:, :4, :4]
         with pytest.raises(RuntimeError):
             _lm_step(jac, f, 0.0, g)
 
@@ -542,6 +586,7 @@ class TestPolish:
             dense = dense[np.ix_(order, order)]
         else:
             dense = dense[:m, :m]
+            jac = dJ_jacobian(fp, mf, 1)
         captured = []
         dgbsv = mpsolver.dgbsv
 
