@@ -160,9 +160,10 @@ def dJ_jacobian(fp: FieldPair, mf: ModelFunctions,
     values.  Returns vol (B2^T H) B2 per cell, two matmuls, shape
     (num_cells, 2c, 2c) with c = 2^dim corners, u corners first, then v;
     B2 = blockdiag(B, B) with B the corner map of
-    ``Grid.jacobian_pattern``.  Summing the entries over the interior
-    numbers of the corners (dropping boundary corners) gives the exact
-    2m x 2m Jacobian, u unknowns before v.  When ``idle`` names a
+    ``Grid.jacobian_pattern``, corners in the order the grid's stencils
+    add them, (0,0), (1,0), (0,1), (1,1) in 2D.  Summing the entries over
+    the interior numbers of the corners (dropping boundary corners) gives
+    the exact 2m x 2m Jacobian, u unknowns before v.  When ``idle`` names a
     component (0 for u, 1 for v) whose load the caller found exactly
     zero and every midpoint G_uv is exactly zero, the Jacobian is block
     diagonal and only the other component's Hessian H_c is formed: the

@@ -290,19 +290,14 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
     th = (_frac(cfg.theta1), _frac(cfg.theta2))
     recs: list[InequalityRecord] = []
 
-    derived = None
-    derive_err = None
+    d = derived = derive_err = None
     try:
         d = _derive_rational(cfg)
         derived = _as_derived(d)
     except InfeasibleIntervalError as exc:
         derive_err = str(exc)
-        d = None
 
-    caps = []
-    for i in (0, 1):
-        ps_i = _pstar(p[i], N)
-        caps.append(_mul(ps_i, s[i] + 1))
+    caps = [_mul(_pstar(p[i], N), s[i] + 1) for i in (0, 1)]
 
     for i in (0, 1):
         k = i + 1
@@ -338,10 +333,9 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
 
     coupled = cfg.c_star > 0
     if not coupled:
-        recs.append(_vacuous("exj01_gamma_range", "c_star = 0: coupling vacuous"))
-        recs.append(_vacuous("exj01_gamma_theta", "c_star = 0: coupling vacuous"))
-        recs.append(_vacuous("exj02_12", "c_star = 0: coupling vacuous"))
-        recs.append(_vacuous("exj02_21", "c_star = 0: coupling vacuous"))
+        recs += [_vacuous(rid, "c_star = 0: coupling vacuous")
+                 for rid in ("exj01_gamma_range", "exj01_gamma_theta",
+                             "exj02_12", "exj02_21")]
     else:
         recs.append(_rec("exj01_gamma_range",
                          min(g[0] - 1, g[1] - 1, q[0] - g[0], q[1] - g[1]),
@@ -373,23 +367,23 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
             recs.append(_rec(rid, _sub(rhs, t_cross),
                              note="t_i < (p_i/N)(1 - 1/p_i*(s_i+1)) p_j*(s_j+1)"))
     else:
-        recs.append(InequalityRecord(
-            id="crit_expi_1", satisfied=False, margin=-_INF, strict=True,
-            note=f"derivation failed: {derive_err}"))
-        recs.append(InequalityRecord(
-            id="crit_expi_2", satisfied=False, margin=-_INF, strict=True,
-            note=f"derivation failed: {derive_err}"))
+        recs += [InequalityRecord(id=rid, satisfied=False, margin=-_INF,
+                                  strict=True,
+                                  note=f"derivation failed: {derive_err}")
+                 for rid in ("crit_expi_1", "crit_expi_2")]
 
     constants = None
-    report = HypothesisReport(records=tuple(recs), derived=derived, constants=None)
-    if report.admissible:
-        constants = compute_model_constants(cfg, _checked=True)
-        report = HypothesisReport(records=tuple(recs), derived=derived,
-                                  constants=constants)
-    return report
+    if all(r.satisfied for r in recs):
+        # the closed forms of compute_model_constants
+        mu2 = [1 / p[i] - th[i] * (s[i] + 1) for i in (0, 1)]
+        constants = ModelConstants(eta1=float(max(1 / p[0], 1 / p[1])),
+                                   mu0=1.0, mu1=1.0, mu2_1=float(mu2[0]),
+                                   mu2_2=float(mu2[1]), R=1.0)
+    return HypothesisReport(records=tuple(recs), derived=derived,
+                            constants=constants)
 
 
-def compute_model_constants(cfg: ExponentConfig, _checked: bool = False) -> ModelConstants:
+def compute_model_constants(cfg: ExponentConfig) -> ModelConstants:
     """Structural constants of the explicit model class.
 
     For A = (1/p1)(1+|t|^{s1 p1})|xi|^{p1} the derivative contraction
@@ -404,18 +398,11 @@ def compute_model_constants(cfg: ExponentConfig, _checked: bool = False) -> Mode
              = [(1/p - theta)(1+T) - theta s T] |xi|^p   with T = |t|^{sp},
     whose ratio against a.xi = (1+T)|xi|^p is minimized as T -> inf at
     1/p - theta(s+1).  R = 1 is admissible since all model inequalities
-    hold globally.
+    hold globally.  ``check_model_hypotheses`` evaluates these exactly;
+    raises NonAdmissibleConfigError when the configuration fails them.
     """
-    if not _checked:
-        report = check_model_hypotheses(cfg)
-        if not report.admissible:
-            raise NonAdmissibleConfigError(
-                "configuration fails hypotheses: " + ", ".join(report.failing()))
-    p1, p2 = _frac(cfg.p1), _frac(cfg.p2)
-    mu2_1 = 1 / p1 - _frac(cfg.theta1) * (_frac(cfg.s1) + 1)
-    mu2_2 = 1 / p2 - _frac(cfg.theta2) * (_frac(cfg.s2) + 1)
-    return ModelConstants(
-        eta1=float(max(1 / p1, 1 / p2)),
-        mu0=1.0, mu1=1.0,
-        mu2_1=float(mu2_1), mu2_2=float(mu2_2),
-        R=1.0)
+    report = check_model_hypotheses(cfg)
+    if not report.admissible:
+        raise NonAdmissibleConfigError(
+            "configuration fails hypotheses: " + ", ".join(report.failing()))
+    return report.constants

@@ -303,7 +303,8 @@ def _band_layout(dimension: int, n: int,
 
     The unknowns are one component's m interior values in grid order or,
     when ``pair``, both interleaved (u_i at 2i, v_i at 2i + 1).  The grid
-    sets kl = ku: n - 1 in 2D and 1 in 1D for one component, 2 kl + 1 for
+    sets kl = ku, the interior-number distance from a cell's first corner
+    to its last: n - 1 in 2D and 1 in 1D for one component, 2 kl + 1 for
     the pair.  Entry (i, j) sits at ab[2 kl + i - j, j] of the
     Fortran-ordered band array; its first kl rows hold the pivoting fill.
     Returns (kl, slots, k_data): slots holds the flat position in ab of
@@ -314,7 +315,7 @@ def _band_layout(dimension: int, n: int,
     """
     grid = Grid(dimension, n)
     _, corners = grid.jacobian_pattern()
-    kl = n - 1 if dimension == 2 else 1
+    kl = sum((n - 2) ** a for a in range(dimension))
     K = grid.stiffness().tocoo()
     rows, cols, k_data = K.row, K.col, K.data
     if pair:
@@ -488,6 +489,8 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
     if not certificate.validated:
         raise ValueError("mountain_pass_search requires a validated certificate")
+    if params.path_points < 3:
+        raise ValueError("path_points must be at least 3")
     endpoint = certificate.endpoint
     npts = params.path_points
     taus = [k / (npts - 1) for k in range(npts)]
@@ -557,9 +560,11 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
     """
     params = params or SolverParams()
     mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
-    seeds = seeds if seeds is not None else list(range(count))
+    seeds = seeds if seeds is not None else list(range(max(count, 1)))
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     base_cert = certify_geometry(cfg, grid, r0, n_samples=n_geo_samples,
-                                 seed=seeds[0] if seeds else 0, mf=mf)
+                                 seed=seeds[0], mf=mf)
     results: list[CriticalPointCandidate] = []
     for m in range(count):
         cert = (base_cert if m == 0 else

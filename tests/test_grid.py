@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,87 @@ class TestGrid:
         got = g.element_gradients(vals)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_midpoint_values_and_scatter_match_stencils(self, dimension):
+        # reference: the explicit 1D and 2D stencils, corners in the order
+        # (0,0), (1,0), (0,1), (1,1); the arithmetic is the same, so the
+        # results must be bitwise equal.  n = 12 makes h = 1/11, so a
+        # reordered product would round differently.
+        g = Grid(dimension, 12)
+        rng = np.random.default_rng(8)
+        vals = rng.standard_normal((3, 2) + g.node_shape)
+        cells = (g.n - 1,) * dimension
+        dens = rng.standard_normal(cells)
+        gvec = rng.standard_normal(cells + (dimension,))
+        vol, h = g.cell_volume, g.h
+        if dimension == 1:
+            mid = 0.5 * (vals[..., :-1] + vals[..., 1:])
+        else:
+            mid = 0.25 * (vals[..., :-1, :-1] + vals[..., 1:, :-1]
+                          + vals[..., :-1, 1:] + vals[..., 1:, 1:])
+
+        def stencil_scatter(density, gradvec):
+            out = g.zeros()
+            if dimension == 1:
+                if density is not None:
+                    t = 0.5 * vol * density
+                    out[:-1] += t
+                    out[1:] += t
+                if gradvec is not None:
+                    gx = gradvec[..., 0] * vol / h
+                    out[:-1] -= gx
+                    out[1:] += gx
+            else:
+                if density is not None:
+                    t = 0.25 * vol * density
+                    out[:-1, :-1] += t
+                    out[1:, :-1] += t
+                    out[:-1, 1:] += t
+                    out[1:, 1:] += t
+                if gradvec is not None:
+                    gx = gradvec[..., 0] * vol / (2 * h)
+                    gy = gradvec[..., 1] * vol / (2 * h)
+                    out[:-1, :-1] += -gx - gy
+                    out[1:, :-1] += gx - gy
+                    out[:-1, 1:] += -gx + gy
+                    out[1:, 1:] += gx + gy
+            out[g.boundary_mask()] = 0.0
+            return out
+
+        got = g.midpoint_values(vals)
+        assert got.shape == mid.shape and got.dtype == mid.dtype
+        assert got.tobytes() == mid.tobytes()
+        for args in ((dens, gvec), (dens, None), (None, gvec)):
+            ref = stencil_scatter(*args)
+            assert g.scatter(*args).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 17, 65, 257])
+    def test_stiffness_matches_kron_assembly(self, dimension, n):
+        # reference: the 3-point stencil 2/h, -1/h in 1D and, in 2D, the
+        # assembled 9-point stencil with center 8/3 and all eight neighbors
+        # -1/3 as Kronecker products.  The sorted CSC arrays are compared
+        # byte for byte; a dense comparison needs 31 GB at 2D n = 257.
+        m, h = n - 2, 1.0 / (n - 1)
+        if dimension == 1:
+            off = np.full(m - 1, -1.0 / h)
+            ref = sp.diags([off, np.full(m, 2.0 / h), off], [-1, 0, 1],
+                           format="csc")
+        else:
+            eye = sp.identity(m, format="csc")
+            t_main = sp.diags([np.full(m - 1, 1.0), np.full(m, 0.0),
+                               np.full(m - 1, 1.0)], [-1, 0, 1], format="csc")
+            ref = (sp.kron(eye, eye) * (8.0 / 3.0)
+                   - sp.kron(eye, t_main) / 3.0
+                   - sp.kron(t_main, eye) / 3.0
+                   - sp.kron(t_main, t_main) / 3.0).tocsc()
+        ref.sort_indices()
+        K = Grid(dimension, n).stiffness()
+        assert K.format == "csc" and K.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(K, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_element_operators_match_element_maps(self, dimension):

@@ -398,6 +398,19 @@ class TestMountainPassSearch:
         with pytest.raises(ValueError):
             mountain_pass_search(decoupled_cfg, g, cert)
 
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_rejects_fewer_than_three_path_points(self, decoupled_cfg_1d,
+                                                  grid_1d, solved_1d,
+                                                  points, monkeypatch):
+        # one point would divide by zero in tau = k / (points - 1), and two
+        # put the ridge point at the origin; the CLI enforces the same bound
+        cert, _ = solved_1d
+        counts = _count_calls(monkeypatch, "_polish_candidate")
+        with pytest.raises(ValueError, match="path_points"):
+            mountain_pass_search(decoupled_cfg_1d, grid_1d, cert,
+                                 SolverParams(path_points=points))
+        assert counts["_polish_candidate"] == 0
+
     def test_deterministic_replay(self, decoupled_cfg_1d, grid_1d):
         def run():
             cert = certify_geometry(decoupled_cfg_1d, grid_1d, 0.1,
@@ -728,6 +741,13 @@ class TestMultiplicity:
         multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
                             n_geo_samples=4)
         assert counts["_scale_until_negative"] == 3
+
+    def test_rejects_empty_seeds(self, decoupled_cfg_1d, monkeypatch):
+        # the provenance labels read seeds[m % len(seeds)]
+        counts = _count_calls(monkeypatch, "certify_geometry")
+        with pytest.raises(ValueError, match="seeds"):
+            multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 1, seeds=[])
+        assert counts["certify_geometry"] == 0
 
     def test_distinct_increasing_levels(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 4)
