@@ -99,6 +99,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.epsilon_reg < 0:
             raise ConfigError("epsilon_reg must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be in [0, 2^64)")
         try:
             self.exponent_config()
         except ValueError as exc:

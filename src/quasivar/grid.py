@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dstn, idstn
 
 if TYPE_CHECKING:
@@ -38,7 +37,6 @@ class Grid:
         self.h = 1.0 / (n - 1)
         self.cell_volume = self.h ** dimension
         self.num_cells = (n - 1) ** dimension
-        self._stiffness = None  # cached stiffness matrix
         self._eigenvalues = None  # cached eigenvalues of K in the sine basis
         self._jac_pattern = None  # cached element map of dJ_jacobian
         self._boundary = np.ones(self.node_shape, dtype=bool)
@@ -170,30 +168,23 @@ class Grid:
 
     # -- discrete Laplacian ----------------------------------------------------
 
-    def stiffness(self) -> sp.csc_matrix:
-        """Dirichlet stiffness matrix K of the linear/bilinear elements.
+    @property
+    def element_stiffness(self) -> np.ndarray:
+        """Exact c x c element stiffness of the linear/bilinear elements.
 
-        Rows and columns are the interior nodes in the order of
-        ``values[~boundary_mask()]``.  The exact element matrix, summed
-        over the corners of ``jacobian_pattern``, is the sum over axes a
-        of the 1D element stiffness [[1,-1],[-1,1]]/h along a times the
-        1D mass h [[1/3,1/6],[1/6,1/3]] along every other axis.
+        c = 2^dim corners, in the order of ``jacobian_pattern``.  It is
+        the sum over axes a of the 1D element stiffness
+        [[1,-1],[-1,1]]/h along a times the 1D mass h [[1/3,1/6],[1/6,1/3]]
+        along every other axis; summed over the cells, it is the Dirichlet
+        stiffness matrix K that ``laplacian_solve`` inverts.
         """
-        if self._stiffness is None:
-            dim, m = self.dimension, (self.n - 2) ** self.dimension
-            stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])
-            mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-            # np.kron takes the last axis, the slowest corner axis, first
-            element = sum(functools.reduce(np.kron, [
-                stiff if b == a else mass for b in reversed(range(dim))])
-                for a in range(dim)) / self.h ** (2 - dim)
-            _, corners = self.jacobian_pattern()
-            r, c = np.broadcast_arrays(corners[:, :, None], corners[:, None, :])
-            kept = (r >= 0) & (c >= 0)
-            data = np.broadcast_to(element, r.shape)[kept]
-            self._stiffness = sp.coo_matrix((data, (r[kept], c[kept])),
-                                            shape=(m, m)).tocsc()
-        return self._stiffness
+        dim = self.dimension
+        stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+        # np.kron takes the last axis, the slowest corner axis, first
+        return sum(functools.reduce(np.kron, [
+            stiff if b == a else mass for b in reversed(range(dim))])
+            for a in range(dim)) / self.h ** (2 - dim)
 
     def laplacian_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of K in the type-I sine basis, shape (n-2,)*dim.

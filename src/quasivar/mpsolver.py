@@ -310,26 +310,29 @@ def _band_layout(dimension: int, n: int,
     Returns (kl, slots, k_data): slots holds the flat position in ab of
     each raveled (cell, i, j) element entry (one component's c x c block,
     or the pair's 2c x 2c), ab.size for a boundary corner, followed by
-    the positions of the entries k_data of K (blockdiag(K, K) for the
-    pair).  Built once per grid size; the arrays are read-only.
+    the positions of the nonzero entries k_data of K (blockdiag(K, K) for
+    the pair).  K is the grid's ``element_stiffness`` summed over those
+    element slots.  Built once per grid size; the arrays are read-only.
     """
     grid = Grid(dimension, n)
     _, corners = grid.jacobian_pattern()
     kl = sum((n - 2) ** a for a in range(dimension))
-    K = grid.stiffness().tocoo()
-    rows, cols, k_data = K.row, K.col, K.data
+    element = grid.element_stiffness
     if pair:
         kl = 2 * kl + 1
         # boundary corners stay negative: 2(-1) and 2(-1) + 1
         corners = np.hstack([2 * corners, 2 * corners + 1])
-        rows = np.concatenate([2 * rows, 2 * rows + 1])
-        cols = np.concatenate([2 * cols, 2 * cols + 1])
-        k_data = np.concatenate([k_data, k_data])
+        element = np.kron(np.eye(2), element)
     ldab = 3 * kl + 1
-    size = ldab * K.shape[0] * (2 if pair else 1)
+    size = ldab * (n - 2) ** dimension * (2 if pair else 1)
     r, c = np.broadcast_arrays(corners[:, :, None], corners[:, None, :])
-    slots = np.where((r >= 0) & (c >= 0), 2 * kl + r - c + c * ldab, size)
-    slots = np.concatenate([slots.ravel(), 2 * kl + rows - cols + cols * ldab])
+    slots = np.where((r >= 0) & (c >= 0), 2 * kl + r - c + c * ldab,
+                     size).ravel()
+    weights = np.broadcast_to(element, r.shape).ravel()
+    band = np.bincount(slots, weights=weights, minlength=size + 1)[:-1]
+    k_slots = np.flatnonzero(band)
+    k_data = band[k_slots]
+    slots = np.concatenate([slots, k_slots])
     slots.flags.writeable = k_data.flags.writeable = False
     return kl, slots, k_data
 
@@ -381,8 +384,9 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact Jacobian J summed from the
-    element Jacobians of ``dJ_jacobian`` and the Dirichlet stiffness K of
-    ``Grid.stiffness``, by the banded LU of ``_lm_step``:
+    element Jacobians of ``dJ_jacobian`` and the Dirichlet stiffness K
+    summed from ``Grid.element_stiffness``, by the banded LU of
+    ``_lm_step``:
     Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
     On a semitrivial point, (u, 0) or (0, v), of a model whose u-v
     coupling vanishes there, the idle component's load is exactly zero

@@ -104,7 +104,7 @@ class TestConfigParsing:
         ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0"),
         ("tol", "0"), ("epsilon_reg", "-1"), ("gradcheck_runs", "0"),
         ("p1", "1"), ("s1", "-0.5"), ("q1", "0.5"), ("theta1", "0"),
-        ("c_star", "-1"), ("N", "0")])
+        ("c_star", "-1"), ("N", "0"), ("seed", "-1")])
     def test_out_of_range_value_exits_two(self, capsys, tmp_path, key,
                                           value):
         p = tmp_path / "bad.txt"
@@ -118,6 +118,15 @@ class TestConfigParsing:
     def test_out_of_range_override_exits_two(self, capsys, decoupled_path):
         code, records = run_cli(capsys, "solve", "--config", decoupled_path,
                                 "--grid-n", "2")
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_override_exits_two(self, capsys,
+                                                  decoupled_path, seed):
+        # README documents --seed U64; outside it the run must not start
+        code, records = run_cli(capsys, "certify", "--config",
+                                decoupled_path, "--seed", seed)
         assert code == 2
         assert [r["record"] for r in records] == ["error"]
 
@@ -339,7 +348,7 @@ _CLI_BASES = {
            ("r0", -1.0), ("path_points", 2), ("count", 0),
            ("n_geo_samples", 0), ("tol", 0.0), ("epsilon_reg", -1.0),
            ("gradcheck_runs", 0), ("p1", 1.0), ("s1", -0.5), ("q1", 0.5),
-           ("theta1", 0.0), ("c_star", -1.0), ("N", 0))))
+           ("theta1", 0.0), ("c_star", -1.0), ("N", 0), ("seed", -1))))
 @settings(max_examples=20, deadline=10_000)
 def test_cli_emits_json_lines_with_documented_exit_code(base, command,
                                                         values, bad):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +9,8 @@ import quasivar.grid
 from quasivar import (FieldPair, Grid, GridFunction, dump_field, ell_norm,
                       gradient_at_quadrature, integrate, norm_Linf, norm_Lp,
                       norm_W, pair_norm_W, power_map)
+
+from util import assemble_jacobian, kron_stiffness
 
 
 def _random_field(grid: Grid, seed: int) -> GridFunction:
@@ -72,7 +73,7 @@ class TestGrid:
         # sine transform runs on length-1 input.
         g = Grid(dimension, n)
         interior = ~g.boundary_mask()
-        K = g.stiffness()
+        K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         assert abs(K - K.T).max() == 0.0
         load = _random_field(g, 5).values
         sol = g.laplacian_solve(load)
@@ -95,11 +96,15 @@ class TestGrid:
         assert np.any(g.laplacian_solve(_random_field(g, 6).values))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_element_gradients_match_stacked_form(self, dimension):
+    @pytest.mark.parametrize("dimension, n", [
+        pytest.param(d, n, id=f"{d}" if n == 17 else f"{d}-{n}")
+        for n in (17, 12) for d in (1, 2)])
+    def test_element_gradients_match_stacked_form(self, dimension, n):
         # reference: each component as its own array, then np.stack; the
-        # arithmetic is the same, so the result must be bitwise equal
-        g = Grid(dimension, 17)
+        # arithmetic is the same, so the result must be bitwise equal.
+        # At n = 17, h is a power of two and a regrouped quotient rounds
+        # the same; n = 12 makes h = 1/11, where it would not.
+        g = Grid(dimension, n)
         vals = np.random.default_rng(7).standard_normal((3, 2) + g.node_shape)
         h = g.h
         if dimension == 1:
@@ -171,35 +176,26 @@ class TestGrid:
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 17, 65, 257])
     def test_stiffness_matches_kron_assembly(self, dimension, n):
-        # reference: the 3-point stencil 2/h, -1/h in 1D and, in 2D, the
-        # assembled 9-point stencil with center 8/3 and all eight neighbors
-        # -1/3 as Kronecker products.  The sorted CSC arrays are compared
-        # byte for byte; a dense comparison needs 31 GB at 2D n = 257.
-        m, h = n - 2, 1.0 / (n - 1)
-        if dimension == 1:
-            off = np.full(m - 1, -1.0 / h)
-            ref = sp.diags([off, np.full(m, 2.0 / h), off], [-1, 0, 1],
-                           format="csc")
-        else:
-            eye = sp.identity(m, format="csc")
-            t_main = sp.diags([np.full(m - 1, 1.0), np.full(m, 0.0),
-                               np.full(m - 1, 1.0)], [-1, 0, 1], format="csc")
-            ref = (sp.kron(eye, eye) * (8.0 / 3.0)
-                   - sp.kron(eye, t_main) / 3.0
-                   - sp.kron(t_main, eye) / 3.0
-                   - sp.kron(t_main, t_main) / 3.0).tocsc()
-        ref.sort_indices()
-        K = Grid(dimension, n).stiffness()
+        # reference: the stencil K of kron_stiffness.  The element
+        # stiffness summed over the cells must match it: the sorted CSC
+        # arrays are compared byte for byte; a dense comparison needs
+        # 31 GB at 2D n = 257.
+        ref = kron_stiffness(dimension, n)
+        g = Grid(dimension, n)
+        K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         assert K.format == "csc" and K.has_sorted_indices
         for name in ("indptr", "indices", "data"):
             a, b = getattr(K, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_element_operators_match_element_maps(self, dimension):
+    @pytest.mark.parametrize("dimension, n", [
+        pytest.param(d, n, id=f"{d}" if n == 17 else f"{d}-{n}")
+        for n in (17, 12) for d in (1, 2)])
+    def test_element_operators_match_element_maps(self, dimension, n):
         # the element-local map of jacobian_pattern: B applied to each
-        # cell's corner values (boundary corners read as 0)
-        g = Grid(dimension, 17)
+        # cell's corner values (boundary corners read as 0), on the dyadic
+        # n = 17 and the non-dyadic n = 12
+        g = Grid(dimension, n)
         f = _random_field(g, 3)
         interior = ~g.boundary_mask()
         B, corners = g.jacobian_pattern()

@@ -22,7 +22,7 @@ from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump
-from util import assemble_jacobian
+from util import assemble_jacobian, kron_stiffness
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,26 @@ def _record_bands(monkeypatch):
 
     monkeypatch.setattr(mpsolver, "dgbsv", recorded)
     return bands
+
+
+def _kron_damping(dimension, n, pair):
+    """The stencil K of kron_stiffness or, for the pair, blockdiag(K, K)
+    with u_i at 2i and v_i at 2i + 1."""
+    K = kron_stiffness(dimension, n)
+    if not pair:
+        return K
+    damping = sp.kron(K, sp.identity(2), format="csc")
+    damping.eliminate_zeros()  # kron stores the products with the zeros
+    return damping
+
+
+def _band(matrix, kl):
+    """A sparse matrix's entries in the raveled LAPACK band array of
+    ``_band_layout``: (i, j) at 2 kl + i - j + j (3 kl + 1)."""
+    coo = matrix.tocoo()
+    out = np.zeros((coo.shape[1], 3 * kl + 1))
+    out[coo.col, 2 * kl + coo.row - coo.col] = coo.data
+    return out.ravel()
 
 
 def _ridge_point(endpoint, mf):
@@ -517,7 +537,7 @@ class TestPolish:
                         else (slice(None, m), slice(m, None)))
         assert not np.any(f[idle]) and np.any(f[moving])
         jac = dJ_jacobian(fp, mf)
-        K = g.stiffness()
+        K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         damping = sp.block_diag((K, K), format="csc")
         ref = splu(assemble_jacobian(g, jac, sparse=True) + mu * damping,
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
@@ -546,7 +566,7 @@ class TestPolish:
         f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
         assert np.any(f[:m]) and np.any(f[m:])
         jac = dJ_jacobian(fp, mf)
-        K = g.stiffness()
+        K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         ref = splu(assemble_jacobian(g, jac, sparse=True)
                    + mu * sp.block_diag((K, K), format="csc"),
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
@@ -593,7 +613,8 @@ class TestPolish:
         f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
         jac = dJ_jacobian(fp, mf)
         dense = (assemble_jacobian(g, jac)
-                 + mu * np.kron(np.eye(2), g.stiffness().toarray()))
+                 + mu * assemble_jacobian(
+                     g, np.kron(np.eye(2), g.element_stiffness)))
         if interleaved:
             order = np.arange(2 * m).reshape(2, m).T.ravel()
             dense = dense[np.ix_(order, order)]
@@ -618,6 +639,58 @@ class TestPolish:
         expected = np.zeros((3 * kl + 1, dense.shape[0]))
         expected[2 * kl + i[inside] - j[inside], j[inside]] = dense[inside]
         assert np.array_equal(ab, expected)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 12, 65])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_band_layout_holds_kron_stiffness(self, dimension, n, pair):
+        # reference: the stencil K placed into band storage; the K entries
+        # of _band_layout, one per band slot after the element slots, must
+        # hold exactly its entries
+        kl, slots, k_data = mpsolver._band_layout(dimension, n, pair)
+        c = 2 ** dimension * (2 if pair else 1)
+        k_slots = slots[Grid(dimension, n).num_cells * c * c:]
+        assert k_slots.size == k_data.size
+        assert np.unique(k_slots).size == k_slots.size
+        expected = _band(_kron_damping(dimension, n, pair), kl)
+        got = np.zeros_like(expected)
+        got[k_slots] = k_data
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 12, 65])
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("mu", [1e-3, 7.3])
+    def test_damped_step_adds_kron_stiffness_after_jacobian(
+            self, dimension, n, pair, mu, monkeypatch):
+        # a damped try hands dgbsv, in every band slot, the sum of the
+        # element Jacobians in cell order and then mu times the stencil
+        # K's entry; the one block is u's, v's load being zero
+        g = Grid(dimension, n)
+        m = (n - 2) ** dimension
+        c = 2 ** dimension * (2 if pair else 1)
+        rng = np.random.default_rng(11)
+        jac = rng.standard_normal((g.num_cells, c, c))
+        f = rng.standard_normal(2 * m)
+        J = assemble_jacobian(g, jac, sparse=True)
+        if pair:
+            order = np.arange(2 * m).reshape(2, m).T.ravel()
+            J = J[order][:, order]
+        else:
+            f[m:] = 0.0
+        captured = []
+        dgbsv = mpsolver.dgbsv
+
+        def capture(kl, ku, ab, rhs, **kwargs):
+            captured.append((kl, ab.copy()))
+            return dgbsv(kl, ku, ab, rhs, **kwargs)
+
+        monkeypatch.setattr(mpsolver, "dgbsv", capture)
+        _lm_step(jac, f, mu, g)
+        [(kl, ab)] = captured
+        expected = (_band(J, kl)
+                    + mu * _band(_kron_damping(dimension, n, pair), kl))
+        assert ab.T.ravel().tobytes() == expected.tobytes()
 
     def test_zero_load_skip_keeps_candidate(self, decoupled_cfg,
                                             monkeypatch):

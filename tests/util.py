@@ -56,19 +56,59 @@ def random_admissible_configs(count: int, seed: int = 0,
 
 
 def assemble_jacobian(grid, jac: np.ndarray, sparse: bool = False):
-    """The 2m x 2m Jacobian, u unknowns before v, from element Jacobians.
+    """The global matrix summed from one matrix per cell.
 
-    ``jac`` holds one (2c, 2c) matrix per cell, u corners before v, as
-    ``dJ_jacobian`` returns; its entries are summed by ``np.add.at`` over
+    ``jac`` holds one component's (c, c) block per cell, c = 2^dim
+    corners in the order of ``jacobian_pattern``, or the pair's (2c, 2c)
+    matrix, u corners before v, as ``dJ_jacobian`` returns; a single
+    matrix, such as ``Grid.element_stiffness``, serves every cell.  Its
+    entries are summed in cell order, as ``np.add.at`` sums them, over
     the interior numbers of the corners, and boundary corners dropped.
-    Returns a dense array, or a CSC matrix of its nonzeros when
-    ``sparse``.
+    Returns the m x m or 2m x 2m matrix (u unknowns before v), dense or,
+    when ``sparse``, a CSC matrix of its nonzeros built without a dense
+    array.
     """
     _, corners = grid.jacobian_pattern()
-    m = (grid.n - 2) ** grid.dimension
-    dofs = np.hstack([corners, np.where(corners < 0, -1, corners + m)])
-    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    size = (grid.n - 2) ** grid.dimension
+    if jac.shape[-1] == 2 * corners.shape[1]:
+        corners = np.hstack([corners,
+                             np.where(corners < 0, -1, corners + size)])
+        size *= 2
+    rows, cols = np.broadcast_arrays(corners[:, :, None], corners[:, None, :])
     kept = (rows >= 0) & (cols >= 0)
-    out = np.zeros((2 * m, 2 * m))
-    np.add.at(out, (rows[kept], cols[kept]), jac[kept])
-    return sp.csc_matrix(out) if sparse else out
+    # column-major keys: the sorted unique keys are in CSC order
+    keys, where = np.unique(cols[kept] * size + rows[kept],
+                            return_inverse=True)
+    data = np.bincount(where, weights=np.broadcast_to(jac, rows.shape)[kept])
+    cols, rows = np.divmod(keys, size)
+    if not sparse:
+        out = np.zeros((size, size))
+        out[rows, cols] = data
+        return out
+    nz = data != 0
+    indptr = np.searchsorted(cols[nz], np.arange(size + 1))
+    return sp.csc_matrix((data[nz], rows[nz], indptr), shape=(size, size))
+
+
+def kron_stiffness(dimension: int, n: int) -> sp.csc_matrix:
+    """Dirichlet stiffness K of ``Grid(dimension, n)`` from its stencil.
+
+    The 3-point stencil 2/h, -1/h in 1D and, in 2D, the assembled 9-point
+    stencil with center 8/3 and all eight neighbors -1/3 as Kronecker
+    products, with sorted indices.
+    """
+    m, h = n - 2, 1.0 / (n - 1)
+    if dimension == 1:
+        off = np.full(m - 1, -1.0 / h)
+        ref = sp.diags([off, np.full(m, 2.0 / h), off], [-1, 0, 1],
+                       format="csc")
+    else:
+        eye = sp.identity(m, format="csc")
+        t_main = sp.diags([np.full(m - 1, 1.0), np.full(m, 0.0),
+                           np.full(m - 1, 1.0)], [-1, 0, 1], format="csc")
+        ref = (sp.kron(eye, eye) * (8.0 / 3.0)
+               - sp.kron(eye, t_main) / 3.0
+               - sp.kron(t_main, eye) / 3.0
+               - sp.kron(t_main, t_main) / 3.0).tocsc()
+    ref.sort_indices()
+    return ref
