@@ -2,7 +2,7 @@
 
 The search takes the energy maximum of the straight path from the origin
 to a negative-energy endpoint, a ridge point of the mountain-pass
-geometry, and refines it with an exact sparse Newton polish, damped
+geometry, and refines it with a banded-LU Newton polish, damped
 toward the Sobolev gradient step (Levenberg-Marquardt), to the nearby
 critical point.  When that fails at a ridge point with both components
 nonzero, its semitrivial projections (u, 0) and (0, v) are polished
@@ -298,33 +298,30 @@ _STALL_RATIO = 0.5
 
 @functools.lru_cache(maxsize=2)
 def _band_layout(dimension: int, n: int,
-                 pair: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """LAPACK band layout of the Newton matrix on ``Grid(dimension, n)``.
+                 k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """LAPACK band layout of the Newton matrix of k components on a grid.
 
-    The unknowns are one component's m interior values in grid order or,
-    when ``pair``, both interleaved (u_i at 2i, v_i at 2i + 1).  The grid
-    sets kl = ku, the interior-number distance from a cell's first corner
-    to its last: n - 1 in 2D and 1 in 1D for one component, 2 kl + 1 for
-    the pair.  Entry (i, j) sits at ab[2 kl + i - j, j] of the
+    The unknowns are the k components' m interior values of
+    ``Grid(dimension, n)``, interleaved: component j of node i at k i + j
+    (u_i at 2i, v_i at 2i + 1 for k = 2).  A cell's first and last corner
+    are r = n - 1 interior numbers apart in 2D, 1 in 1D, so kl = ku =
+    k r + k - 1.  Entry (i, j) sits at ab[2 kl + i - j, j] of the
     Fortran-ordered band array; its first kl rows hold the pivoting fill.
     Returns (kl, slots, k_data): slots holds the flat position in ab of
-    each raveled (cell, i, j) element entry (one component's c x c block,
-    or the pair's 2c x 2c), ab.size for a boundary corner, followed by
-    the positions of the nonzero entries k_data of K (blockdiag(K, K) for
-    the pair).  K is the grid's ``element_stiffness`` summed over those
-    element slots.  Built once per grid size; the arrays are read-only.
+    each raveled (cell, i, j) entry of the kc x kc element matrices,
+    ab.size for a boundary corner, followed by the positions of the
+    nonzero entries k_data of blockdiag(K, ..., K), the grid's
+    ``element_stiffness`` kron I_k summed over those element slots.
+    Built once per grid size and k; the arrays are read-only.
     """
     grid = Grid(dimension, n)
     _, corners = grid.jacobian_pattern()
-    kl = sum((n - 2) ** a for a in range(dimension))
-    element = grid.element_stiffness
-    if pair:
-        kl = 2 * kl + 1
-        # boundary corners stay negative: 2(-1) and 2(-1) + 1
-        corners = np.hstack([2 * corners, 2 * corners + 1])
-        element = np.kron(np.eye(2), element)
+    kl = k * sum((n - 2) ** a for a in range(dimension)) + k - 1
+    # boundary corners stay negative: k (-1) + j < 0
+    corners = np.hstack([k * corners + j for j in range(k)])
+    element = np.kron(np.eye(k), grid.element_stiffness)
     ldab = 3 * kl + 1
-    size = ldab * (n - 2) ** dimension * (2 if pair else 1)
+    size = ldab * k * (n - 2) ** dimension
     r, c = np.broadcast_arrays(corners[:, :, None], corners[:, None, :])
     slots = np.where((r >= 0) & (c >= 0), 2 * kl + r - c + c * ldab,
                      size).ravel()
@@ -341,26 +338,22 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
              grid: Grid) -> np.ndarray:
     """Solve (J + mu blockdiag(K, K)) dx = -f by banded LU.
 
-    The unknowns are the m interior values of u, then of v.  J is summed
-    from the element Jacobians ``jac`` of ``dJ_jacobian`` straight into
-    LAPACK band storage (``_band_layout``) in their raveled (cell, i, j)
-    order, and the entries of mu K are added after them.  When ``jac``
-    holds one component's c x c blocks (``dJ_jacobian`` given an idle
-    component, whose load must be exactly zero), the system is block
-    diagonal: the idle step is exactly 0 and only the moving component's
-    m x m block, J_uu + mu K or J_vv + mu K, is assembled and factored;
-    u moves when v's load is exactly zero, else v.  Otherwise the full
-    2m x 2m matrix is, u and v interleaved.  Raises RuntimeError on an
+    The unknowns are the m interior values of u, then of v.  ``jac``
+    holds ``dJ_jacobian``'s kc x kc element Jacobians of k components.
+    k = 2 is the full system; k = 1 (an idle component, whose load must
+    be exactly zero) its block-diagonal case, whose idle step is exactly
+    0: u moves when v's load is exactly zero, else v.  J is summed from
+    ``jac`` straight into the band storage of ``_band_layout``, moving
+    components interleaved, in raveled (cell, i, j) order, and the
+    entries of mu K are added after them.  Raises RuntimeError on an
     exactly singular factor.
     """
-    m = f.size // 2
-    pair = jac.shape[1] == 2 ** (grid.dimension + 1)
-    kl, slots, k_data = _band_layout(grid.dimension, grid.n, pair)
-    if pair:
-        rhs = -f.reshape(2, m).T.ravel()  # u_i at 2i, v_i at 2i + 1
-    else:
-        moving = slice(m, None) if np.any(f[m:]) else slice(None, m)
-        rhs = -f[moving]
+    k = jac.shape[1] // 2 ** grid.dimension
+    loads = f.reshape(2, -1)
+    first = int(k == 1 and np.any(loads[1]))
+    moving = slice(first, first + k)
+    kl, slots, k_data = _band_layout(grid.dimension, grid.n, k)
+    rhs = -loads[moving].T.ravel()
     weights = jac.ravel()
     if mu:
         weights = np.concatenate([weights, mu * k_data])
@@ -371,16 +364,14 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
                           overwrite_ab=True)
     if info > 0:
         raise RuntimeError("exactly singular factor")
-    if pair:
-        return x.reshape(m, 2).T.ravel()
-    dx = np.zeros_like(f)
-    dx[moving] = x
-    return dx
+    dx = np.zeros_like(loads)
+    dx[moving] = x.reshape(-1, k).T
+    return dx.ravel()
 
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                       max_iter: int = 200) -> FieldPair | None:
-    """Exact sparse Newton refinement of an approximate critical point.
+    """Newton refinement of an approximate critical point by banded LU.
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact Jacobian J summed from the
@@ -407,19 +398,16 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     """
     grid = fp.grid
     interior = ~grid.boundary_mask()
-    m = int(interior.sum())
 
-    def unpack(x: np.ndarray) -> FieldPair:
+    def loads(x: np.ndarray) -> tuple | None:
+        """The pair with interior values x, its interior loads F,
+        max|K^-1 F| and F^T K^-1 F; None if not finite."""
         u, v = grid.zeros(), grid.zeros()
-        u[interior] = x[:m]
-        v[interior] = x[m:]
-        return FieldPair(GridFunction(grid, u), GridFunction(grid, v))
-
-    def loads(x: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-        """Interior loads F, max|K^-1 F| and F^T K^-1 F; None if not finite."""
+        u[interior], v[interior] = x.reshape(2, -1)
+        pair = FieldPair(GridFunction(grid, u), GridFunction(grid, v))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                fu, fv = dJ_loads(unpack(x), mf)
+                fu, fv = dJ_loads(pair, mf)
         except ArithmeticError:
             return None
         if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(fv))):
@@ -427,21 +415,23 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         ru, rv = grid.laplacian_solve(fu), grid.laplacian_solve(fv)
         res = max(np.max(np.abs(ru)), np.max(np.abs(rv)))
         energy = float(np.sum(fu * ru) + np.sum(fv * rv))
-        return np.concatenate([fu[interior], fv[interior]]), float(res), energy
+        return (pair, np.concatenate([fu[interior], fv[interior]]),
+                float(res), energy)
 
     x = np.concatenate([fp.u.values[interior], fp.v.values[interior]])
     state = loads(x)
     if state is None:
         return None
-    f, res, energy = state
+    fp, f, res, energy = state
     fatol = tol * 1e-2
     mu = 0.0
     energies = [energy]
     for _ in range(max_iter):
         if res <= fatol:
             break
-        idle = 1 if not np.any(f[m:]) else 0 if not np.any(f[:m]) else None
-        jac = dJ_jacobian(unpack(x), mf, idle)
+        fu, fv = f.reshape(2, -1)
+        idle = 1 if not np.any(fv) else 0 if not np.any(fu) else None
+        jac = dJ_jacobian(fp, mf, idle)
         while True:
             try:
                 dx = _lm_step(jac, f, mu, grid)
@@ -449,19 +439,19 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                 state = None
             else:
                 state = loads(x + dx)
-            if state is not None and state[2] < energy:
+            if state is not None and state[3] < energy:
                 break
             mu = max(4.0 * mu, _LM_MU_MIN)
             if mu > _LM_MU_MAX:
                 return None
         x = x + dx
-        f, res, energy = state
+        fp, f, res, energy = state
         energies.append(energy)
         if (res > fatol and len(energies) > _STALL_STEPS
                 and energy > _STALL_RATIO * energies[-1 - _STALL_STEPS]):
             return None
         mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
-    return unpack(x) if res <= fatol else None
+    return fp if res <= fatol else None
 
 
 def _pair_dist_W(a: FieldPair, b: FieldPair, cfg: ExponentConfig) -> float:

@@ -131,6 +131,13 @@ class TestRandomizedAdmissible:
             assert cfg.p1 < d.qbar1 / (cfg.s1 + 1) < critical_exponent(cfg.p1, cfg.N)
             assert cfg.p2 < d.qbar2 / (cfg.s2 + 1) < critical_exponent(cfg.p2, cfg.N)
 
+    def test_rounded_theta_keeps_chain(self):
+        # theta = 1/q rounds below the exact 1/q in about half of the
+        # draws; left there, it fails 1/theta <= q and 1000 configs take
+        # 8,257 draws at seed 0
+        assert len(random_admissible_configs(1000, seed=0,
+                                             max_draws=4000)) == 1000
+
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(1.21, 1.9), smul=st.floats(1.05, 2.0),

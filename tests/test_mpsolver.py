@@ -647,7 +647,7 @@ class TestPolish:
         # reference: the stencil K placed into band storage; the K entries
         # of _band_layout, one per band slot after the element slots, must
         # hold exactly its entries
-        kl, slots, k_data = mpsolver._band_layout(dimension, n, pair)
+        kl, slots, k_data = mpsolver._band_layout(dimension, n, 1 + pair)
         c = 2 ** dimension * (2 if pair else 1)
         k_slots = slots[Grid(dimension, n).num_cells * c * c:]
         assert k_slots.size == k_data.size
@@ -772,6 +772,35 @@ class TestPolish:
         assert _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
                                  max_iter=500) is None
         assert counts["dJ_jacobian"] <= 40
+
+
+    @pytest.mark.parametrize("v_scale", [0.0, 2.0])
+    def test_jacobian_takes_accepted_loads_pair(self, coupled_start, v_scale,
+                                                monkeypatch):
+        # each iterate's pair is built once: every dJ_jacobian call, and
+        # the result, take the pair of the dJ_loads call just accepted
+        mf, _, b = coupled_start
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(fp, *args):
+                calls.append((name, fp))
+                return fn(fp, *args)
+            return wrapper
+
+        for name in ("dJ_loads", "dJ_jacobian"):
+            monkeypatch.setattr(mpsolver, name,
+                                recorded(name, getattr(mpsolver, name)))
+        refined = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf, 1e-6)
+        assert refined is not None
+        jacobians = [k for k, (name, _) in enumerate(calls)
+                     if name == "dJ_jacobian"]
+        assert jacobians
+        for k in jacobians:
+            assert calls[k - 1][0] == "dJ_loads"
+            assert calls[k][1] is calls[k - 1][1]
+        assert calls[-1][0] == "dJ_loads"
+        assert calls[-1][1] is refined
 
 
 class TestSemitrivialFallback:

@@ -3,6 +3,8 @@ Jacobian assembly."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -14,9 +16,9 @@ def random_admissible_configs(count: int, seed: int = 0,
     """Draw admissible configurations by guided sampling plus rejection.
 
     Draws are shaped to satisfy the exponent chain by construction
-    (q in (p(s+1), p*(s+1)), theta = 1/q, p < N) and then filtered
-    through the full hypothesis checker, so every returned config is
-    certified admissible rather than assumed so.
+    (q in (p(s+1), p*(s+1)), theta = 1/q rounded up, p < N) and then
+    filtered through the full hypothesis checker, so every returned
+    config is certified admissible rather than assumed so.
     """
     rng = np.random.default_rng(seed)
     out: list[ExponentConfig] = []
@@ -30,6 +32,10 @@ def random_admissible_configs(count: int, seed: int = 0,
         lo, hi = p * (s + 1.0), pstar * (s + 1.0)
         q = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
         theta = 1.0 / q
+        # 1/q rounds below the exact 1/q in about half of the draws, which
+        # breaks the chain 1/theta <= q; one ulp up restores it
+        low = [Fraction(1) / Fraction(t) > Fraction(x) for t, x in zip(theta, q)]
+        theta = np.where(low, np.nextafter(theta, np.inf), theta)
         coupled = rng.random() < 0.5
         if coupled:
             gamma = rng.uniform(0.7 * q, 0.98 * q)
