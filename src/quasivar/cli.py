@@ -115,8 +115,7 @@ class RunConfig:
     def solver_params(self) -> SolverParams:
         return SolverParams(tol=self.tol, max_iters=self.max_iters,
                             path_points=self.path_points,
-                            nontrivial_floor=self.nontrivial_floor,
-                            epsilon_reg=self.epsilon_reg)
+                            nontrivial_floor=self.nontrivial_floor)
 
 
 def _coerce(name: str, raw: str, target_type) -> object:

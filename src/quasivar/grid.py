@@ -37,8 +37,6 @@ class Grid:
         self.h = 1.0 / (n - 1)
         self.cell_volume = self.h ** dimension
         self.num_cells = (n - 1) ** dimension
-        self._eigenvalues = None  # cached eigenvalues of K in the sine basis
-        self._jac_pattern = None  # cached element map of dJ_jacobian
         self._boundary = np.ones(self.node_shape, dtype=bool)
         self._boundary[(slice(1, -1),) * dimension] = False
         self._boundary.flags.writeable = False
@@ -55,6 +53,18 @@ class Grid:
                         for side in (1, 0)] for row in offsets]
         self._axis = np.linspace(0.0, 1.0, n)
         self.centers = self._mesh(0.5 * (self._axis[:-1] + self._axis[1:]))
+        number = np.full(self.node_shape, -1)
+        number[~self._boundary] = np.arange((n - 2) ** dimension)
+        self._jac_pattern = (
+            np.vstack([np.full(2 ** dimension, 0.5 ** dimension),
+                       self._signs * 0.5 ** (dimension - 1) / self.h]),
+            np.stack([number[s].ravel() for s in self._slices], axis=1))
+        lam = 2.0 * np.cos(np.arange(1, n - 1) * np.pi / (n - 1))
+        if dimension == 1:
+            self._eigenvalues = (2.0 - lam) / self.h
+        else:
+            li, lj = lam[:, None], lam[None, :]
+            self._eigenvalues = 8.0 / 3.0 - (li + lj + li * lj) / 3.0
 
     # -- nodal bookkeeping -------------------------------------------------
 
@@ -145,7 +155,7 @@ class Grid:
         return out
 
     def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """Element-local map of the pair Jacobian, built once on first use.
+        """Element-local map of the pair Jacobian, built with the grid.
 
         Returns (B, corners).  B, shape (dim+1, 2^dim), maps the corner
         values of every cell to its midpoint value and gradient, as
@@ -156,14 +166,6 @@ class Grid:
         in 2D, the order in which the stencils add them, so that every sum
         rounds as in the explicit 1D and 2D stencils the tests keep.
         """
-        if self._jac_pattern is None:
-            dim, m = self.dimension, (self.n - 2) ** self.dimension
-            B = np.vstack([np.full(2 ** dim, 0.5 ** dim),
-                           self._signs * 0.5 ** (dim - 1) / self.h])
-            number = np.full(self.node_shape, -1)
-            number[~self.boundary_mask()] = np.arange(m)
-            self._jac_pattern = (B, np.stack(
-                [number[s].ravel() for s in self._slices], axis=1))
         return self._jac_pattern
 
     # -- discrete Laplacian ----------------------------------------------------
@@ -190,15 +192,8 @@ class Grid:
         """Eigenvalues of K in the type-I sine basis, shape (n-2,)*dim.
 
         With l_k = 2 cos(k pi/(n-1)), k = 1..n-2: (2 - l_k)/h in 1D and
-        8/3 - (l_i + l_j + l_i l_j)/3 in 2D.  Built once, on first use.
+        8/3 - (l_i + l_j + l_i l_j)/3 in 2D.  Built with the grid.
         """
-        if self._eigenvalues is None:
-            lam = 2.0 * np.cos(np.arange(1, self.n - 1) * np.pi / (self.n - 1))
-            if self.dimension == 1:
-                self._eigenvalues = (2.0 - lam) / self.h
-            else:
-                li, lj = lam[:, None], lam[None, :]
-                self._eigenvalues = 8.0 / 3.0 - (li + lj + li * lj) / 3.0
         return self._eigenvalues
 
     def laplacian_solve(self, rhs_nodal: np.ndarray) -> np.ndarray:

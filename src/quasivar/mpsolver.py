@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-import scipy.optimize
 from scipy.linalg.lapack import dgbsv
 
 from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
@@ -42,7 +40,6 @@ class SolverParams:
     path_points: int = 33
     nontrivial_floor: float = 1e-3
     dedup_tol: float = 1e-2
-    epsilon_reg: float = 1e-8
 
 
 # nodes per block of certify samples, which bounds the memory of the
@@ -176,39 +173,42 @@ def _with_endpoint(cert: GeometryCertificate, start: FieldPair,
                    validated=validated)
 
 
-def _mapped_scale(b1: float, e1: float, b2: float, e2: float,
-                  r0: float) -> float:
-    """The tau > 0 with b1 tau^e1 + b2 tau^e2 = r0, for b1 + b2 > 0.
-
-    Closed form when one term is absent; otherwise a bracketed root-find
-    of the increasing sum of two power laws.
-    """
-    if b2 == 0.0:
-        return (r0 / b1) ** (1.0 / e1)
-    if b1 == 0.0:
-        return (r0 / b2) ** (1.0 / e2)
-    # each term alone reaches r0 by its own crossing, so at twice the
-    # smaller crossing the sum is at least 2 r0
-    hi = 2.0 * min((r0 / b1) ** (1.0 / e1), (r0 / b2) ** (1.0 / e2))
-    return scipy.optimize.brentq(
-        lambda t: b1 * t ** e1 + b2 * t ** e2 - r0, 0.0, hi,
-        xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-
-
 def _ell_scales(a, b1, b2, cfg: ExponentConfig, r0: float) -> np.ndarray:
     """The scales tau with ell(tau w) = r0, from the coefficients of the
     rays w (``ell_coefficients``).
 
     Both branches of the fibering map increase in tau, so the scale is
     the smaller of their crossings of r0: r0/a, and the root of the
-    power-law branch (closed form when s1 = s2).
+    power-law branch b1 tau^e1 + b2 tau^e2, e_i = s_i + 1.  That root is
+    in closed form when s1 = s2.  Otherwise the rays of a block take
+    Newton's method together, on the convex increasing
+    g(y) = log(d1 e^(e1 y) + d2 e^(e2 y)) in y = log(tau/tau0), with tau0
+    the smaller single-term crossing and d_i = b_i tau0^e_i / r0: its
+    first step lands at or right of the root, the later ones descend onto
+    it, and they stop when rounding halts the descent.  Measured from
+    tau0, |y| <= log 2 keeps full relative precision where log tau would
+    not.  Where tau0^e_i overflows (b_i zero or subnormal), d_i is
+    (tau0/c_i)^e_i, with c_i the crossing, so a zero b gives a zero term.
     """
     e1, e2 = cfg.s1 + 1.0, cfg.s2 + 1.0
     if e1 == e2:
-        mapped = (r0 / (b1 + b2)) ** (1.0 / e1)
-    else:
-        mapped = np.vectorize(_mapped_scale)(b1, e1, b2, e2, r0)
-    return np.minimum(r0 / a, mapped)
+        return np.minimum(r0 / a, (r0 / (b1 + b2)) ** (1.0 / e1))
+    with np.errstate(all="ignore"):
+        c1 = np.divide(r0, b1) ** (1.0 / e1)
+        c2 = np.divide(r0, b2) ** (1.0 / e2)
+        tau0 = np.minimum(c1, c2)
+        d1, d2 = [np.where(np.isinf(tau0 ** e), (tau0 / c) ** e,
+                           b / r0 * tau0 ** e)
+                  for b, c, e in ((b1, c1, e1), (b2, c2, e2))]
+
+    def newton(y):
+        t1, t2 = d1 * np.exp(e1 * y), d2 * np.exp(e2 * y)
+        return y - np.log(t1 + t2) * (t1 + t2) / (e1 * t1 + e2 * t2)
+
+    y = newton(0.0)
+    while np.any((new := newton(y)) < y):
+        y = np.minimum(y, new)
+    return np.minimum(r0 / a, tau0 * np.exp(y))
 
 
 def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
@@ -480,7 +480,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     no attempt is kept the ridge point itself is returned, unconverged.
     """
     params = params or SolverParams()
-    mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
+    mf = mf or ModelFunctions(cfg)
     if not certificate.validated:
         raise ValueError("mountain_pass_search requires a validated certificate")
     if params.path_points < 3:
@@ -553,7 +553,7 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
     ``seeds[0]``.
     """
     params = params or SolverParams()
-    mf = mf or ModelFunctions(cfg, epsilon_reg=params.epsilon_reg)
+    mf = mf or ModelFunctions(cfg)
     seeds = seeds if seeds is not None else list(range(max(count, 1)))
     if not seeds:
         raise ValueError("seeds must not be empty")

@@ -76,3 +76,17 @@ def model_level(k: int = 1, n: int = 20001) -> float:
     u = model_k_bump(x, k)
     du = np.gradient(u, x)
     return float(np.trapezoid(du ** 2 - u ** 4 / 4.0, x))
+
+
+def power_law_root(b1: float, e1: float, b2: float, e2: float,
+                   r0: float) -> float:
+    """The tau > 0 with b1 tau^e1 + b2 tau^e2 = r0, for b1 + b2 > 0.
+
+    A bracketed root of the increasing sum of the nonzero terms: each
+    term alone reaches r0 at its own crossing, so at twice the smaller
+    crossing the sum is at least 2 r0.
+    """
+    terms = [(b, e) for b, e in ((b1, e1), (b2, e2)) if b > 0.0]
+    hi = 2.0 * min((r0 / b) ** (1.0 / e) for b, e in terms)
+    return brentq(lambda t: sum(b * t ** e for b, e in terms) - r0, 0.0, hi,
+                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       ell_norm, first_eigenpair, j_value,
                       mountain_pass_search, multiplicity_search, pair_norm_W,
                       scale_to_ell, verify_candidate)
+import quasivar
 from quasivar import mpsolver
 from quasivar.grid import random_field_pair, sine_modes, sine_product
 from quasivar.energy import dJ_jacobian, dJ_loads, residual_norm
@@ -21,7 +26,7 @@ from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _scale_until_negative, _structured_start,
                                _with_endpoint)
 
-from oracles import model_ground_state, model_k_bump
+from oracles import model_ground_state, model_k_bump, power_law_root
 from util import assemble_jacobian, kron_stiffness
 
 
@@ -261,6 +266,41 @@ class TestScaleToEll:
         scaled = scale_to_ell(fp, coupled_cfg, 0.1)
         assert abs(ell_norm(scaled, coupled_cfg) / 0.1 - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("r0", [0.05, 7.3, 100.0])
+    @pytest.mark.parametrize("s1, s2", [(1.0, 2.0), (2.0, 1.0), (0.0, 0.5)])
+    def test_mixed_scales_match_reference_root(self, coupled_cfg, s1, s2,
+                                               r0):
+        # one call on a block of rays: random coefficients, a zero b1 and
+        # a zero b2, b ratios of 1e+-250, and a lone b so small that
+        # tau0^e of the absent term overflows
+        b = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, (2, 40))
+        b[0, 0] = b[1, 1] = 0.0
+        extreme = [(1.0, 1e250), (1e250, 1.0), (1.0, 1e-250), (1e-250, 1.0),
+                   (1e125, 1e-125), (1e-125, 1e125), (1e-250, 0.0),
+                   (0.0, 1e-250)]
+        b1, b2 = np.hstack([b, np.transpose(extreme)])
+        # r0/a exceeds every root, so the power-law branch sets the scale
+        a = np.full(b1.shape, 1e-300)
+        cfg = dataclasses.replace(coupled_cfg, s1=s1, s2=s2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = mpsolver._ell_scales(a, b1, b2, cfg, r0)
+        ref = [power_law_root(x1, s1 + 1.0, x2, s2 + 1.0, r0)
+               for x1, x2 in zip(b1, b2)]
+        assert np.max(np.abs(tau / ref - 1.0)) <= 1e-14
+
+
+def test_import_leaves_out_scipy_optimize():
+    # no part of the package needs a root finder; scipy.optimize would add
+    # a tenth of a second or more to the import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(quasivar.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quasivar; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
 
 def _per_mode_field(grid, rng, n_modes):
     """Reference: the per-mode loop certify drew its samples with."""
@@ -352,7 +392,7 @@ class TestCertifyGeometry:
     @pytest.mark.parametrize("dimension, n", [(1, 1025), (2, 33)])
     def test_mixed_min_sample_on_sphere(self, mixed_cfg, dimension, n,
                                         n_samples):
-        # s1 != s2: each sample's scale is a bracketed root
+        # s1 != s2: each sample's scale is a Newton root
         cert = certify_geometry(mixed_cfg, Grid(dimension, n), 0.1,
                                 n_samples=n_samples, seed=0)
         assert ell_norm(cert.min_sample, mixed_cfg) == pytest.approx(
