@@ -3,8 +3,9 @@
 All inequality margins are computed in exact rational arithmetic
 (``fractions.Fraction`` built from the binary float inputs), so dyadic
 configurations such as p = 1.5, theta = 1/8 produce exact margins.
-Extended reals (the critical exponent for p >= N) are represented by
-``math.inf``.
+Extended reals (the critical exponent for p >= N) are ``math.inf``, which
+``Fraction`` arithmetic and comparisons already handle; only 1/inf is
+made an exact zero, by ``_inv``.
 """
 
 from __future__ import annotations
@@ -12,48 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Union
-
-Rat = Union[Fraction, float]  # Fraction, or math.inf for extended values
 
 _INF = math.inf
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _as_float(x: Rat) -> float:
-    return float(x) if isinstance(x, Fraction) else x
-
-
-def _is_inf(x: Rat) -> bool:
-    return not isinstance(x, Fraction) and math.isinf(x)
-
-
-def _inv(x: Rat) -> Rat:
-    """1/x with the convention 1/inf = 0."""
-    if _is_inf(x):
-        return Fraction(0)
-    return 1 / _frac(x)
-
-
-def _mul(a: Rat, b: Rat) -> Rat:
-    if _is_inf(a) or _is_inf(b):
-        if (_is_inf(a) and b == 0) or (_is_inf(b) and a == 0):
-            raise ArithmeticError("inf * 0 in exponent arithmetic")
-        return _INF
-    return _frac(a) * _frac(b)
-
-
-def _sub(a: Rat, b: Rat) -> Rat:
-    if _is_inf(a) and _is_inf(b):
-        raise ArithmeticError("inf - inf in exponent arithmetic")
-    if _is_inf(a):
-        return _INF
-    if _is_inf(b):
-        return -_INF
-    return _frac(a) - _frac(b)
+def _inv(x: Fraction | float) -> Fraction:
+    """1/x with 1/inf the exact Fraction(0), where native 1/inf is 0.0."""
+    return Fraction(0) if x == _INF else 1 / x
 
 
 class InfeasibleIntervalError(ValueError):
@@ -177,27 +143,27 @@ def critical_exponent(p: float, N: int) -> float:
         raise ValueError("critical_exponent requires p > 1")
     if N < 1:
         raise ValueError("critical_exponent requires N >= 1")
+    return float(_pstar(p, N))
+
+
+def _pstar(p: Fraction | float, N: int) -> Fraction | float:
+    """N p/(N - p) as an exact Fraction, or inf for p >= N."""
     if p >= N:
         return _INF
-    return float(Fraction(N) * _frac(p) / (Fraction(N) - _frac(p)))
+    p = Fraction(p)
+    return N * p / (N - p)
 
 
-def _pstar(p: Fraction, N: int) -> Rat:
-    if p >= N:
-        return _INF
-    return Fraction(N) * p / (N - p)
-
-
-def _derive_rational(cfg: ExponentConfig) -> dict[str, Rat]:
+def _derive_rational(cfg: ExponentConfig) -> dict[str, Fraction | float]:
     """Exact-rational derived exponents; values may be math.inf."""
     N = cfg.N
-    p1, p2 = _frac(cfg.p1), _frac(cfg.p2)
-    s1, s2 = _frac(cfg.s1), _frac(cfg.s2)
-    q1, q2 = _frac(cfg.q1), _frac(cfg.q2)
-    g1, g2 = _frac(cfg.gamma1), _frac(cfg.gamma2)
+    p1, p2 = Fraction(cfg.p1), Fraction(cfg.p2)
+    s1, s2 = Fraction(cfg.s1), Fraction(cfg.s2)
+    q1, q2 = Fraction(cfg.q1), Fraction(cfg.q2)
+    g1, g2 = Fraction(cfg.gamma1), Fraction(cfg.gamma2)
     ps1, ps2 = _pstar(p1, N), _pstar(p2, N)
-    cap1 = _mul(ps1, s1 + 1)  # p1*(s1+1)
-    cap2 = _mul(ps2, s2 + 1)
+    cap1 = ps1 * (s1 + 1)  # p1*(s1+1)
+    cap2 = ps2 * (s2 + 1)
 
     if cfg.c_star > 0:
         if q1 <= g1 or q2 <= g2:
@@ -206,29 +172,23 @@ def _derive_rational(cfg: ExponentConfig) -> dict[str, Rat]:
         t1 = g2 * (q1 - 1) / (q1 - g1)
         t2 = g1 * (q2 - 1) / (q2 - g2)
     else:
-        t1 = Fraction(0)
-        t2 = Fraction(0)
+        t1 = t2 = Fraction(0)
 
-    def split(t_cross: Fraction, p_own: Fraction, cap_own: Rat, cap_other: Rat):
+    def split(t_cross: Fraction, p_own: Fraction, cap_own, cap_other):
         # open interval for the splitting exponent:
         #   ( p_own*cap_other / (p_own*cap_other - N*t_cross) ,  cap_own )
-        if t_cross == 0:
-            lower: Rat = Fraction(1)
-        elif _is_inf(cap_other):
+        if t_cross == 0 or cap_other == _INF:
             lower = Fraction(1)
         else:
-            denom = p_own * _frac(cap_other) - N * t_cross
+            denom = p_own * cap_other - N * t_cross
             if denom <= 0:
                 raise InfeasibleIntervalError(
                     "cross-growth exponent too large: splitting interval empty")
-            lower = p_own * _frac(cap_other) / denom
-        if not _is_inf(cap_own) and lower >= _frac(cap_own):
+            lower = p_own * cap_other / denom
+        if lower >= cap_own:
             raise InfeasibleIntervalError(
                 "splitting interval lower bound meets its upper bound")
-        if _is_inf(cap_own):
-            t_split = _frac(lower) + 1
-        else:
-            t_split = (_frac(lower) + _frac(cap_own)) / 2
+        t_split = lower + 1 if cap_own == _INF else (lower + cap_own) / 2
         t_conj = t_cross * t_split / (t_split - 1) if t_cross > 0 else Fraction(0)
         return t_split, t_conj
 
@@ -240,13 +200,12 @@ def _derive_rational(cfg: ExponentConfig) -> dict[str, Rat]:
         "pstar1": ps1, "pstar2": ps2, "t1": t1, "t2": t2,
         "t3": t3, "t4": t4, "t5": t5, "t6": t6,
         "qbar1": qbar1, "qbar2": qbar2,
-        "cap1": cap1, "cap2": cap2,
     }
 
 
-def _as_derived(d: dict[str, Rat]) -> DerivedExponents:
+def _as_derived(d: dict[str, Fraction | float]) -> DerivedExponents:
     """Float ``DerivedExponents`` from the ``_derive_rational`` values."""
-    return DerivedExponents(**{f.name: _as_float(d[f.name])
+    return DerivedExponents(**{f.name: float(d[f.name])
                                for f in fields(DerivedExponents)})
 
 
@@ -261,8 +220,9 @@ def derive_auxiliary_exponents(cfg: ExponentConfig) -> DerivedExponents:
     return _as_derived(_derive_rational(cfg))
 
 
-def _rec(rec_id: str, margin: Rat, strict: bool = True, note: str = "") -> InequalityRecord:
-    m = _as_float(margin)
+def _rec(rec_id: str, margin: Fraction | float, strict: bool = True,
+         note: str = "") -> InequalityRecord:
+    m = float(margin)
     ok = (m > 0) if strict else (m >= 0)
     return InequalityRecord(id=rec_id, satisfied=ok, margin=m, strict=strict, note=note)
 
@@ -283,11 +243,11 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
     regime, where the problem reduces to the subcritical theory.
     """
     N = cfg.N
-    p = (_frac(cfg.p1), _frac(cfg.p2))
-    s = (_frac(cfg.s1), _frac(cfg.s2))
-    q = (_frac(cfg.q1), _frac(cfg.q2))
-    g = (_frac(cfg.gamma1), _frac(cfg.gamma2))
-    th = (_frac(cfg.theta1), _frac(cfg.theta2))
+    p = (Fraction(cfg.p1), Fraction(cfg.p2))
+    s = (Fraction(cfg.s1), Fraction(cfg.s2))
+    q = (Fraction(cfg.q1), Fraction(cfg.q2))
+    g = (Fraction(cfg.gamma1), Fraction(cfg.gamma2))
+    th = (Fraction(cfg.theta1), Fraction(cfg.theta2))
     recs: list[InequalityRecord] = []
 
     d = derived = derive_err = None
@@ -297,7 +257,10 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
     except InfeasibleIntervalError as exc:
         derive_err = str(exc)
 
-    caps = [_mul(_pstar(p[i], N), s[i] + 1) for i in (0, 1)]
+    # caps p_i*(s_i+1) exceed 1 or are inf, and every other factor of the
+    # cross-growth bound (p_i/N)(1 - 1/cap_i) cap_j is positive and finite
+    caps = [_pstar(p[i], N) * (s[i] + 1) for i in (0, 1)]
+    bound = [(p[i] / N) * (1 - _inv(caps[i])) * caps[1 - i] for i in (0, 1)]
 
     for i in (0, 1):
         k = i + 1
@@ -313,7 +276,7 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
                          note="p_i(s_i+1) < 1/theta_i"))
         recs.append(_rec(f"exj0_{k}_chain4", q[i] - 1 / th[i], strict=False,
                          note="1/theta_i <= q_i"))
-        recs.append(_rec(f"exj0_{k}_chain5", _sub(caps[i], q[i]),
+        recs.append(_rec(f"exj0_{k}_chain5", caps[i] - q[i],
                          note="q_i < p_i*(s_i+1)"))
         recs.append(_rec(f"thi_lt_pi_{k}", 1 / p[i] - th[i],
                          note="theta_i < 1/p_i"))
@@ -354,17 +317,14 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
                     note="q_i <= gamma_i: cross-growth exponent undefined"))
                 continue
             lhs = g[j] * (q[i] - 1) / (q[i] - g[i])
-            rhs = _mul(_mul(p[i] / N, 1 - _inv(caps[i])), caps[j])
-            recs.append(_rec(rid, _sub(rhs, lhs),
+            recs.append(_rec(rid, bound[i] - lhs,
                              note="gamma_j (q_i-1)/(q_i-gamma_i) < "
                                   "(p_i/N)(1 - 1/p_i*(s_i+1)) p_j*(s_j+1)"))
 
     # cross-growth bounds on t_1, t_2 themselves
     if d is not None:
-        for (i, j, rid) in ((0, 1, "crit_expi_1"), (1, 0, "crit_expi_2")):
-            t_cross = d[f"t{i + 1}"]
-            rhs = _mul(_mul(p[i] / N, 1 - _inv(caps[i])), caps[j])
-            recs.append(_rec(rid, _sub(rhs, t_cross),
+        for i, rid in enumerate(("crit_expi_1", "crit_expi_2")):
+            recs.append(_rec(rid, bound[i] - d[f"t{i + 1}"],
                              note="t_i < (p_i/N)(1 - 1/p_i*(s_i+1)) p_j*(s_j+1)"))
     else:
         recs += [InequalityRecord(id=rid, satisfied=False, margin=-_INF,

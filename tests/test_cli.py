@@ -130,6 +130,14 @@ class TestConfigParsing:
         assert code == 2
         assert [r["record"] for r in records] == ["error"]
 
+    def test_non_boolean_value_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(DECOUPLED_TEXT + "quiet = maybe\n")
+        code, records = run_cli(capsys, "check", "--config", str(p))
+        assert code == 2
+        assert records == [{"record": "error", "message":
+                            "key 'quiet': expected boolean, got 'maybe'"}]
+
     def test_defaults_documented_in_dataclass(self):
         rc = RunConfig()
         assert rc.tol == 1e-6 and rc.path_points == 33 and rc.seed == 0
@@ -170,6 +178,25 @@ class TestCheckCommand:
         failing = records[-1]["failing"]
         assert any(name.startswith("exj02") for name in failing)
 
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_literal_gamma_theta(self, capsys, tmp_path, literal):
+        # gamma = (4, 2), theta = 1/8: gamma_1 theta_1 + gamma_2 theta_2
+        # falls 1/4 short of 1, the literal gamma_1 (theta_1 + theta_2)
+        # meets it exactly
+        p = tmp_path / "literal.txt"
+        p.write_text(with_values(COUPLED_TEXT, {"gamma2": "2",
+                                                "exj01_literal": literal}))
+        code, records = run_cli(capsys, "check", "--config", str(p))
+        rec = next(r for r in records if r.get("id") == "exj01_gamma_theta")
+        if literal == "true":
+            assert code == 0
+            assert (rec["satisfied"], rec["margin"]) == (True, 0.0)
+            assert rec["note"].endswith("(literal form)")
+        else:
+            assert code == 1
+            assert (rec["satisfied"], rec["margin"]) == (False, -0.25)
+            assert records[-1]["failing"] == ["exj01_gamma_theta"]
+
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("p3 = 2\n")
@@ -184,6 +211,16 @@ class TestDeriveConstants:
         assert code == 0
         rec = records[-1]
         assert rec["t1"] == 7.0 and rec["t3"] == 8.25 and rec["qbar1"] == 8.25
+
+    def test_derive_q1_equal_gamma1_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "q1_gamma1.txt"
+        p.write_text(with_values(COUPLED_TEXT, {"q1": "4"}))
+        code, records = run_cli(capsys, "derive", "--config", str(p))
+        assert code == 1
+        assert [r["record"] for r in records] == ["header", "error"]
+        assert records[-1]["message"] == (
+            "coupled case requires q_i > gamma_i for the cross-growth "
+            "exponents")
 
     def test_constants(self, capsys, decoupled_path):
         code, records = run_cli(capsys, "constants", "--config", decoupled_path)
@@ -260,6 +297,22 @@ class TestSolveAndMulti:
         assert code == 1
         cand = [r for r in records if r["record"] == "candidate"][0]
         assert cand["converged"] is False
+
+    def test_unvalidated_geometry_exits_one(self, capsys, tmp_path):
+        # at r0 = 50 rho0 is about 1234.6, but the bubble endpoint (the
+        # first scaling with J < -1) lies inside the sphere ell = r0
+        p = tmp_path / "solve.txt"
+        p.write_text(with_values(DECOUPLED_TEXT, {"n": "9", "r0": "50",
+                                                  "n_geo_samples": "4"}))
+        code, records = run_cli(capsys, "solve", "--config", str(p))
+        assert code == 1
+        cert = records[1]
+        assert cert["record"] == "geometry_certificate"
+        assert cert["validated"] is False
+        assert round(cert["rho0"], 1) == 1234.6
+        assert records[-1] == {"record": "error",
+                               "message": "geometry not validated"}
+        assert not any(r["record"] == "candidate" for r in records)
 
     def test_multi_1d(self, capsys, tmp_path):
         p = tmp_path / "multi.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasivar import (ExponentConfig, InfeasibleIntervalError,
-                      NonAdmissibleConfigError, check_model_hypotheses,
+                      ModelConstants, NonAdmissibleConfigError,
+                      check_model_hypotheses,
                       compute_model_constants, critical_exponent,
                       derive_auxiliary_exponents)
 
@@ -55,7 +57,6 @@ class TestHypothesisSuite:
         assert report.record("exj02_21").margin == 1.25
 
     def test_gamma_five_flips_coupling_bound(self, coupled_cfg):
-        import dataclasses
         cfg = dataclasses.replace(coupled_cfg, gamma1=5.0, gamma2=5.0)
         report = check_model_hypotheses(cfg)
         assert not report.admissible
@@ -72,17 +73,113 @@ class TestHypothesisSuite:
         assert report.record("p_lt_N_either").satisfied
 
     def test_failing_names_are_reported(self, coupled_cfg):
-        import dataclasses
         cfg = dataclasses.replace(coupled_cfg, gamma1=5.0, gamma2=5.0)
         failing = check_model_hypotheses(cfg).failing()
         assert "exj02_12" in failing and "exj02_21" in failing
 
     def test_admissibility_is_swap_invariant(self, coupled_cfg):
-        import dataclasses
         for cfg in (coupled_cfg,
                     dataclasses.replace(coupled_cfg, gamma1=5.0, gamma2=5.0)):
             assert (check_model_hypotheses(cfg).admissible
                     == check_model_hypotheses(cfg.swapped()).admissible)
+
+
+INF = math.inf
+
+# p1 = 1.5 < N = 2 <= p2 = 2.5: pstar2 and cap2 are infinite, so the t3
+# split has an infinite other cap and the t5 split an infinite own cap
+MIXED_P = ExponentConfig(N=2, p1=1.5, p2=2.5, s1=1.0, s2=0.5, q1=8.0,
+                         q2=6.0, gamma1=3.0, gamma2=2.5, theta1=0.125,
+                         theta2=0.25, c_star=1.0)
+
+MIXED_P_MARGINS = {
+    "exj0_1_chain1": Fraction(1, 2), "exj0_1_chain2": Fraction(1, 2),
+    "exj0_1_chain3": 5, "exj0_1_chain4": 0, "exj0_1_chain5": 4,
+    "thi_lt_pi_1": Fraction(13, 24), "si_pi_1": Fraction(13, 3),
+    "crit_exp_1": 7,
+    "exj0_2_chain1": Fraction(3, 2), "exj0_2_chain2": Fraction(1, 4),
+    "exj0_2_chain3": Fraction(1, 4), "exj0_2_chain4": 2,
+    "exj0_2_chain5": INF, "thi_lt_pi_2": Fraction(3, 20),
+    "si_pi_2": Fraction(11, 10), "crit_exp_2": 5,
+    "p_lt_N_either": Fraction(1, 2), "exj01_gamma_range": Fraction(3, 2),
+    "exj01_gamma_theta": 0,
+    "exj02_12": INF, "exj02_21": Fraction(75, 7),
+    "crit_expi_1": INF, "crit_expi_2": Fraction(75, 7),
+}
+
+MIXED_P_DERIVED = {
+    "pstar1": 6, "pstar2": INF, "t1": Fraction(7, 2), "t2": Fraction(30, 7),
+    "t3": Fraction(13, 2), "t4": Fraction(91, 22), "t5": Fraction(12, 5),
+    "t6": Fraction(360, 49), "qbar1": 8, "qbar2": 6,
+}
+
+# the coupled reference with q1 = gamma1 = 4: t1 is undefined
+Q1_IS_GAMMA1 = ExponentConfig(N=2, p1=1.5, p2=1.5, s1=1.0, s2=1.0, q1=4.0,
+                              q2=8.0, gamma1=4.0, gamma2=4.0, theta1=0.125,
+                              theta2=0.125, c_star=1.0)
+
+Q1_IS_GAMMA1_MARGINS = {
+    "exj0_1_chain1": Fraction(1, 2), "exj0_1_chain2": Fraction(1, 2),
+    "exj0_1_chain3": 5, "exj0_1_chain4": -4, "exj0_1_chain5": 8,
+    "thi_lt_pi_1": Fraction(13, 24), "si_pi_1": Fraction(13, 3),
+    "crit_exp_1": 3,
+    "exj0_2_chain1": Fraction(1, 2), "exj0_2_chain2": Fraction(1, 2),
+    "exj0_2_chain3": 5, "exj0_2_chain4": 0, "exj0_2_chain5": 4,
+    "thi_lt_pi_2": Fraction(13, 24), "si_pi_2": Fraction(13, 3),
+    "crit_exp_2": 7,
+    "p_lt_N_either": Fraction(1, 2), "exj01_gamma_range": 0,
+    "exj01_gamma_theta": 0,
+    "exj02_12": -INF, "exj02_21": Fraction(5, 4),
+    "crit_expi_1": -INF, "crit_expi_2": -INF,
+}
+
+
+class TestExactMargins:
+    """Every margin and derived exponent, compared with ==."""
+
+    def test_mixed_p_margins(self):
+        report = check_model_hypotheses(MIXED_P)
+        assert {r.id: r.margin for r in report.records} == {
+            k: float(v) for k, v in MIXED_P_MARGINS.items()}
+        assert report.admissible
+        assert dataclasses.asdict(report.derived) == {
+            k: float(v) for k, v in MIXED_P_DERIVED.items()}
+        assert derive_auxiliary_exponents(MIXED_P) == report.derived
+        assert report.constants == ModelConstants(
+            eta1=float(Fraction(2, 3)), mu0=1.0, mu1=1.0,
+            mu2_1=float(Fraction(5, 12)), mu2_2=float(Fraction(1, 40)), R=1.0)
+        assert compute_model_constants(MIXED_P) == report.constants
+
+    def test_q1_equal_gamma1_margins(self):
+        report = check_model_hypotheses(Q1_IS_GAMMA1)
+        assert {r.id: r.margin for r in report.records} == {
+            k: float(v) for k, v in Q1_IS_GAMMA1_MARGINS.items()}
+        assert report.failing() == ["exj0_1_chain4", "exj01_gamma_range",
+                                    "exj02_12", "crit_expi_1", "crit_expi_2"]
+        assert report.record("exj02_12").note.startswith("q_i <= gamma_i")
+        for rid in ("crit_expi_1", "crit_expi_2"):
+            assert report.record(rid).note == (
+                "derivation failed: coupled case requires q_i > gamma_i for "
+                "the cross-growth exponents")
+        assert report.derived is None and report.constants is None
+        with pytest.raises(InfeasibleIntervalError, match="q_i > gamma_i"):
+            derive_auxiliary_exponents(Q1_IS_GAMMA1)
+
+
+class TestLiteralForm:
+    """exj01_literal reads gamma_1 theta_1 + gamma_1 theta_2 >= 1."""
+
+    def test_literal_form_flips_gamma_theta(self, coupled_cfg):
+        cfg = dataclasses.replace(coupled_cfg, gamma2=2.0)
+        rec = check_model_hypotheses(cfg).record("exj01_gamma_theta")
+        assert (rec.satisfied, rec.margin) == (False, -0.25)
+        assert not rec.note.endswith("(literal form)")
+        literal = dataclasses.replace(cfg, exj01_literal=True)
+        report = check_model_hypotheses(literal)
+        rec = report.record("exj01_gamma_theta")
+        assert (rec.satisfied, rec.margin, rec.strict) == (True, 0.0, False)
+        assert rec.note.endswith("(literal form)")
+        assert report.admissible
 
 
 class TestModelConstants:
@@ -97,7 +194,6 @@ class TestModelConstants:
         assert c.mu2_1 == 0.25
 
     def test_rejects_inadmissible(self, coupled_cfg):
-        import dataclasses
         cfg = dataclasses.replace(coupled_cfg, gamma1=5.0, gamma2=5.0)
         with pytest.raises(NonAdmissibleConfigError):
             compute_model_constants(cfg)

@@ -814,6 +814,42 @@ class TestPolish:
         assert counts["dJ_jacobian"] <= 40
 
 
+    @pytest.mark.parametrize("every_call", [False, True])
+    def test_singular_factor_raises_damping(self, decoupled_cfg, every_call,
+                                            monkeypatch):
+        # a factor dgbsv reports exactly singular rejects the step like an
+        # energy increase: mu <- max(4 mu, 1e-3) and the step is solved
+        # again.  One such factor still polishes to the saddle; if every
+        # factor is singular, mu passes 1e8 after 20 solves and the polish
+        # gives up
+        g = Grid(2, 17)
+        mf = ModelFunctions(decoupled_cfg)
+        endpoint, _ = _scale_until_negative(_structured_start(g, 0), mf)
+        dgbsv, lm_step = mpsolver.dgbsv, mpsolver._lm_step
+        mus = []
+
+        def singular(kl, ku, ab, b, **kwargs):
+            lu, piv, x, info = dgbsv(kl, ku, ab, b, **kwargs)
+            return lu, piv, x, 1 if every_call or len(mus) == 1 else info
+
+        def recorded(jac, f, mu, grid):
+            mus.append(mu)
+            return lm_step(jac, f, mu, grid)
+
+        monkeypatch.setattr(mpsolver, "dgbsv", singular)
+        monkeypatch.setattr(mpsolver, "_lm_step", recorded)
+        refined = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
+        if every_call:
+            assert refined is None
+            assert mus == [0.0] + [mpsolver._LM_MU_MIN * 4.0 ** k
+                                   for k in range(19)]
+        else:
+            assert mus[:2] == [0.0, mpsolver._LM_MU_MIN]
+            assert refined is not None
+            assert residual_norm(refined, mf) <= 1e-6
+            assert j_value(refined, mf) == pytest.approx(154.47764080823572,
+                                                         rel=1e-12)
+
     @pytest.mark.parametrize("v_scale", [0.0, 2.0])
     def test_jacobian_takes_accepted_loads_pair(self, coupled_start, v_scale,
                                                 monkeypatch):
@@ -926,6 +962,42 @@ class TestMultiplicity:
         starts = sorted(int(c.provenance.split("[")[1].split("]")[0])
                         for c in cands)
         assert starts == list(range(7))
+
+    def test_drops_start_that_does_not_validate(self, decoupled_cfg_1d,
+                                                monkeypatch):
+        # start 1's certificate is made to fail: it is skipped unsearched
+        g = Grid(1, 33)
+        with_endpoint = mpsolver._with_endpoint
+        start1 = _structured_start(g, 1).u.values
+
+        def failing(cert, start, *args):
+            out = with_endpoint(cert, start, *args)
+            if np.array_equal(start.u.values, start1):
+                return dataclasses.replace(out, validated=False)
+            return out
+
+        monkeypatch.setattr(mpsolver, "_with_endpoint", failing)
+        counts = _count_calls(monkeypatch, "mountain_pass_search")
+        cands = multiplicity_search(decoupled_cfg_1d, g, 3, n_geo_samples=4)
+        assert sorted(c.provenance for c in cands) == [
+            "multi_start[0] seed=0", "multi_start[2] seed=2"]
+        assert counts["mountain_pass_search"] == 2
+
+    def test_drops_start_that_does_not_converge(self, decoupled_cfg_1d,
+                                                monkeypatch):
+        search = mpsolver.mountain_pass_search
+
+        def failing(*args, **kwargs):
+            out = search(*args, **kwargs)
+            if kwargs["provenance"].startswith("multi_start[1]"):
+                return dataclasses.replace(out, converged=False)
+            return out
+
+        monkeypatch.setattr(mpsolver, "mountain_pass_search", failing)
+        cands = multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
+                                    n_geo_samples=4)
+        assert sorted(c.provenance for c in cands) == [
+            "multi_start[0] seed=0", "multi_start[2] seed=2"]
 
     def test_modes_match_oracle_family(self, decoupled_cfg_1d, grid_1d):
         cands = multiplicity_search(decoupled_cfg_1d, grid_1d, 2)
