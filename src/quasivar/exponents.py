@@ -154,16 +154,26 @@ def _pstar(p: Fraction | float, N: int) -> Fraction | float:
     return N * p / (N - p)
 
 
-def _derive_rational(cfg: ExponentConfig) -> dict[str, Fraction | float]:
-    """Exact-rational derived exponents; values may be math.inf."""
+def _rational_config(cfg: ExponentConfig) -> dict[str, tuple]:
+    """The config's exponent pairs as exact Fractions, with p_i* and the
+    caps p_i*(s_i+1); p_i* and a cap may be math.inf."""
+    r = {name: (Fraction(getattr(cfg, name + "1")),
+                Fraction(getattr(cfg, name + "2")))
+         for name in ("p", "s", "q", "gamma", "theta")}
+    r["pstar"] = tuple(_pstar(p, cfg.N) for p in r["p"])
+    r["cap"] = tuple(ps * (s + 1) for ps, s in zip(r["pstar"], r["s"]))
+    return r
+
+
+def _derive_rational(cfg: ExponentConfig, r: dict[str, tuple],
+                     ) -> dict[str, Fraction | float]:
+    """Exact-rational derived exponents from ``r = _rational_config(cfg)``;
+    values may be math.inf."""
     N = cfg.N
-    p1, p2 = Fraction(cfg.p1), Fraction(cfg.p2)
-    s1, s2 = Fraction(cfg.s1), Fraction(cfg.s2)
-    q1, q2 = Fraction(cfg.q1), Fraction(cfg.q2)
-    g1, g2 = Fraction(cfg.gamma1), Fraction(cfg.gamma2)
-    ps1, ps2 = _pstar(p1, N), _pstar(p2, N)
-    cap1 = ps1 * (s1 + 1)  # p1*(s1+1)
-    cap2 = ps2 * (s2 + 1)
+    (p1, p2), (s1, s2), (q1, q2), (g1, g2) = (
+        r["p"], r["s"], r["q"], r["gamma"])
+    ps1, ps2 = r["pstar"]
+    cap1, cap2 = r["cap"]
 
     if cfg.c_star > 0:
         if q1 <= g1 or q2 <= g2:
@@ -217,7 +227,7 @@ def derive_auxiliary_exponents(cfg: ExponentConfig) -> DerivedExponents:
     is infinite).  Raises InfeasibleIntervalError when the interval is
     empty, which happens exactly when the cross-growth bound fails.
     """
-    return _as_derived(_derive_rational(cfg))
+    return _as_derived(_derive_rational(cfg, _rational_config(cfg)))
 
 
 def _rec(rec_id: str, margin: Fraction | float, strict: bool = True,
@@ -243,23 +253,20 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
     regime, where the problem reduces to the subcritical theory.
     """
     N = cfg.N
-    p = (Fraction(cfg.p1), Fraction(cfg.p2))
-    s = (Fraction(cfg.s1), Fraction(cfg.s2))
-    q = (Fraction(cfg.q1), Fraction(cfg.q2))
-    g = (Fraction(cfg.gamma1), Fraction(cfg.gamma2))
-    th = (Fraction(cfg.theta1), Fraction(cfg.theta2))
+    r = _rational_config(cfg)
+    p, s, q, g, th, caps = (r[k] for k in ("p", "s", "q", "gamma", "theta",
+                                           "cap"))
     recs: list[InequalityRecord] = []
 
     d = derived = derive_err = None
     try:
-        d = _derive_rational(cfg)
+        d = _derive_rational(cfg, r)
         derived = _as_derived(d)
     except InfeasibleIntervalError as exc:
         derive_err = str(exc)
 
     # caps p_i*(s_i+1) exceed 1 or are inf, and every other factor of the
     # cross-growth bound (p_i/N)(1 - 1/cap_i) cap_j is positive and finite
-    caps = [_pstar(p[i], N) * (s[i] + 1) for i in (0, 1)]
     bound = [(p[i] / N) * (1 - _inv(caps[i])) * caps[1 - i] for i in (0, 1)]
 
     for i in (0, 1):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 if TYPE_CHECKING:
     from .exponents import ExponentConfig
@@ -65,6 +64,10 @@ class Grid:
         else:
             li, lj = lam[:, None], lam[None, :]
             self._eigenvalues = 8.0 / 3.0 - (li + lj + li * lj) / 3.0
+        # the inverse transform's one factor 1/prod(2(m+1)), m = n-2 per
+        # axis, rounded as pocketfft rounds it: in long double, then to double
+        self._inverse_dst_scale = float(
+            1 / np.longdouble((2 * (n - 1)) ** dimension))
 
     # -- nodal bookkeeping -------------------------------------------------
 
@@ -201,17 +204,42 @@ class Grid:
 
         K is diagonal in the type-I discrete sine basis (the fast Poisson
         solver of Buzbee, Golub and Nielson, 1970), so the solve is a DST,
-        a division by ``laplacian_eigenvalues`` and the inverse DST; there
-        is no factorization.  An exactly zero rhs (the idle component's
+        a division by ``laplacian_eigenvalues`` and the inverse DST, the
+        same transform scaled by 1/prod(2(m+1)); there is no
+        factorization.  Both transforms are ``_dst1``, on numpy's FFT,
+        which on numpy >= 2 rounds as ``scipy.fft.dstn`` and
+        ``idstn(type=1)`` do.  An exactly zero rhs (the idle component's
         load at a semitrivial point) returns zeros without a transform.
         """
         out = self.zeros()
         if not np.any(rhs_nodal):
             return out
         inner = (slice(1, -1),) * self.dimension
-        out[inner] = idstn(dstn(rhs_nodal[inner], type=1)
-                           / self.laplacian_eigenvalues(), type=1)
+        out[inner] = _dst1(_dst1(rhs_nodal[inner])
+                           / self.laplacian_eigenvalues(),
+                           self._inverse_dst_scale)
         return out
+
+
+def _dst1(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Type-I DST of a 1D or 2D array along each axis, times ``scale``.
+
+    An axis of length m transforms as pocketfft forms the DST inside
+    ``scipy.fft``: minus the imaginary part of the real FFT of the odd
+    extension (0, x, 0, -x reversed) of length 2(m+1), at frequencies
+    1..m.  Axis 0 goes first and ``scale`` multiplies the first pass
+    only, so that with numpy's pocketfft (numpy >= 2) every bit is that
+    of ``scipy.fft.dstn(x, type=1)`` times ``scale``.
+    """
+    for _ in range(x.ndim):
+        # the pass transforms the last axis of the transpose: axis 0
+        # first, and a 2D result is back in order after the second pass
+        x = x.T
+        zero = np.zeros(x.shape[:-1] + (1,))
+        ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+        x = np.fft.rfft(ext).imag[..., 1:x.shape[-1] + 1] * -scale
+        scale = 1.0
+    return x
 
 
 def integrate(f, grid: Grid) -> float:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
                      ray_energies, ray_energy, residual_norm)
@@ -334,6 +333,16 @@ def _band_layout(dimension: int, n: int,
     return kl, slots, k_data
 
 
+def dgbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray, **kwargs):
+    """LAPACK's banded LU solve, imported from scipy at the first call.
+
+    Only the polish factors a matrix, so ``import quasivar`` and the runs
+    that never polish load no part of scipy.
+    """
+    from scipy.linalg.lapack import dgbsv as lapack_dgbsv
+    return lapack_dgbsv(kl, ku, ab, b, **kwargs)
+
+
 def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
              grid: Grid) -> np.ndarray:
     """Solve (J + mu blockdiag(K, K)) dx = -f by banded LU.
@@ -370,7 +379,8 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
 
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
-                      max_iter: int = 200) -> FieldPair | None:
+                      max_iter: int = 200,
+                      ) -> tuple[FieldPair, float] | None:
     """Newton refinement of an approximate critical point by banded LU.
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
@@ -390,7 +400,8 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     rejected step (no decrease, non-finite trial loads or a singular
     factor) sets mu <- max(4 mu, 1e-3) and solves again, and an accepted
     one quarters mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
-    Returns the refined pair, or None when the loads at the start are not
+    Returns the refined pair and its ``residual_norm``, sqrt(F^T K^-1 F)
+    of its accepted loads, or None when the loads at the start are not
     finite, mu passes 1e8, an accepted step leaves F^T K^-1 F above half
     its value 10 accepted steps earlier (a stagnating iteration), or
     max_iter steps do not converge.  Whether the point is kept (level,
@@ -451,7 +462,7 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
                 and energy > _STALL_RATIO * energies[-1 - _STALL_STEPS]):
             return None
         mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
-    return fp if res <= fatol else None
+    return (fp, np.sqrt(max(energy, 0.0))) if res <= fatol else None
 
 
 def _pair_dist_W(a: FieldPair, b: FieldPair, cfg: ExponentConfig) -> float:
@@ -498,10 +509,10 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                      (FieldPair(zero, ridge.v), " (0, v)")]
     level_floor = 0.5 * max(certificate.rho0, 0.0)
     for it, (start, label) in enumerate(attempts, start=1):
-        refined = _polish_candidate(start, mf, params.tol, params.max_iters)
-        if refined is None:
+        polished = _polish_candidate(start, mf, params.tol, params.max_iters)
+        if polished is None:
             continue
-        residual = residual_norm(refined, mf)
+        refined, residual = polished
         level = j_value(refined, mf)
         nontrivial = pair_norm_W(refined, cfg.p1, cfg.p2)
         if (residual <= params.tol and level >= level_floor

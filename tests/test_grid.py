@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dstn, idstn
 
 import quasivar.grid
 from quasivar import (FieldPair, Grid, GridFunction, dump_field, ell_norm,
@@ -83,18 +84,38 @@ class TestGrid:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_zero_load_skips_the_solve(self, dimension, monkeypatch):
         # the idle component's load at a semitrivial point is exactly zero;
-        # its solution is zero without a sine transform
+        # its solution is zero without a sine transform.  A nonzero load
+        # takes two: the forward and the inverse transform
         g = Grid(dimension, 17)
         g.laplacian_solve(_random_field(g, 5).values)
         calls = []
-        dstn = quasivar.grid.dstn
-        monkeypatch.setattr(quasivar.grid, "dstn", lambda rhs, **kw: (
-            calls.append(rhs) or dstn(rhs, **kw)))
+        dst1 = quasivar.grid._dst1
+        monkeypatch.setattr(quasivar.grid, "_dst1", lambda x, *args: (
+            calls.append(x) or dst1(x, *args)))
         sol = g.laplacian_solve(g.zeros())
         assert not calls
         assert sol.shape == g.node_shape and not np.any(sol)
         assert np.any(g.laplacian_solve(_random_field(g, 6).values))
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("dimension, n", [
+        pytest.param(d, n, id=f"{d}-{n}")
+        for d in (1, 2) for n in (3, 4, 12, 17, 33, 65, 129, 257)
+        + ((1025, 2732) if d == 1 else ())])
+    def test_laplacian_solve_matches_scipy_dst(self, dimension, n):
+        # reference: scipy.fft's type-I DST and its inverse.  Every bit
+        # must match: axis 0 first, and the inverse's one factor
+        # 1/prod(2(n-1)) in the first pass.  In 2D a factor 1/(2(n-1)) per
+        # axis rounds the same only when 2(n-1) is a power of two; here
+        # n = 12 shows it.  At n = 2732, 1/5462 rounded straight to double
+        # is not pocketfft's factor, rounded from long double
+        g = Grid(dimension, n)
+        load = _random_field(g, n).values
+        inner = (slice(1, -1),) * dimension
+        ref = g.zeros()
+        ref[inner] = idstn(dstn(load[inner], type=1)
+                           / g.laplacian_eigenvalues(), type=1)
+        assert g.laplacian_solve(load).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dimension, n", [
         pytest.param(d, n, id=f"{d}" if n == 17 else f"{d}-{n}")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump, power_law_root
+from test_cli import COUPLED_TEXT
 from util import assemble_jacobian, kron_stiffness
 
 
@@ -290,16 +292,34 @@ class TestScaleToEll:
         assert np.max(np.abs(tau / ref - 1.0)) <= 1e-14
 
 
-def test_import_leaves_out_scipy_optimize():
-    # no part of the package needs a root finder; scipy.optimize would add
-    # a tenth of a second or more to the import
+def test_import_leaves_out_scipy_optimize(tmp_path):
+    # no part of the package needs a root finder, and only the polish
+    # needs scipy, for LAPACK's banded LU: import quasivar and a certify
+    # run load no scipy module at all; a solve loads scipy's LAPACK
+    config = tmp_path / "coupled.txt"
+    config.write_text(COUPLED_TEXT)
+    script = f"""
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))
+import quasivar
+from quasivar import cli
+seen = [(0, loaded())]
+for command in ("certify", "solve"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", {str(config)!r}])
+    seen.append((code, loaded()))
+print(json.dumps(seen))
+"""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(quasivar.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, quasivar; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True, env=env)
+    (_, imported), (certified, certify), (solved, solve) = json.loads(
+        out.stdout)
+    assert imported == [] and certify == [] and certified == 0
+    assert solved == 0 and "scipy.linalg.lapack" in solve
+    assert "scipy.optimize" not in solve
 
 
 def _per_mode_field(grid, rng, n_modes):
@@ -786,9 +806,11 @@ class TestPolish:
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
         endpoint, _ = _scale_until_negative(_structured_start(g, 4), mf)
-        refined = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
-        assert refined is not None
-        assert residual_norm(refined, mf) <= 1e-6
+        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
+        assert polished is not None
+        refined, residual = polished
+        # the residual of the last accepted loads, bitwise residual_norm's
+        assert residual == residual_norm(refined, mf) <= 1e-6
         assert round(j_value(refined, mf), 4) == 2952.3134
 
     @pytest.mark.parametrize("cfg_name, amplitude",
@@ -838,15 +860,16 @@ class TestPolish:
 
         monkeypatch.setattr(mpsolver, "dgbsv", singular)
         monkeypatch.setattr(mpsolver, "_lm_step", recorded)
-        refined = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
+        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
         if every_call:
-            assert refined is None
+            assert polished is None
             assert mus == [0.0] + [mpsolver._LM_MU_MIN * 4.0 ** k
                                    for k in range(19)]
         else:
             assert mus[:2] == [0.0, mpsolver._LM_MU_MIN]
-            assert refined is not None
-            assert residual_norm(refined, mf) <= 1e-6
+            assert polished is not None
+            refined, residual = polished
+            assert residual == residual_norm(refined, mf) <= 1e-6
             assert j_value(refined, mf) == pytest.approx(154.47764080823572,
                                                          rel=1e-12)
 
@@ -867,8 +890,9 @@ class TestPolish:
         for name in ("dJ_loads", "dJ_jacobian"):
             monkeypatch.setattr(mpsolver, name,
                                 recorded(name, getattr(mpsolver, name)))
-        refined = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf, 1e-6)
-        assert refined is not None
+        polished = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf, 1e-6)
+        assert polished is not None
+        refined, _ = polished
         jacobians = [k for k, (name, _) in enumerate(calls)
                      if name == "dJ_jacobian"]
         assert jacobians
