@@ -10,10 +10,15 @@ with lowercase a, b the xi-gradients and A_t, B_t the t-partials.  All
 evaluators are vectorized over numpy arrays; ``t`` has shape (...,) and
 ``xi`` shape (..., dim).
 
+Every power of a midpoint value t, u or v is taken by one rule, ``_pow``:
+|t|^e with 0^0 = 1 and, for e < 0, the limit value 0 at t = 0, so each
+evaluator is finite at t = 0, u = 0 and v = 0.  Signed powers are
+sign(t) |t|^e.
+
 For p < 2 the factor |xi|^{p-2} is singular at xi = 0; evaluators replace
 it by (|xi|^2 + eps^2)^{(p-2)/2} with eps = ``epsilon_reg``.  The energy
-A itself is never regularized.  eps = 0 reproduces the exact model (the
-limit value 0 is used at xi = 0).
+A itself is never regularized.  eps = 0 reproduces the exact model, with
+the zero rule at xi = 0.
 """
 
 from __future__ import annotations
@@ -27,38 +32,17 @@ from .exponents import ExponentConfig, compute_model_constants
 from .grid import squared_magnitude
 
 
-def _sgn_pow(t: np.ndarray, e: float) -> np.ndarray:
-    """|t|^e * sign(t) with the limit value 0 at t = 0 (for e > 0)."""
-    t = np.asarray(t, dtype=float)
-    return np.sign(t) * np.abs(t) ** e
-
-
-def _abs_pow(t: np.ndarray, e: float) -> np.ndarray:
-    """|t|^e with the convention 0^0 = 1."""
-    return np.abs(np.asarray(t, dtype=float)) ** e
+def _pow(t: np.ndarray, e: float) -> np.ndarray:
+    """|t|^e, with 0^0 = 1 and, for e < 0, the limit value 0 at t = 0."""
+    a = np.abs(np.asarray(t, dtype=float))
+    if e >= 0:
+        return a ** e
+    return np.where(a > 0, a, np.inf) ** e
 
 
 def _reg_pow(x: np.ndarray, e: float, eps: float) -> np.ndarray:
-    """(x + eps^2)^e for x >= 0; for eps = 0 and e < 0 the limit 0 at x = 0."""
-    if eps > 0:
-        return (x + eps * eps) ** e
-    if e >= 0:
-        return x ** e
-    # exact singular form: finite only through the product with a
-    # vanishing factor
-    with np.errstate(divide="ignore"):
-        out = np.where(x > 0, x, 1.0) ** e
-    return np.where(x > 0, out, 0.0)
-
-
-def _xi_factor(xi_sq: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """(|xi|^2 + eps^2)^{(p-2)/2}, with the exact limit 0*|xi|^{p-2} -> 0."""
-    return _reg_pow(xi_sq, (p - 2.0) / 2.0, eps if p < 2 else 0.0)
-
-
-def _pow_limit(t: np.ndarray, e: float) -> np.ndarray:
-    """|t|^e, with the limit value 0 at t = 0 also for e < 0."""
-    return _reg_pow(np.abs(np.asarray(t, dtype=float)), e, 0.0)
+    """(x + eps^2)^e for x >= 0; the zero rule of _pow for eps = 0."""
+    return (x + eps * eps) ** e if eps > 0 else _pow(x, e)
 
 
 @dataclass
@@ -93,14 +77,19 @@ class ModelFunctions:
         """A or B: (1/p) (1 + |t|^{s p}) |xi|^p."""
         p, s = self._exponents(component)
         mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
-        return (1.0 / p) * (1.0 + _abs_pow(t, s * p)) * mag ** p
+        return (1.0 / p) * (1.0 + _pow(t, s * p)) * mag ** p
+
+    def _xi_pow(self, xi_sq: np.ndarray, p: float, k: float) -> np.ndarray:
+        """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2."""
+        return _reg_pow(xi_sq, (p - k) / 2.0,
+                        self.epsilon_reg if p < 2 else 0.0)
 
     def _coef_xi(self, t, xi, component: int) -> np.ndarray:
         """a or b, the xi-gradient of A or B, with |xi|^{p-2} regularized."""
         p, s = self._exponents(component)
         xi = np.asarray(xi, dtype=float)
-        coef = (1.0 + _abs_pow(t, s * p)) * _xi_factor(squared_magnitude(xi), p,
-                                                       self.epsilon_reg)
+        coef = ((1.0 + _pow(t, s * p))
+                * self._xi_pow(squared_magnitude(xi), p, 2.0))
         return coef[..., None] * xi
 
     def _coef_t(self, t, xi, component: int) -> np.ndarray:
@@ -109,7 +98,7 @@ class ModelFunctions:
         mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
         if s == 0:
             return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
-        return s * _sgn_pow(t, s * p - 1.0) * mag ** p
+        return s * np.sign(t) * _pow(t, s * p - 1.0) * mag ** p
 
     # the plugin names of the evaluator contract
     A_eval = partialmethod(_coef, component=1)
@@ -123,32 +112,29 @@ class ModelFunctions:
 
     def G_eval(self, u, v) -> np.ndarray:
         cfg = self.cfg
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.abs(u) ** cfg.q1 / cfg.q1 + np.abs(v) ** cfg.q2 / cfg.q2
+        out = _pow(u, cfg.q1) / cfg.q1 + _pow(v, cfg.q2) / cfg.q2
         if cfg.c_star > 0:
-            out = out + cfg.c_star * np.abs(u) ** cfg.gamma1 * np.abs(v) ** cfg.gamma2
+            out = out + cfg.c_star * _pow(u, cfg.gamma1) * _pow(v, cfg.gamma2)
         return out
 
-    def Gu_eval(self, u, v) -> np.ndarray:
+    def _G_partial(self, u, v, component: int) -> np.ndarray:
+        """G_u (component 1) or G_v (component 2)."""
         cfg = self.cfg
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = _sgn_pow(u, cfg.q1 - 1.0)
+        g1, g2 = cfg.gamma1, cfg.gamma2
+        if component == 1:
+            w, q, g, eu, ev = u, cfg.q1, g1, g1 - 1.0, g2
+        else:
+            w, q, g, eu, ev = v, cfg.q2, g2, g1, g2 - 1.0
+        sign = np.sign(w)
+        out = sign * _pow(w, q - 1.0)
         if cfg.c_star > 0:
-            out = out + (cfg.gamma1 * cfg.c_star * _sgn_pow(u, cfg.gamma1 - 1.0)
-                         * np.abs(v) ** cfg.gamma2)
+            # the u factor multiplies before the v factor; the sign of the
+            # differentiated variable is exact, so it can come last
+            out = out + g * cfg.c_star * _pow(u, eu) * _pow(v, ev) * sign
         return out
 
-    def Gv_eval(self, u, v) -> np.ndarray:
-        cfg = self.cfg
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = _sgn_pow(v, cfg.q2 - 1.0)
-        if cfg.c_star > 0:
-            out = out + (cfg.gamma2 * cfg.c_star * np.abs(u) ** cfg.gamma1
-                         * _sgn_pow(v, cfg.gamma2 - 1.0))
-        return out
+    Gu_eval = partialmethod(_G_partial, component=1)
+    Gv_eval = partialmethod(_G_partial, component=2)
 
     # -- second derivatives ----------------------------------------------------
 
@@ -167,20 +153,19 @@ class ModelFunctions:
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
         xi_sq = squared_magnitude(xi)
-        eps = self.epsilon_reg if p < 2 else 0.0
-        f = _reg_pow(xi_sq, (p - 2.0) / 2.0, eps)
+        f = self._xi_pow(xi_sq, p, 2.0)
         xi_xi = f[..., None, None] * np.eye(xi.shape[-1])
         if p != 2:
-            f2 = _reg_pow(xi_sq, (p - 4.0) / 2.0, eps)
+            f2 = self._xi_pow(xi_sq, p, 4.0)
             xi_xi = xi_xi + ((p - 2.0) * f2)[..., None, None] \
                 * xi[..., :, None] * xi[..., None, :]
         sp_ = s * p
-        xi_xi = (1.0 + _abs_pow(t, sp_))[..., None, None] * xi_xi
+        xi_xi = (1.0 + _pow(t, sp_))[..., None, None] * xi_xi
         if s == 0:
             shape = np.broadcast_shapes(t.shape, xi_sq.shape)
             return np.zeros(shape), np.zeros(shape + xi.shape[-1:]), xi_xi
-        tt = s * (sp_ - 1.0) * _pow_limit(t, sp_ - 2.0) * xi_sq ** (p / 2.0)
-        t_xi = (sp_ * np.sign(t) * _pow_limit(t, sp_ - 1.0) * f)[..., None] * xi
+        tt = s * (sp_ - 1.0) * _pow(t, sp_ - 2.0) * xi_sq ** (p / 2.0)
+        t_xi = (sp_ * np.sign(t) * _pow(t, sp_ - 1.0) * f)[..., None] * xi
         return tt, t_xi, xi_xi
 
     def G_hessian(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,17 +174,15 @@ class ModelFunctions:
         cfg = self.cfg
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        guu = (cfg.q1 - 1.0) * _pow_limit(u, cfg.q1 - 2.0)
-        gvv = (cfg.q2 - 1.0) * _pow_limit(v, cfg.q2 - 2.0)
+        guu = (cfg.q1 - 1.0) * _pow(u, cfg.q1 - 2.0)
+        gvv = (cfg.q2 - 1.0) * _pow(v, cfg.q2 - 2.0)
         guv = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         if cfg.c_star > 0:
             c, g1, g2 = cfg.c_star, cfg.gamma1, cfg.gamma2
-            guu = guu + (c * g1 * (g1 - 1.0) * _pow_limit(u, g1 - 2.0)
-                         * np.abs(v) ** g2)
-            gvv = gvv + (c * g2 * (g2 - 1.0) * np.abs(u) ** g1
-                         * _pow_limit(v, g2 - 2.0))
-            guv = (c * g1 * g2 * np.sign(u) * _pow_limit(u, g1 - 1.0)
-                   * np.sign(v) * _pow_limit(v, g2 - 1.0))
+            guu = guu + c * g1 * (g1 - 1.0) * _pow(u, g1 - 2.0) * _pow(v, g2)
+            gvv = gvv + c * g2 * (g2 - 1.0) * _pow(u, g1) * _pow(v, g2 - 2.0)
+            guv = (c * g1 * g2 * np.sign(u) * _pow(u, g1 - 1.0)
+                   * np.sign(v) * _pow(v, g2 - 1.0))
         return guu, guv, gvv
 
     # -- energy along a ray ----------------------------------------------------
@@ -217,17 +200,17 @@ class ModelFunctions:
         never regularized.
         """
         cfg = self.cfg
-        au, av = np.abs(um), np.abs(vm)
         gu = np.sqrt(squared_magnitude(ug)) ** cfg.p1 / cfg.p1
         gv = np.sqrt(squared_magnitude(vg)) ** cfg.p2 / cfg.p2
-        coupling = (-cfg.c_star * au ** cfg.gamma1 * av ** cfg.gamma2
-                    if cfg.c_star > 0 else np.zeros_like(au))
+        coupling = (-cfg.c_star * _pow(um, cfg.gamma1) * _pow(vm, cfg.gamma2)
+                    if cfg.c_star > 0 else np.zeros_like(um, dtype=float))
         exponents = (cfg.p1, cfg.p1 * (1.0 + cfg.s1),
                      cfg.p2, cfg.p2 * (1.0 + cfg.s2),
                      cfg.q1, cfg.q2, cfg.gamma1 + cfg.gamma2)
-        densities = (gu, au ** (cfg.s1 * cfg.p1) * gu,
-                     gv, av ** (cfg.s2 * cfg.p2) * gv,
-                     -au ** cfg.q1 / cfg.q1, -av ** cfg.q2 / cfg.q2, coupling)
+        densities = (gu, _pow(um, cfg.s1 * cfg.p1) * gu,
+                     gv, _pow(vm, cfg.s2 * cfg.p2) * gv,
+                     -_pow(um, cfg.q1) / cfg.q1, -_pow(vm, cfg.q2) / cfg.q2,
+                     coupling)
         return exponents, densities
 
     def exact(self) -> "ModelFunctions":
@@ -314,11 +297,11 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     a = ex.a_eval(t, xi)
     axi = np.sum(a * xi, axis=-1)
     q = squared_magnitude(xi)
-    axi_alg = (1.0 + _abs_pow(t, cfg.s1 * cfg.p1)) * _abs_pow(q, (cfg.p1 - 2.0) / 2.0) * q
+    axi_alg = (1.0 + _pow(t, cfg.s1 * cfg.p1)) * _pow(q, (cfg.p1 - 2.0) / 2.0) * q
     margins.append(record("h3", axi_alg - consts.mu0 * axi_alg, (t,),
                           note="model: equality, margin 0"))
 
-    big = np.abs(t) ** 2 + q >= consts.R ** 2
+    big = _pow(t, 2) + q >= consts.R ** 2
     At = ex.At_eval(t, xi)
     # (h4): a.xi + A_t t >= mu1 a.xi  for |(t,xi)| >= R
     m4 = np.where(big, axi + At * t - consts.mu1 * axi, np.inf)
@@ -343,10 +326,10 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     # th1 Gu u + th2 Gv v - G collapses algebraically to a sum with the
     # nonnegative coefficients (th_i - 1/q_i) and (g1 th1 + g2 th2 - 1);
     # the factored form keeps the theta_i = 1/q_i equality case exactly 0.
-    m_g3 = ((cfg.theta1 - 1.0 / cfg.q1) * _abs_pow(u, cfg.q1)
-            + (cfg.theta2 - 1.0 / cfg.q2) * _abs_pow(v, cfg.q2)
+    m_g3 = ((cfg.theta1 - 1.0 / cfg.q1) * _pow(u, cfg.q1)
+            + (cfg.theta2 - 1.0 / cfg.q2) * _pow(v, cfg.q2)
             + (cfg.gamma1 * cfg.theta1 + cfg.gamma2 * cfg.theta2 - 1.0)
-            * cfg.c_star * _abs_pow(u, cfg.gamma1) * _abs_pow(v, cfg.gamma2))
+            * cfg.c_star * _pow(u, cfg.gamma1) * _pow(v, cfg.gamma2))
     margins.append(record("g3", m_g3, (u, v)))
     margins.append(record("g3_positive", G, (u, v), note="G > 0 off the origin"))
 
@@ -362,14 +345,14 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     for r in radii_small:
         u, v = r * cu, r * sv
         ratios_small.append(float(np.max(
-            ex.G_eval(u, v) / (np.abs(u) ** cfg.p1 + np.abs(v) ** cfg.p2))))
+            ex.G_eval(u, v) / (_pow(u, cfg.p1) + _pow(v, cfg.p2)))))
     radii_large = [2.0 ** k for k in range(n_annuli)]
     ratios_large = []
     for r in radii_large:
         u, v = r * cu, r * sv
         ratios_large.append(float(np.min(
             ex.G_eval(u, v)
-            / (np.abs(u) ** (1.0 / cfg.theta1) + np.abs(v) ** (1.0 / cfg.theta2)))))
+            / (_pow(u, 1.0 / cfg.theta1) + _pow(v, 1.0 / cfg.theta2)))))
     trends = [
         RatioTrend(id="g4", radii=radii_small, ratios=ratios_small, note=g4_note),
         RatioTrend(id="g5", radii=radii_large, ratios=ratios_large,

@@ -21,6 +21,22 @@ def mixed_cfg(coupled_cfg) -> ExponentConfig:
 
 
 @pytest.fixture(scope="session")
+def low_sp_cfg(coupled_cfg) -> ExponentConfig:
+    """Coupled variant with s p = 0.75 < 1 and gamma < 1, so |t|^{sp-1} and
+    |u|^{gamma-1} are singular at 0 (inadmissible; evaluator tests only)."""
+    return dataclasses.replace(coupled_cfg, s1=0.5, s2=0.5, gamma1=0.7,
+                               gamma2=0.7)
+
+
+@pytest.fixture(scope="session")
+def nondyadic_cfg(coupled_cfg) -> ExponentConfig:
+    """Coupled variant whose exponents are not dyadic rationals."""
+    return dataclasses.replace(coupled_cfg, p1=1.3, p2=2.7, s1=0.8, s2=1.6,
+                               q1=7.0, q2=9.0, gamma1=2.5, gamma2=3.5,
+                               c_star=2.5)
+
+
+@pytest.fixture(scope="session")
 def decoupled_cfg() -> ExponentConfig:
     """Decoupled subcritical reference configuration (N=2, p=2, s=0)."""
     return ExponentConfig(N=2, p1=2.0, p2=2.0, s1=0.0, s2=0.0,

@@ -287,6 +287,24 @@ class TestSolveAndMulti:
         # the bubble start keeps v = 0
         assert cand["semitrivial"] is True
 
+    def test_solve_with_sp_below_one_is_strict_json(self, capsys, tmp_path):
+        # s p = 0.75 < 1 makes |t|^{sp-1} in A_t singular at t = 0, which
+        # every semitrivial point has; the loads there must stay finite
+        p = tmp_path / "solve.txt"
+        p.write_text(with_values(COUPLED_TEXT, {"s1": "0.5", "s2": "0.5",
+                                                "n_geo_samples": "64"}))
+        code = main(["solve", "--config", str(p)])
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        records = [json.loads(line, parse_constant=reject)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        assert code == 0
+        cand = [r for r in records if r["record"] == "candidate"][0]
+        assert cand["converged"] is True and cand["semitrivial"] is True
+        assert 6.41 <= cand["level"] <= 6.42
+
     def test_unconverged_solve_exits_one_with_json_lines(self, capsys,
                                                           tmp_path):
         p = tmp_path / "solve.txt"

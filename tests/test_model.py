@@ -5,6 +5,62 @@ from hypothesis import strategies as st
 
 from quasivar import (ModelFunctions, compute_model_constants,
                       sample_structural_hypotheses)
+from quasivar.grid import squared_magnitude
+
+# Reference forms of the first derivatives, each signed power written as
+# sign(t) |t|^e and G_u, G_v as two mirrored formulas.  Where they are
+# finite, the evaluators must equal them bitwise.
+
+
+def _sgn_pow(t, e):
+    t = np.asarray(t, dtype=float)
+    return np.sign(t) * np.abs(t) ** e
+
+
+def _coef_t_reference(cfg, t, xi, component):
+    p, s = (cfg.p1, cfg.s1) if component == 1 else (cfg.p2, cfg.s2)
+    mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
+    if s == 0:
+        return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
+    return s * _sgn_pow(t, s * p - 1.0) * mag ** p
+
+
+def _Gu_reference(cfg, u, v):
+    out = _sgn_pow(u, cfg.q1 - 1.0)
+    if cfg.c_star > 0:
+        out = out + (cfg.gamma1 * cfg.c_star * _sgn_pow(u, cfg.gamma1 - 1.0)
+                     * np.abs(v) ** cfg.gamma2)
+    return out
+
+
+def _Gv_reference(cfg, u, v):
+    out = _sgn_pow(v, cfg.q2 - 1.0)
+    if cfg.c_star > 0:
+        out = out + (cfg.gamma2 * cfg.c_star * np.abs(u) ** cfg.gamma1
+                     * _sgn_pow(v, cfg.gamma2 - 1.0))
+    return out
+
+
+def _assert_bits_where_finite(got, ref):
+    finite = np.isfinite(ref)
+    assert finite.any()
+    assert got.shape == ref.shape
+    assert got[finite].tobytes() == ref[finite].tobytes()
+
+
+def _signed_samples(seed, m=256):
+    """t, xi, u, v of both signs, a quarter of each exactly zero."""
+    rng = np.random.default_rng(seed)
+    t, u, v = rng.uniform(-3, 3, (3, m))
+    xi = rng.uniform(-3, 3, (m, 2))
+    for a in (t, xi, u, v):
+        a[rng.random(a.shape[0]) < 0.25] = 0.0
+    return t, xi, u, v
+
+
+@pytest.fixture(params=["coupled_cfg", "decoupled_cfg", "nondyadic_cfg"])
+def reference_cfg(request):
+    return request.getfixturevalue(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +121,15 @@ class TestAFamily:
                 assert fd_x == pytest.approx(float(ex.a_eval(t, xi)[k]),
                                              rel=1e-5, abs=1e-7)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_t_partials_match_signed_power_reference(self, reference_cfg,
+                                                     eps):
+        mf = ModelFunctions(reference_cfg, epsilon_reg=eps)
+        t, xi, _, _ = _signed_samples(13)
+        for c, name in ((1, "At_eval"), (2, "Bt_eval")):
+            ref = _coef_t_reference(reference_cfg, t, xi, c)
+            _assert_bits_where_finite(getattr(mf, name)(t, xi), ref)
+
 
 class TestBFamily:
     def test_is_the_A_family_of_the_swapped_config(self, mixed_cfg):
@@ -117,6 +182,14 @@ class TestGFamily:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
+    def test_partials_match_mirrored_reference(self, reference_cfg):
+        mf = ModelFunctions(reference_cfg)
+        _, _, u, v = _signed_samples(17)
+        _assert_bits_where_finite(mf.Gu_eval(u, v),
+                                  _Gu_reference(reference_cfg, u, v))
+        _assert_bits_where_finite(mf.Gv_eval(u, v),
+                                  _Gv_reference(reference_cfg, u, v))
+
 
 class TestSecondDerivatives:
     """coef_hessian and G_hessian against central differences of the
@@ -125,7 +198,8 @@ class TestSecondDerivatives:
 
     H = 1e-6
 
-    @pytest.fixture(params=["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    @pytest.fixture(params=["coupled_cfg", "decoupled_cfg", "mixed_cfg",
+                            "low_sp_cfg"])
     def mf(self, request):
         return ModelFunctions(request.getfixturevalue(request.param))
 
@@ -174,15 +248,55 @@ class TestSecondDerivatives:
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_finite_at_origin(self, mf, eps):
         # s p = 1.5 < 2 makes |t|^{sp-2} singular at t = 0 and p = 1.5 makes
-        # |xi|^{p-4} singular at xi = 0; the limit value 0 is used there
+        # |xi|^{p-4} singular at xi = 0; the limit value 0 is used there.
+        # low_sp_cfg (s p = 0.75, gamma = 0.7) makes the first derivatives
+        # singular too: |t|^{sp-1} in A_t, B_t and |u|^{gamma-1} in G_u, G_v
         mf = ModelFunctions(mf.cfg, epsilon_reg=eps)
         for t, xi in ((0.0, np.zeros(2)), (0.0, np.array([0.3, -0.4])),
                       (0.7, np.zeros(2))):
             for c in (1, 2):
                 assert all(np.all(np.isfinite(d))
                            for d in mf.coef_hessian(t, xi, c))
+            if t == 0.0:
+                assert mf.At_eval(t, xi) == 0.0
+                assert mf.Bt_eval(t, xi) == 0.0
         assert all(np.all(np.isfinite(d)) for d in mf.G_hessian(0.0, 0.0))
         assert mf.coef_hessian(0.0, np.array([0.3, -0.4]), 1)[0] == 0.0
+        for w in (0.0, 0.3, -0.4):
+            assert mf.Gu_eval(0.0, w) == 0.0
+            assert mf.Gv_eval(w, 0.0) == 0.0
+
+
+class TestParity:
+    """J is even, so the first derivatives are odd and the second
+    derivatives even, bitwise, zeros and the singular exponents included."""
+
+    @pytest.fixture(params=["coupled_cfg", "decoupled_cfg", "nondyadic_cfg",
+                            "low_sp_cfg"])
+    def mf(self, request):
+        return ModelFunctions(request.getfixturevalue(request.param))
+
+    def test_first_derivatives_odd(self, mf):
+        t, xi, u, v = _signed_samples(19)
+        for name in ("At_eval", "a_eval", "Bt_eval", "b_eval"):
+            f = getattr(mf, name)
+            assert np.array_equal(f(-t, -xi), -f(t, xi)), name
+        for name in ("Gu_eval", "Gv_eval"):
+            f = getattr(mf, name)
+            assert np.array_equal(f(-u, -v), -f(u, v)), name
+
+    def test_energy_and_second_derivatives_even(self, mf):
+        t, xi, u, v = _signed_samples(23)
+        for name in ("A_eval", "B_eval"):
+            f = getattr(mf, name)
+            assert np.array_equal(f(-t, -xi), f(t, xi)), name
+        assert np.array_equal(mf.G_eval(-u, -v), mf.G_eval(u, v))
+        for c in (1, 2):
+            for mine, flipped in zip(mf.coef_hessian(t, xi, c),
+                                     mf.coef_hessian(-t, -xi, c)):
+                assert np.array_equal(mine, flipped)
+        for mine, flipped in zip(mf.G_hessian(u, v), mf.G_hessian(-u, -v)):
+            assert np.array_equal(mine, flipped)
 
 
 class TestStructuralSampling:
