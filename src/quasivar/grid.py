@@ -42,14 +42,21 @@ class Grid:
         # The cell corners in the order of jacobian_pattern.  offsets[a, c]
         # is corner c's offset on axis a, _signs[a, c] its side (+1 far, -1
         # near), _slices[c] the nodes at corner c of every cell, and
-        # _sides[a] the far-side and the near-side slices of axis a.
+        # _gradient_terms[a] the first far-side slice of axis a and the
+        # ufuncs that add its other far-side slices and subtract its
+        # near-side ones, in the stencil's order.  _probe is the interior
+        # node next to the origin.
         offsets = (np.arange(2 ** dimension)
                    >> np.arange(dimension)[:, None]) & 1
         self._signs = 2.0 * offsets - 1.0
         self._slices = [(...,) + tuple(slice(1, None) if b else slice(None, -1)
                                        for b in o) for o in offsets.T]
-        self._sides = [[[s for s, b in zip(self._slices, row) if b == side]
-                        for side in (1, 0)] for row in offsets]
+        sides = [[[s for s, b in zip(self._slices, row) if b == side]
+                  for side in (1, 0)] for row in offsets]
+        self._gradient_terms = [
+            (far[0], [(np.add, s) for s in far[1:]]
+             + [(np.subtract, s) for s in near]) for far, near in sides]
+        self._probe = (...,) + (1,) * dimension
         self._axis = np.linspace(0.0, 1.0, n)
         self.centers = self._mesh(0.5 * (self._axis[:-1] + self._axis[1:]))
         number = np.full(self.node_shape, -1)
@@ -92,38 +99,57 @@ class Grid:
 
     # -- element operations --------------------------------------------------
 
+    def _all_plus_zero(self, values: np.ndarray) -> bool:
+        """True when every entry of ``values`` is +0.0, so that every sum
+        of the stencils is +0.0 too; -0.0 sums to -0.0 and is not taken.
+
+        One interior node is looked at first: a field that is nonzero
+        there, as almost every nonzero field is, costs no full scan.
+        """
+        return not (values[self._probe].any() or values.any()
+                    or np.signbit(values).any())
+
     def midpoint_values(self, values: np.ndarray) -> np.ndarray:
         """Interpolated field values at element centers.
 
         The node axes of ``values`` come last; leading axes index a stack
-        of fields, as in ``element_gradients``.
+        of fields, as in ``element_gradients``.  An exactly zero field
+        (no bit set, so not -0.0) gives zeros without the stencil.
         """
-        total = values[self._slices[0]]
-        for s in self._slices[1:]:
-            total = total + values[s]
-        return 0.5 ** self.dimension * total
+        if self._all_plus_zero(values):
+            return np.zeros(values.shape[:values.ndim - self.dimension]
+                            + (self.n - 1,) * self.dimension)
+        first, second, *rest = self._slices
+        total = np.add(values[first], values[second],
+                       dtype=np.result_type(values, 0.5))
+        for s in rest:
+            total += values[s]
+        total *= 0.5 ** self.dimension
+        return total
 
     def element_gradients(self, values: np.ndarray) -> np.ndarray:
         """Shape-function gradients at element centers, shape (..., *cells, dim).
 
         Component a is the far-side corners' sum minus the near-side
-        corners', over 2^(dim-1) h.
+        corners', over 2^(dim-1) h.  An exactly zero field gives zeros
+        without the stencil, as in ``midpoint_values``.
         """
-        # the numerators first, then one result that the divisions write
-        # into: no np.stack copy.  Allocating the result before the
-        # numerators tripled the minor page faults of a certify pass.
-        nums = []
-        for far, near in self._sides:
-            num = values[far[0]]
-            for s in far[1:]:
-                num = num + values[s]
-            for s in near:
-                num = num - values[s]
-            nums.append(num)
+        cells = values.shape[:values.ndim - self.dimension] \
+            + (self.n - 1,) * self.dimension
+        if self._all_plus_zero(values):
+            return np.zeros(cells + (self.dimension,))
         width = 2 ** (self.dimension - 1) * self.h
-        out = np.empty(nums[0].shape + (self.dimension,),
-                       dtype=np.result_type(nums[0], width))
-        for a, num in enumerate(nums):
+        out = np.empty(cells + (self.dimension,),
+                       dtype=np.result_type(values, width))
+        # each numerator is summed in place in one contiguous buffer that
+        # every axis reuses, then divided into its slot of the result:
+        # summing in the strided slot itself is slower
+        num = None
+        for a, (first, terms) in enumerate(self._gradient_terms):
+            op, s = terms[0]
+            num = op(values[first], values[s], out=num)
+            for op, s in terms[1:]:
+                op(num, values[s], out=num)
             np.divide(num, width, out=out[..., a])
         return out
 
@@ -142,6 +168,10 @@ class Grid:
         """
         vol = self.cell_volume
         out = self.zeros()
+        # every sum below starts from out's +0.0, so zero inputs of either
+        # sign leave it +0.0: they skip the stencils
+        if not any(x is not None and x.any() for x in (density, gradvec)):
+            return out
         if density is not None:
             t = 0.5 ** self.dimension * vol * density
             for s in self._slices:
@@ -360,7 +390,17 @@ def squared_magnitude(vec: np.ndarray) -> np.ndarray:
     """
     out = vec[..., 0] * vec[..., 0]
     for k in range(1, vec.shape[-1]):
-        out = out + vec[..., k] * vec[..., k]
+        out += vec[..., k] * vec[..., k]
+    return out
+
+
+def magnitude_power(vec: np.ndarray, p: float) -> np.ndarray:
+    """|vec|^p over the last axis, the root and the power taken in place
+    in the one array that ``squared_magnitude`` returns (0-d for a single
+    vector)."""
+    out = np.asarray(squared_magnitude(vec))
+    np.sqrt(out, out=out)
+    out **= p
     return out
 
 
@@ -371,8 +411,7 @@ def _w_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
 
 def _gradient_norms(grid: Grid, grads: np.ndarray, p: float) -> np.ndarray:
     """(int |grad|^p)^(1/p) of stacked element gradients (..., *cells, dim)."""
-    mag = np.sqrt(squared_magnitude(grads))
-    return grid.cell_integrals(mag ** p) ** (1.0 / p)
+    return grid.cell_integrals(magnitude_power(grads, p)) ** (1.0 / p)
 
 
 def norm_Lp(gf: GridFunction, p: float) -> float:
@@ -392,9 +431,16 @@ def power_map(gf: GridFunction, s: float) -> GridFunction:
     """Nodal map t -> |t|^s t; boundary trace stays zero."""
     if s < 0:
         raise ValueError("power_map requires s >= 0")
-    if s == 0:
-        return gf.copy()
-    return GridFunction(gf.grid, np.abs(gf.values) ** s * gf.values)
+    return GridFunction(gf.grid, _power_mapped(gf.values, s))
+
+
+def _power_mapped(values: np.ndarray, s: float) -> np.ndarray:
+    """|t|^s t of nodal values in one new array; bitwise a copy of values
+    for s = 0, where |t|^0 = 1."""
+    out = np.abs(values)
+    out **= s
+    out *= values
+    return out
 
 
 def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
@@ -416,8 +462,8 @@ def ell_coefficients(grid: Grid, u: np.ndarray, v: np.ndarray,
     """
     return (_gradient_norms(grid, ug, cfg.p1)
             + _gradient_norms(grid, vg, cfg.p2),
-            _w_norms(grid, np.abs(u) ** cfg.s1 * u, cfg.p1),
-            _w_norms(grid, np.abs(v) ** cfg.s2 * v, cfg.p2))
+            _w_norms(grid, _power_mapped(u, cfg.s1), cfg.p1),
+            _w_norms(grid, _power_mapped(v, cfg.s2), cfg.p2))
 
 
 def ray_coefficients(fp: FieldPair, cfg: "ExponentConfig",

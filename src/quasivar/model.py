@@ -29,15 +29,26 @@ from functools import partialmethod
 import numpy as np
 
 from .exponents import ExponentConfig, compute_model_constants
-from .grid import squared_magnitude
+from .grid import magnitude_power, squared_magnitude
 
 
 def _pow(t: np.ndarray, e: float) -> np.ndarray:
     """|t|^e, with 0^0 = 1 and, for e < 0, the limit value 0 at t = 0."""
-    a = np.abs(np.asarray(t, dtype=float))
-    if e >= 0:
+    return _pow_from_abs(np.abs(np.asarray(t, dtype=float)), e,
+                         overwrite=True)
+
+
+def _pow_from_abs(a: np.ndarray, e: float,
+                  overwrite: bool = False) -> np.ndarray:
+    """``_pow`` of t from a = |t|, taken in a itself when ``overwrite`` is
+    set and e >= 0: ``a **= e`` takes numpy's scalar-exponent fast paths
+    (e = 0, 0.5, 1, 2, -1) as ``a ** e`` does, so both round alike."""
+    if e < 0:
+        return np.where(a > 0, a, np.inf) ** e
+    if not overwrite:
         return a ** e
-    return np.where(a > 0, a, np.inf) ** e
+    a **= e
+    return a
 
 
 def _reg_pow(x: np.ndarray, e: float, eps: float) -> np.ndarray:
@@ -76,8 +87,8 @@ class ModelFunctions:
     def _coef(self, t, xi, component: int) -> np.ndarray:
         """A or B: (1/p) (1 + |t|^{s p}) |xi|^p."""
         p, s = self._exponents(component)
-        mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
-        return (1.0 / p) * (1.0 + _pow(t, s * p)) * mag ** p
+        return ((1.0 / p) * (1.0 + _pow(t, s * p))
+                * magnitude_power(np.asarray(xi, dtype=float), p))
 
     def _xi_pow(self, xi_sq: np.ndarray, p: float, k: float) -> np.ndarray:
         """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2."""
@@ -95,10 +106,10 @@ class ModelFunctions:
     def _coef_t(self, t, xi, component: int) -> np.ndarray:
         """A_t or B_t, the t-partial of A or B."""
         p, s = self._exponents(component)
-        mag = np.sqrt(squared_magnitude(np.asarray(xi, dtype=float)))
+        xi = np.asarray(xi, dtype=float)
         if s == 0:
-            return np.zeros(np.broadcast_shapes(np.shape(t), mag.shape))
-        return s * np.sign(t) * _pow(t, s * p - 1.0) * mag ** p
+            return np.zeros(np.broadcast_shapes(np.shape(t), xi.shape[:-1]))
+        return s * np.sign(t) * _pow(t, s * p - 1.0) * magnitude_power(xi, p)
 
     # the plugin names of the evaluator contract
     A_eval = partialmethod(_coef, component=1)
@@ -200,17 +211,31 @@ class ModelFunctions:
         never regularized.
         """
         cfg = self.cfg
-        gu = np.sqrt(squared_magnitude(ug)) ** cfg.p1 / cfg.p1
-        gv = np.sqrt(squared_magnitude(vg)) ** cfg.p2 / cfg.p2
-        coupling = (-cfg.c_star * _pow(um, cfg.gamma1) * _pow(vm, cfg.gamma2)
-                    if cfg.c_star > 0 else np.zeros_like(um, dtype=float))
+        au, av = np.abs(um), np.abs(vm)
+        gu = magnitude_power(ug, cfg.p1)
+        gu /= cfg.p1
+        gv = magnitude_power(vg, cfg.p2)
+        gv /= cfg.p2
+        u_coef = _pow_from_abs(au, cfg.s1 * cfg.p1)
+        u_coef *= gu
+        v_coef = _pow_from_abs(av, cfg.s2 * cfg.p2)
+        v_coef *= gv
+        u_pot = _pow_from_abs(au, cfg.q1)
+        u_pot /= -cfg.q1
+        v_pot = _pow_from_abs(av, cfg.q2)
+        v_pot /= -cfg.q2
+        if cfg.c_star > 0:
+            # the u factor multiplies before the v factor, as in G_eval;
+            # these are the last uses of au and av
+            coupling = _pow_from_abs(au, cfg.gamma1, overwrite=True)
+            coupling *= -cfg.c_star
+            coupling *= _pow_from_abs(av, cfg.gamma2, overwrite=True)
+        else:
+            coupling = np.zeros_like(um, dtype=float)
         exponents = (cfg.p1, cfg.p1 * (1.0 + cfg.s1),
                      cfg.p2, cfg.p2 * (1.0 + cfg.s2),
                      cfg.q1, cfg.q2, cfg.gamma1 + cfg.gamma2)
-        densities = (gu, _pow(um, cfg.s1 * cfg.p1) * gu,
-                     gv, _pow(vm, cfg.s2 * cfg.p2) * gv,
-                     -_pow(um, cfg.q1) / cfg.q1, -_pow(vm, cfg.q2) / cfg.q2,
-                     coupling)
+        densities = (gu, u_coef, gv, v_coef, u_pot, v_pot, coupling)
         return exponents, densities
 
     def exact(self) -> "ModelFunctions":

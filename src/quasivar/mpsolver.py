@@ -42,8 +42,14 @@ class SolverParams:
 
 
 # nodes per block of certify samples, which bounds the memory of the
-# batched ray coefficients (7 samples on the 2D n=65 grid)
-_CERTIFY_BLOCK_NODES = 2 ** 15
+# batched ray coefficients (3 samples on the 2D n=65 grid, 15 on n=33);
+# 2^14 ran faster than 2^15 in alternated benchmark runs
+_CERTIFY_BLOCK_NODES = 2 ** 14
+
+# the endpoint bisection: its steps, and the levels of them that one
+# closed-form evaluation of the 2^levels - 1 reachable midpoints decides
+_BISECTION_STEPS = 30
+_BISECTION_LEVELS = 5
 
 # largest difference allowed between j_value and J in closed form along a
 # ray, relative to the sum of the magnitudes of the ray's seven terms
@@ -118,8 +124,13 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
     tau doubles from 1 until J(tau field0) < target, then 30 bisection
     steps move it back toward the crossing.  J along the ray is the
     closed form of ``ray_energies``, built once, so no field is scaled
-    until the end; the level returned is the ``j_value`` of the endpoint,
-    checked against that closed form (``_checked_level``).  Raises
+    until the end.  One ``ray_energy`` call decides five bisection
+    levels: it takes the 31 midpoints they can reach, each 0.5 (lo + hi)
+    of its own bracket, so the walk down them ends on the tau of the
+    step-by-step loop.  No midpoint exceeds the doubling's last tau, and
+    every term of J is a power of tau, so none can overflow.  The level
+    returned is the ``j_value`` of the endpoint, checked against that
+    closed form (``_checked_level``).  Raises
     NoNegativeEnergyError when no doubling reaches the target, and
     NonFiniteEnergyError when the energy overflows.
     """
@@ -140,12 +151,23 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
     # below the target; a wildly overshot endpoint stretches the search
     # path and starves it of resolution near the ridge
     lo, hi = found / 2.0, found
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if ray_energy(ray, mid) < target:
-            hi = mid
-        else:
-            lo = mid
+    for _ in range(_BISECTION_STEPS // _BISECTION_LEVELS):
+        # the midpoints of every bracket the next levels can reach, in
+        # heap order: node k halves bracket k, and its children 2k + 1
+        # and 2k + 2 halve the brackets its outcomes leave
+        brackets = [(lo, hi)]
+        mids = []
+        for k in range(2 ** _BISECTION_LEVELS - 1):
+            a, b = brackets[k]
+            mids.append(0.5 * (a + b))
+            brackets += [(a, mids[k]), (mids[k], b)]
+        below = ray_energy(ray, np.array(mids)) < target
+        k = 0
+        for _ in range(_BISECTION_LEVELS):
+            if below[k]:
+                hi, k = mids[k], 2 * k + 1
+            else:
+                lo, k = mids[k], 2 * k + 2
     endpoint = field0 * hi
     return endpoint, _checked_level(endpoint, ray, hi, mf)
 
@@ -237,7 +259,7 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
 
     Samples seeded random Fourier-mode pairs rescaled to ell = r0 and
     records the minimum energy rho0.  The samples are built in blocks of
-    about 2^15 grid nodes: per block, the ell-norm and energy coefficients
+    about 2^14 grid nodes: per block, the ell-norm and energy coefficients
     of every sample's ray (``ell_coefficients``, ``ray_energies``, which
     share one ``element_data``) give its scale to the sphere and its
     energy there in closed form.  Only the minimizing sample becomes a

@@ -22,7 +22,8 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
 import quasivar
 from quasivar import mpsolver
 from quasivar.grid import random_field_pair, sine_modes, sine_product
-from quasivar.energy import dJ_jacobian, dJ_loads, residual_norm
+from quasivar.energy import (dJ_jacobian, dJ_loads, element_data,
+                              ray_energies, ray_energy, residual_norm)
 from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _scale_until_negative, _structured_start,
                                _with_endpoint)
@@ -218,6 +219,64 @@ class TestFindEndpoint:
         start = _structured_start(Grid(dimension, 17), 0) * 1e60
         with pytest.raises(NonFiniteEnergyError):
             _scale_until_negative(start, mf)
+
+
+def _sequential_scale(ray, target=-1.0):
+    """Reference: the doubling and the 30 bisection steps, one
+    ``ray_energy`` call per step."""
+    tau = 1.0
+    while not ray_energy(ray, tau) < target:
+        tau *= 2.0
+    lo, hi = tau / 2.0, tau
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if ray_energy(ray, mid) < target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestEndpointBisection:
+    """Five bisection levels per closed-form call end where the
+    step-by-step loop ends."""
+
+    @pytest.mark.parametrize("index", range(7))
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
+    def test_matches_sequential_loop(self, cfg_name, dimension, index,
+                                     request):
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(dimension, 17)
+        start = _structured_start(g, index)
+        ray = ray_energies(g, element_data(g, start.u.values,
+                                           start.v.values), mf)
+        endpoint, level = _scale_until_negative(start, mf)
+        ref = start * _sequential_scale(ray)
+        assert endpoint.u.values.tobytes() == ref.u.values.tobytes()
+        assert endpoint.v.values.tobytes() == ref.v.values.tobytes()
+        assert level == j_value(ref, mf)
+
+    def test_ray_with_several_crossings(self, coupled_cfg, monkeypatch):
+        # J(tau) + 1 = (1 - tau/5.5)(1 - tau/6.5)(1 - tau/7.7)(1 + tau/3)^4,
+        # seven power terms tau^1..tau^7: the doubling stops at tau = 8
+        # and J crosses -1 three times in [4, 8], so only the walk the
+        # sequential loop takes finds its crossing
+        poly = np.polynomial.Polynomial.fromroots([5.5, 6.5, 7.7, -3.0, -3.0,
+                                                  -3.0, -3.0])
+        poly = poly / poly.coef[0]
+        ray = (np.arange(1.0, 8.0), poly.coef[1:])
+        taus = np.linspace(4.0, 8.0, 4001)
+        below = ray_energy(ray, taus) < -1.0
+        assert not below[0] and below[-1]
+        assert np.count_nonzero(below[1:] != below[:-1]) == 3
+        monkeypatch.setattr(mpsolver, "ray_energies", lambda *args: ray)
+        monkeypatch.setattr(mpsolver, "_checked_level",
+                            lambda fp, ray, tau, mf: tau)
+        _, tau = _scale_until_negative(
+            _structured_start(Grid(2, 9), 0), ModelFunctions(coupled_cfg))
+        assert tau == _sequential_scale(ray)
+        assert tau == pytest.approx(5.5, rel=1e-8)
 
 
 class TestScaleToEll:
