@@ -39,8 +39,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_EXPONENT_FIELDS = ("N", "p1", "p2", "s1", "s2", "q1", "q2", "gamma1",
-                    "gamma2", "theta1", "theta2", "c_star", "exj01_literal")
+_EXPONENT_FIELDS = tuple(f.name for f in fields(ExponentConfig))
 
 
 class ConfigError(ValueError):
@@ -69,12 +68,12 @@ class RunConfig:
     dimension: int = 2
     n: int = 33
     # solver
-    tol: float = 1e-6
-    max_iters: int = 10_000
-    path_points: int = 33
+    tol: float = SolverParams.tol
+    max_iters: int = SolverParams.max_iters
+    path_points: int = SolverParams.path_points
     seed: int = 0
-    epsilon_reg: float = 1e-8
-    nontrivial_floor: float = 1e-3
+    epsilon_reg: float = ModelFunctions.epsilon_reg
+    nontrivial_floor: float = SolverParams.nontrivial_floor
     r0: float = 0.1
     n_geo_samples: int = 256
     count: int = 4
@@ -301,7 +300,7 @@ def cmd_constants(rc: RunConfig, em: Emitter) -> int:
 
 
 def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
-                    epsilon_reg: float = 1e-8,
+                    epsilon_reg: float = ModelFunctions.epsilon_reg,
                     steps: tuple[float, ...] = (1e-2, 10 ** -2.5, 1e-3,
                                                 10 ** -3.5, 1e-4),
                     ) -> tuple[float, list[float]]:

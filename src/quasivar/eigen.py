@@ -17,6 +17,7 @@ import numpy as np
 
 from .grid import (Grid, GridFunction, integrate, norm_Lp, sine_product,
                    squared_magnitude)
+from .model import ModelFunctions
 
 
 @dataclass
@@ -49,7 +50,8 @@ def _normalize(y: GridFunction, p: float) -> GridFunction:
 
 
 def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
-                    max_iter: int = 100_000, epsilon_reg: float = 1e-8,
+                    max_iter: int = 100_000,
+                    epsilon_reg: float = ModelFunctions.epsilon_reg,
                     ) -> EigenPair:
     """First eigenvalue and positive normalized eigenfunction of -Delta_p."""
     if p <= 1:

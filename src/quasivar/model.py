@@ -51,11 +51,6 @@ def _pow_from_abs(a: np.ndarray, e: float,
     return a
 
 
-def _reg_pow(x: np.ndarray, e: float, eps: float) -> np.ndarray:
-    """(x + eps^2)^e for x >= 0; the zero rule of _pow for eps = 0."""
-    return (x + eps * eps) ** e if eps > 0 else _pow(x, e)
-
-
 @dataclass
 class ModelFunctions:
     """Evaluator bundle for one exponent configuration.
@@ -91,9 +86,10 @@ class ModelFunctions:
                 * magnitude_power(np.asarray(xi, dtype=float), p))
 
     def _xi_pow(self, xi_sq: np.ndarray, p: float, k: float) -> np.ndarray:
-        """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2."""
-        return _reg_pow(xi_sq, (p - k) / 2.0,
-                        self.epsilon_reg if p < 2 else 0.0)
+        """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2; the
+        zero rule of _pow where eps = 0 or p >= 2."""
+        e, eps = (p - k) / 2.0, self.epsilon_reg
+        return (xi_sq + eps * eps) ** e if p < 2 and eps > 0 else _pow(xi_sq, e)
 
     def _coef_xi(self, t, xi, component: int) -> np.ndarray:
         """a or b, the xi-gradient of A or B, with |xi|^{p-2} regularized."""

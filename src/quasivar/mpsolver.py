@@ -46,8 +46,12 @@ class SolverParams:
 # 2^14 ran faster than 2^15 in alternated benchmark runs
 _CERTIFY_BLOCK_NODES = 2 ** 14
 
-# the endpoint bisection: its steps, and the levels of them that one
-# closed-form evaluation of the 2^levels - 1 reachable midpoints decides
+# the endpoint scaling: the level J must fall below, the most doublings of
+# tau tried for it, the steps of the bisection back toward the crossing,
+# and the levels of them that one closed-form evaluation of the
+# 2^levels - 1 reachable midpoints decides
+_ENDPOINT_TARGET = -1.0
+_MAX_DOUBLINGS = 60
 _BISECTION_STEPS = 30
 _BISECTION_LEVELS = 5
 
@@ -116,14 +120,13 @@ def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
     return level
 
 
-def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
-                          target: float = -1.0, max_doublings: int = 60,
-                          ) -> tuple[FieldPair, float]:
-    """The scaling field0 * tau with J < target, and its level.
+def _scale_until_negative(field0: FieldPair,
+                          mf: ModelFunctions) -> tuple[FieldPair, float]:
+    """The scaling field0 * tau with J < -1, and its level.
 
-    tau doubles from 1 until J(tau field0) < target, then 30 bisection
-    steps move it back toward the crossing.  J along the ray is the
-    closed form of ``ray_energies``, built once, so no field is scaled
+    tau doubles from 1, at most 60 times, until J(tau field0) < -1, then
+    30 bisection steps move it back toward the crossing.  J along the ray
+    is the closed form of ``ray_energies``, built once, so no field is scaled
     until the end.  One ``ray_energy`` call decides five bisection
     levels: it takes the 31 midpoints they can reach, each 0.5 (lo + hi)
     of its own bracket, so the walk down them ends on the tau of the
@@ -139,8 +142,8 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
                                           field0.v.values), mf)
     tau = 1.0
     found = None
-    for _ in range(max_doublings):
-        if ray_energy(ray, tau) < target:
+    for _ in range(_MAX_DOUBLINGS):
+        if ray_energy(ray, tau) < _ENDPOINT_TARGET:
             found = tau
             break
         tau *= 2.0
@@ -161,7 +164,7 @@ def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
             a, b = brackets[k]
             mids.append(0.5 * (a + b))
             brackets += [(a, mids[k]), (mids[k], b)]
-        below = ray_energy(ray, np.array(mids)) < target
+        below = ray_energy(ray, np.array(mids)) < _ENDPOINT_TARGET
         k = 0
         for _ in range(_BISECTION_LEVELS):
             if below[k]:
@@ -273,8 +276,8 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     certificate rather than raising: the geometry may genuinely fail at
     that radius.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError("r0 must be positive and finite")
     if n_samples < 1:
         raise ValueError("certification needs at least one sample")
     mf = mf or ModelFunctions(cfg)
@@ -401,8 +404,7 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
 
 
 def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
-                      max_iter: int = 200,
-                      ) -> tuple[FieldPair, float] | None:
+                      max_iter: int) -> tuple[FieldPair, float] | None:
     """Newton refinement of an approximate critical point by banded LU.
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
@@ -432,12 +434,9 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
     grid = fp.grid
     interior = ~grid.boundary_mask()
 
-    def loads(x: np.ndarray) -> tuple | None:
-        """The pair with interior values x, its interior loads F,
-        max|K^-1 F| and F^T K^-1 F; None if not finite."""
-        u, v = grid.zeros(), grid.zeros()
-        u[interior], v[interior] = x.reshape(2, -1)
-        pair = FieldPair(GridFunction(grid, u), GridFunction(grid, v))
+    def loads(pair: FieldPair) -> tuple | None:
+        """The interior loads F of pair, max|K^-1 F| and F^T K^-1 F;
+        None if not finite."""
         try:
             with np.errstate(over="raise", invalid="raise"):
                 fu, fv = dJ_loads(pair, mf)
@@ -448,14 +447,13 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
         ru, rv = grid.laplacian_solve(fu), grid.laplacian_solve(fv)
         res = max(np.max(np.abs(ru)), np.max(np.abs(rv)))
         energy = float(np.sum(fu * ru) + np.sum(fv * rv))
-        return (pair, np.concatenate([fu[interior], fv[interior]]),
-                float(res), energy)
+        return (np.concatenate([fu[interior], fv[interior]]), float(res),
+                energy)
 
-    x = np.concatenate([fp.u.values[interior], fp.v.values[interior]])
-    state = loads(x)
+    state = loads(fp)
     if state is None:
         return None
-    fp, f, res, energy = state
+    f, res, energy = state
     fatol = tol * 1e-2
     mu = 0.0
     energies = [energy]
@@ -471,24 +469,23 @@ def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
             except RuntimeError:  # exactly singular factor
                 state = None
             else:
-                state = loads(x + dx)
-            if state is not None and state[3] < energy:
+                trial = fp.copy()
+                for gf, step in zip((trial.u, trial.v), dx.reshape(2, -1)):
+                    gf.values[interior] += step
+                state = loads(trial)
+            if state is not None and state[2] < energy:
                 break
             mu = max(4.0 * mu, _LM_MU_MIN)
             if mu > _LM_MU_MAX:
                 return None
-        x = x + dx
-        fp, f, res, energy = state
+        fp = trial
+        f, res, energy = state
         energies.append(energy)
         if (res > fatol and len(energies) > _STALL_STEPS
                 and energy > _STALL_RATIO * energies[-1 - _STALL_STEPS]):
             return None
         mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
     return (fp, np.sqrt(max(energy, 0.0))) if res <= fatol else None
-
-
-def _pair_dist_W(a: FieldPair, b: FieldPair, cfg: ExponentConfig) -> float:
-    return pair_norm_W(a - b, cfg.p1, cfg.p2)
 
 
 def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
@@ -601,16 +598,14 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
         cand = mountain_pass_search(
             cfg, grid, cert, params, mf,
             provenance=f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
-        if not cand.converged or cand.collapsed:
+        # a collapsed candidate is never converged
+        if not cand.converged:
             continue
-        duplicate = False
-        for kept in results:
-            if (_pair_dist_W(cand.fields, kept.fields, cfg) < params.dedup_tol
-                    or _pair_dist_W(cand.fields, -kept.fields, cfg)
-                    < params.dedup_tol):
-                duplicate = True
-                break
-        if not duplicate:
+        a = cand.fields
+        if not any(pair_norm_W(a - kept.fields, cfg.p1, cfg.p2)
+                   < params.dedup_tol
+                   or pair_norm_W(a + kept.fields, cfg.p1, cfg.p2)
+                   < params.dedup_tol for kept in results):
             results.append(cand)
     results.sort(key=lambda c: c.level)
     return results
@@ -618,7 +613,8 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
 
 def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
                      grid: Grid, mf: ModelFunctions | None = None,
-                     nontrivial_floor: float = 1e-3) -> VerificationRecord:
+                     nontrivial_floor: float = SolverParams.nontrivial_floor,
+                     ) -> VerificationRecord:
     """Independent re-evaluation of a candidate's certificates.
 
     Recomputes level, residual, nontriviality and sup-norm bounds, and

@@ -30,7 +30,7 @@ from quasivar.mpsolver import (_lm_step, _polish_candidate,
 
 from oracles import model_ground_state, model_k_bump, power_law_root
 from test_cli import COUPLED_TEXT
-from util import assemble_jacobian, kron_stiffness
+from util import assemble_jacobian, kron_stiffness, random_admissible_configs
 
 
 @pytest.fixture(scope="module")
@@ -495,6 +495,17 @@ class TestCertifyGeometry:
         with pytest.raises(ValueError):
             certify_geometry(decoupled_cfg, Grid(2, 9), 0.0)
 
+    @pytest.mark.parametrize("r0", [np.nan, np.inf])
+    def test_rejects_nonfinite_radius(self, decoupled_cfg_1d, r0):
+        # a nan or inf radius would reach the closed-form energy along the
+        # ray and fail there as a non-finite energy
+        g = Grid(1, 17)
+        with pytest.raises(ValueError, match="positive and finite"):
+            certify_geometry(decoupled_cfg_1d, g, r0, n_samples=4)
+        with pytest.raises(ValueError, match="positive and finite"):
+            multiplicity_search(decoupled_cfg_1d, g, 2, r0=r0,
+                                n_geo_samples=4)
+
     def test_rejects_no_samples(self, decoupled_cfg):
         # with no sample rho0 stays infinite: nothing was certified
         with pytest.raises(ValueError):
@@ -549,6 +560,18 @@ class TestMountainPassSearch:
             mountain_pass_search(decoupled_cfg_1d, grid_1d, cert,
                                  SolverParams(path_points=points))
         assert counts["_polish_candidate"] == 0
+
+    def test_converges_on_most_random_configs(self):
+        # a robustness floor: 32 of these 40 admissible configs converge
+        # (3, 12, 17, 22, 26, 27, 29 and 36 do not); an endpoint taken at
+        # the first doubling, without the bisection, converges on 29
+        g = Grid(2, 17)
+        converged = 0
+        for cfg in random_admissible_configs(40, seed=1):
+            cert = certify_geometry(cfg, g, 0.1, n_samples=64, seed=0)
+            converged += mountain_pass_search(cfg, g, cert,
+                                              SolverParams()).converged
+        assert converged >= 32
 
     def test_deterministic_replay(self, decoupled_cfg_1d, grid_1d):
         def run():
@@ -865,7 +888,8 @@ class TestPolish:
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
         endpoint, _ = _scale_until_negative(_structured_start(g, 4), mf)
-        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
+        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
+                                     max_iter=200)
         assert polished is not None
         refined, residual = polished
         # the residual of the last accepted loads, bitwise residual_norm's
@@ -880,7 +904,7 @@ class TestPolish:
         g = Grid(2, 9)
         fp = random_field_pair(g, np.random.default_rng(0),
                                sine_modes(g, 3)) * amplitude
-        assert _polish_candidate(fp, mf, 1e-6) is None
+        assert _polish_candidate(fp, mf, 1e-6, max_iter=200) is None
 
     def test_stagnating_polish_gives_up(self, coupled_cfg, coupled_start,
                                         monkeypatch):
@@ -919,7 +943,8 @@ class TestPolish:
 
         monkeypatch.setattr(mpsolver, "dgbsv", singular)
         monkeypatch.setattr(mpsolver, "_lm_step", recorded)
-        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6)
+        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
+                                     max_iter=200)
         if every_call:
             assert polished is None
             assert mus == [0.0] + [mpsolver._LM_MU_MIN * 4.0 ** k
@@ -949,7 +974,8 @@ class TestPolish:
         for name in ("dJ_loads", "dJ_jacobian"):
             monkeypatch.setattr(mpsolver, name,
                                 recorded(name, getattr(mpsolver, name)))
-        polished = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf, 1e-6)
+        polished = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf,
+                                     1e-6, max_iter=200)
         assert polished is not None
         refined, _ = polished
         jacobians = [k for k, (name, _) in enumerate(calls)
