@@ -299,15 +299,17 @@ def cmd_constants(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK
 
 
+# the central-difference steps h of gradcheck_slope
+_GRADCHECK_STEPS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
+
+
 def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
                     epsilon_reg: float = ModelFunctions.epsilon_reg,
-                    steps: tuple[float, ...] = (1e-2, 10 ** -2.5, 1e-3,
-                                                10 ** -3.5, 1e-4),
                     ) -> tuple[float, list[float]]:
     """Observed order of the central-difference error against dJ_apply.
 
     Returns (slope, errors): the least-squares slope of log error vs log h
-    over the given step sizes, expected ~2 for the C^1 energy integrands.
+    over ``_GRADCHECK_STEPS``, expected ~2 for the C^1 energy integrands.
     """
     mf = ModelFunctions(cfg, epsilon_reg=epsilon_reg)
     rng = np.random.default_rng(seed)
@@ -317,10 +319,10 @@ def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
     exact = dJ_apply(fp, d, mf)
     scale = max(1.0, abs(exact))
     errors = []
-    for h in steps:
+    for h in _GRADCHECK_STEPS:
         fd = (j_value(fp + h * d, mf) - j_value(fp - h * d, mf)) / (2.0 * h)
         errors.append(abs(fd - exact) / scale)
-    hs = np.log(np.asarray(steps))
+    hs = np.log(np.asarray(_GRADCHECK_STEPS))
     es = np.log(np.maximum(errors, 1e-300))
     slope = float(np.polyfit(hs, es, 1)[0])
     return slope, errors

@@ -19,6 +19,10 @@ from .grid import (Grid, GridFunction, integrate, norm_Lp, sine_product,
                    squared_magnitude)
 from .model import ModelFunctions
 
+# the descent stops at a drop of the quotient <= _TOL max(1, |q|)
+_TOL = 1e-10
+_MAX_ITER = 100_000
+
 
 @dataclass
 class EigenPair:
@@ -49,8 +53,7 @@ def _normalize(y: GridFunction, p: float) -> GridFunction:
     return y * (1.0 / nrm)
 
 
-def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
-                    max_iter: int = 100_000,
+def first_eigenpair(p: float, grid: Grid,
                     epsilon_reg: float = ModelFunctions.epsilon_reg,
                     ) -> EigenPair:
     """First eigenvalue and positive normalized eigenfunction of -Delta_p."""
@@ -61,7 +64,7 @@ def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
     converged = False
     it = 0
     alpha = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         # Sobolev gradient of the quotient at |y|_p = 1:
         # dR[d] = p int |grad y|^{p-2} grad y . grad d - q p int |y|^{p-2} y d
         g = grid.element_gradients(y.values)
@@ -86,7 +89,7 @@ def first_eigenpair(p: float, grid: Grid, tol: float = 1e-10,
         drop = q - q_trial
         y, q = trial, q_trial
         alpha = min(step * 2.0, 1e6)
-        if drop <= tol * max(1.0, abs(q)):
+        if drop <= _TOL * max(1.0, abs(q)):
             converged = True
             break
 

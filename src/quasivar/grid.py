@@ -395,13 +395,8 @@ def squared_magnitude(vec: np.ndarray) -> np.ndarray:
 
 
 def magnitude_power(vec: np.ndarray, p: float) -> np.ndarray:
-    """|vec|^p over the last axis, the root and the power taken in place
-    in the one array that ``squared_magnitude`` returns (0-d for a single
-    vector)."""
-    out = np.asarray(squared_magnitude(vec))
-    np.sqrt(out, out=out)
-    out **= p
-    return out
+    """|vec|^p over the last axis."""
+    return np.sqrt(squared_magnitude(vec)) ** p
 
 
 def _w_norms(grid: Grid, values: np.ndarray, p: float) -> np.ndarray:
@@ -435,12 +430,8 @@ def power_map(gf: GridFunction, s: float) -> GridFunction:
 
 
 def _power_mapped(values: np.ndarray, s: float) -> np.ndarray:
-    """|t|^s t of nodal values in one new array; bitwise a copy of values
-    for s = 0, where |t|^0 = 1."""
-    out = np.abs(values)
-    out **= s
-    out *= values
-    return out
+    """|t|^s t of nodal values; bitwise the values for s = 0."""
+    return np.abs(values) ** s * values
 
 
 def pair_norm_W(fp: FieldPair, p1: float, p2: float) -> float:
@@ -493,10 +484,12 @@ def sine_product(grid: Grid, *wavenumbers: int) -> GridFunction:
     """The field prod_a sin(k_a pi x_a), one wavenumber k_a per axis.
 
     Built from the rows of the :func:`sine_modes` table and zeroed on the
-    boundary.
+    boundary.  Wavenumbers start at 1.
     """
     if len(wavenumbers) != grid.dimension:
         raise ValueError("need one wavenumber per axis")
+    if min(wavenumbers) < 1:
+        raise ValueError("wavenumbers must be at least 1")
     vals = functools.reduce(np.multiply.outer, sine_modes(
         grid, max(wavenumbers))[np.array(wavenumbers) - 1])
     vals[grid.boundary_mask()] = 0.0

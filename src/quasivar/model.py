@@ -279,11 +279,13 @@ class StructuralSampleReport:
         raise KeyError(rec_id)
 
 
+# half-width of the sampled (t, xi) box; annuli per ratio trend
+_SAMPLE_BOX = 10.0
+_N_ANNULI = 8
+
+
 def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
-                                 seed: int = 0, box: float = 10.0,
-                                 n_annuli: int = 8,
-                                 lambda_min: float | None = None,
-                                 ) -> StructuralSampleReport:
+                                 seed: int = 0) -> StructuralSampleReport:
     """Sampled worst-case margins of the pointwise structural inequalities.
 
     Uses the exact (eps = 0) evaluators.  Margins are reported for the
@@ -292,8 +294,7 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     samples with |(u,v)| >= R.  The asymptotic conditions (g4), (g5) are
     reported as ratio trends over geometric annuli: (g4) the max of
     G/(|u|^{p1}+|v|^{p2}) over shrinking radii 2^-k, (g5) the min of
-    G/(|u|^{1/th1}+|v|^{1/th2}) over growing radii 2^k.  ``lambda_min``
-    (alpha_2 * min eigenvalue) is attached to the (g4) note if given.
+    G/(|u|^{1/th1}+|v|^{1/th2}) over growing radii 2^k.
     """
     cfg = mf.cfg
     ex = mf.exact()
@@ -301,8 +302,8 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     rng = np.random.default_rng(seed)
     dim = 2 if cfg.N >= 2 else 1
 
-    t = rng.uniform(-box, box, n_samples)
-    xi = rng.uniform(-box, box, (n_samples, dim))
+    t = rng.uniform(-_SAMPLE_BOX, _SAMPLE_BOX, n_samples)
+    xi = rng.uniform(-_SAMPLE_BOX, _SAMPLE_BOX, (n_samples, dim))
 
     def record(rec_id, margins, args, note=""):
         i = int(np.argmin(margins))
@@ -340,7 +341,7 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
 
     # (g3): 0 < G <= th1 Gu u + th2 Gv v on |(u,v)| >= R
     ang = rng.uniform(0.0, 2 * np.pi, n_samples)
-    rad = consts.R * np.exp(rng.uniform(0.0, np.log(box), n_samples))
+    rad = consts.R * np.exp(rng.uniform(0.0, np.log(_SAMPLE_BOX), n_samples))
     u = rad * np.cos(ang)
     v = rad * np.sin(ang)
     G = ex.G_eval(u, v)
@@ -355,19 +356,16 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     margins.append(record("g3_positive", G, (u, v), note="G > 0 off the origin"))
 
     # asymptotic ratio trends
-    n_ring = max(256, n_samples // (4 * n_annuli))
+    n_ring = max(256, n_samples // (4 * _N_ANNULI))
     ang = rng.uniform(0.0, 2 * np.pi, n_ring)
     cu, sv = np.cos(ang), np.sin(ang)
-    g4_note = "max G/(|u|^p1+|v|^p2) over shrinking annuli"
-    if lambda_min is not None:
-        g4_note += f"; threshold alpha2*min(lambda) = {alpha2 * lambda_min:.6g}"
-    radii_small = [2.0 ** (-k) for k in range(n_annuli)]
+    radii_small = [2.0 ** (-k) for k in range(_N_ANNULI)]
     ratios_small = []
     for r in radii_small:
         u, v = r * cu, r * sv
         ratios_small.append(float(np.max(
             ex.G_eval(u, v) / (_pow(u, cfg.p1) + _pow(v, cfg.p2)))))
-    radii_large = [2.0 ** k for k in range(n_annuli)]
+    radii_large = [2.0 ** k for k in range(_N_ANNULI)]
     ratios_large = []
     for r in radii_large:
         u, v = r * cu, r * sv
@@ -375,7 +373,8 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
             ex.G_eval(u, v)
             / (_pow(u, 1.0 / cfg.theta1) + _pow(v, 1.0 / cfg.theta2)))))
     trends = [
-        RatioTrend(id="g4", radii=radii_small, ratios=ratios_small, note=g4_note),
+        RatioTrend(id="g4", radii=radii_small, ratios=ratios_small,
+                   note="max G/(|u|^p1+|v|^p2) over shrinking annuli"),
         RatioTrend(id="g5", radii=radii_large, ratios=ratios_large,
                    note="min G/(|u|^{1/th1}+|v|^{1/th2}) over growing annuli"),
     ]

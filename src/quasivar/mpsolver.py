@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class SolverParams:
     max_iters: int = 10_000
     path_points: int = 33
     nontrivial_floor: float = 1e-3
-    dedup_tol: float = 1e-2
+    # multiplicity_search drops a candidate this W-close to a kept one
+    dedup_tol: ClassVar[float] = 1e-2
 
 
 # nodes per block of certify samples, which bounds the memory of the
@@ -128,13 +130,15 @@ def _scale_until_negative(field0: FieldPair,
     30 bisection steps move it back toward the crossing.  J along the ray
     is the closed form of ``ray_energies``, built once, so no field is scaled
     until the end.  One ``ray_energy`` call decides five bisection
-    levels: it takes the 31 midpoints they can reach, each 0.5 (lo + hi)
-    of its own bracket, so the walk down them ends on the tau of the
-    step-by-step loop.  No midpoint exceeds the doubling's last tau, and
-    every term of J is a power of tau, so none can overflow.  The level
-    returned is the ``j_value`` of the endpoint, checked against that
-    closed form (``_checked_level``).  Raises
-    NoNegativeEnergyError when no doubling reaches the target, and
+    levels: it takes the sorted table lo + (hi - lo) j / 32, j = 1..31,
+    of the midpoints they can reach, and a binary search walks it.  The
+    doubling ends on a power of two T, and lo and hi stay multiples of
+    T 2^-31 in [T/2, T], so every entry is exact, the nested midpoint
+    0.5 (lo + hi) of the step-by-step loop, and the walk ends on that
+    loop's tau.  No entry exceeds T, and every term of J is a power of
+    tau, so none can overflow.  The level returned is the ``j_value`` of
+    the endpoint, checked against that closed form (``_checked_level``).
+    Raises NoNegativeEnergyError when no doubling reaches the target, and
     NonFiniteEnergyError when the energy overflows.
     """
     grid = field0.grid
@@ -154,23 +158,16 @@ def _scale_until_negative(field0: FieldPair,
     # below the target; a wildly overshot endpoint stretches the search
     # path and starves it of resolution near the ridge
     lo, hi = found / 2.0, found
+    width = 2 ** _BISECTION_LEVELS
     for _ in range(_BISECTION_STEPS // _BISECTION_LEVELS):
-        # the midpoints of every bracket the next levels can reach, in
-        # heap order: node k halves bracket k, and its children 2k + 1
-        # and 2k + 2 halve the brackets its outcomes leave
-        brackets = [(lo, hi)]
-        mids = []
-        for k in range(2 ** _BISECTION_LEVELS - 1):
-            a, b = brackets[k]
-            mids.append(0.5 * (a + b))
-            brackets += [(a, mids[k]), (mids[k], b)]
-        below = ray_energy(ray, np.array(mids)) < _ENDPOINT_TARGET
-        k = 0
-        for _ in range(_BISECTION_LEVELS):
-            if below[k]:
-                hi, k = mids[k], 2 * k + 1
-            else:
-                lo, k = mids[k], 2 * k + 2
+        # entries 0 and width are lo and hi themselves, exactly
+        table = lo + (hi - lo) / width * np.arange(width + 1)
+        below = ray_energy(ray, table[1:-1]) < _ENDPOINT_TARGET
+        a, b = 0, width
+        while b - a > 1:
+            mid = (a + b) // 2
+            a, b = (a, mid) if below[mid - 1] else (mid, b)
+        lo, hi = float(table[a]), float(table[b])
     endpoint = field0 * hi
     return endpoint, _checked_level(endpoint, ray, hi, mf)
 
@@ -242,6 +239,8 @@ def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
     max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2), with the coefficients of
     ``ray_coefficients``; the scale is that of ``_ell_scales``.
     """
+    if not 0 < r0 < math.inf:
+        raise ValueError("r0 must be positive and finite")
     with np.errstate(over="ignore"):
         a, b1, b2 = ray_coefficients(fp, cfg)
     if not (0.0 < a < math.inf and 0.0 < b1 + b2 < math.inf):

@@ -155,6 +155,15 @@ class TestSineStarts:
             assert np.array_equal(_structured_start(g, 7).u.values,
                                   _structured_start(g, 0).u.values)
 
+    @pytest.mark.parametrize("dimension, wavenumbers",
+                             [(1, (0,)), (1, (-1,)), (2, (0, 1)),
+                              (2, (1, -1)), (2, (-2, 3))])
+    def test_rejects_wavenumbers_below_one(self, dimension, wavenumbers):
+        # 0 would index the table's last row in 2D and fail as an
+        # IndexError in 1D; negative numbers would wrap to the last modes
+        with pytest.raises(ValueError, match="at least 1"):
+            sine_product(Grid(dimension, 9), *wavenumbers)
+
 
 class TestFindEndpoint:
     """The endpoint a certificate carries: the bubble ray scaled to J < -1."""
@@ -238,8 +247,8 @@ def _sequential_scale(ray, target=-1.0):
 
 
 class TestEndpointBisection:
-    """Five bisection levels per closed-form call end where the
-    step-by-step loop ends."""
+    """Five bisection levels per closed-form call, walked on a table of
+    31 dyadic points, end where the step-by-step loop ends."""
 
     @pytest.mark.parametrize("index", range(7))
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -270,13 +279,35 @@ class TestEndpointBisection:
         below = ray_energy(ray, taus) < -1.0
         assert not below[0] and below[-1]
         assert np.count_nonzero(below[1:] != below[:-1]) == 3
+        tau = self._scale_on_ray(ray, coupled_cfg, monkeypatch)
+        assert tau == _sequential_scale(ray)
+        assert tau == pytest.approx(5.5, rel=1e-8)
+
+    @pytest.mark.parametrize("ray, lo, hi", [
+        # J(tau) = tau^2 - 3 tau^4: J(1) = -2, so the doubling stops at
+        # once and the table starts from the first bracket [0.5, 1]
+        ((np.array([2.0, 4.0]), np.array([1.0, -3.0])), 0.5, 1.0),
+        # J(tau) = 1 - 1e-38 tau^3 crosses -1 at tau = 5.8e12, in the
+        # bracket [2^42, 2^43] of the 43rd doubling
+        ((np.array([0.0, 3.0]), np.array([1.0, -1e-38])), 2.0 ** 42,
+         2.0 ** 43),
+    ], ids=["first-bracket", "beyond-2^40"])
+    def test_table_is_exact_at_both_ends(self, coupled_cfg, monkeypatch, ray,
+                                         lo, hi):
+        tau = self._scale_on_ray(ray, coupled_cfg, monkeypatch)
+        assert tau == _sequential_scale(ray)
+        assert lo < tau < hi
+        assert ray_energy(ray, tau) < -1.0 <= ray_energy(ray, lo)
+
+    @staticmethod
+    def _scale_on_ray(ray, cfg, monkeypatch):
+        """The tau of _scale_until_negative on a hand-built ray."""
         monkeypatch.setattr(mpsolver, "ray_energies", lambda *args: ray)
         monkeypatch.setattr(mpsolver, "_checked_level",
                             lambda fp, ray, tau, mf: tau)
         _, tau = _scale_until_negative(
-            _structured_start(Grid(2, 9), 0), ModelFunctions(coupled_cfg))
-        assert tau == _sequential_scale(ray)
-        assert tau == pytest.approx(5.5, rel=1e-8)
+            _structured_start(Grid(2, 9), 0), ModelFunctions(cfg))
+        return tau
 
 
 class TestScaleToEll:
@@ -293,6 +324,14 @@ class TestScaleToEll:
     def test_rejects_zero_pair(self, coupled_cfg):
         with pytest.raises(ValueError):
             scale_to_ell(FieldPair.zero(Grid(2, 9)), coupled_cfg, 0.1)
+
+    @pytest.mark.parametrize("r0", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_radius_not_positive_and_finite(self, coupled_cfg, r0):
+        # as certify_geometry does; 0 would give the zero pair, and the
+        # others a warning or an unrelated boundary error
+        fp = _structured_start(Grid(2, 9), 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            scale_to_ell(fp, coupled_cfg, r0)
 
     @given(s1=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
            s2=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
