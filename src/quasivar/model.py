@@ -227,7 +227,7 @@ class ModelFunctions:
             coupling *= -cfg.c_star
             coupling *= _pow_from_abs(av, cfg.gamma2, overwrite=True)
         else:
-            coupling = np.zeros_like(um, dtype=float)
+            coupling = np.zeros_like(um)
         exponents = (cfg.p1, cfg.p1 * (1.0 + cfg.s1),
                      cfg.p2, cfg.p2 * (1.0 + cfg.s2),
                      cfg.q1, cfg.q2, cfg.gamma1 + cfg.gamma2)

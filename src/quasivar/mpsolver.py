@@ -13,6 +13,7 @@ certify min-max levels.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -47,6 +48,10 @@ class SolverParams:
 # batched ray coefficients (3 samples on the 2D n=65 grid, 15 on n=33);
 # 2^14 ran faster than 2^15 in alternated benchmark runs
 _CERTIFY_BLOCK_NODES = 2 ** 14
+
+# margin of certify's float32 screen, relative to a ray's term scale
+# sum_k |c_k| tau^e_k: over 250 times the largest float32 error measured
+_SCREEN_RTOL = 1e-4
 
 # the endpoint scaling: the level J must fall below, the most doublings of
 # tau tried for it, the steps of the bisection back toward the crossing,
@@ -254,6 +259,30 @@ def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
     return fp * float(_ell_scales(a, b1, b2, cfg, r0))
 
 
+def _certify_block(grid: Grid, coeffs: np.ndarray, modes: np.ndarray,
+                   cfg: ExponentConfig, r0: float, mf: ModelFunctions):
+    """The fields, scales tau to the sphere, rays (``ray_energies``) and
+    levels there of a block of certify samples, in the dtype of
+    ``coeffs`` and ``modes``; tau, which r0 can put out of float32's
+    range, and the levels are float64 in either."""
+    fields = sine_mode_fields(grid, coeffs, modes)
+    u, v = fields[:, 0], fields[:, 1]
+    data = element_data(grid, u, v)
+    tau = _ell_scales(*np.asarray(ell_coefficients(
+        grid, u, v, data[1], data[3], cfg), dtype=float), cfg, r0)
+    ray = ray_energies(grid, data, mf)
+    return fields, tau, ray, ray_energy(ray, tau)
+
+
+def _screen_candidates(levels: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the samples i with levels_i - margins_i <=
+    min_j (levels_j + margins_j): those whose exact level, within
+    ``margins`` of ``levels``, can be least.  Non-finite ones all stay."""
+    upper, lower = levels + margins, levels - margins
+    bound = np.min(upper, where=np.isfinite(upper), initial=math.inf)
+    return np.flatnonzero(~np.isfinite(lower) | (lower <= bound))
+
+
 def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
                      n_samples: int = 256, seed: int = 0,
                      mf: ModelFunctions | None = None) -> GeometryCertificate:
@@ -264,7 +293,10 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     about 2^14 grid nodes: per block, the ell-norm and energy coefficients
     of every sample's ray (``ell_coefficients``, ``ray_energies``, which
     share one ``element_data``) give its scale to the sphere and its
-    energy there in closed form.  Only the minimizing sample becomes a
+    energy there in closed form.  A float32 screen does this for every
+    sample, and only the samples that can still be least within its
+    margin (``_screen_candidates``) are evaluated again in float64, so
+    the least is bitwise the float64-only loop's.  Only it becomes a
     field pair, and rho0 is its ``j_value``, checked against the closed
     form (``_checked_level``).  The endpoint is the product-of-sines
     bubble (u, 0) of ``_structured_start`` scaled until J < -1: the
@@ -286,15 +318,23 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     coeffs = rng.standard_normal((n_samples, 2)
                                  + (modes.shape[0],) * grid.dimension)
     block = max(1, _CERTIFY_BLOCK_NODES // grid.n ** grid.dimension)
+    screen, margins = np.full((2, n_samples), math.nan)
+    coeffs32, modes32 = coeffs.astype(np.float32), modes.astype(np.float32)
+    # float32: twice the samples per block in the same bytes (more ran
+    # slower); a block that overflows or makes a nan stays nan, all kept
+    for start in range(0, n_samples, 2 * block):
+        part = slice(start, start + 2 * block)
+        with contextlib.suppress(ArithmeticError), np.errstate(
+                over="raise", divide="raise", invalid="raise"):
+            tau, (exponents, c), levels = _certify_block(
+                grid, coeffs32[part], modes32, cfg, r0, mf)[1:]
+            scale = ray_energy((exponents, np.abs(c)), tau)
+            screen[part], margins[part] = levels, _SCREEN_RTOL * scale
+    keep = _screen_candidates(screen, margins)
     best_level = math.inf
-    for start in range(0, n_samples, block):
-        fields = sine_mode_fields(grid, coeffs[start:start + block], modes)
-        u, v = fields[:, 0], fields[:, 1]
-        data = element_data(grid, u, v)
-        tau = _ell_scales(*ell_coefficients(grid, u, v, data[1], data[3], cfg),
-                          cfg, r0)
-        exponents, ray_coeffs = ray_energies(grid, data, mf)
-        levels = ray_energy((exponents, ray_coeffs), tau)
+    for start in range(0, keep.size, block):
+        fields, tau, (exponents, ray_coeffs), levels = _certify_block(
+            grid, coeffs[keep[start:start + block]], modes, cfg, r0, mf)
         k = int(np.argmin(levels))
         if levels[k] < best_level:
             best_level, best = levels[k], fields[k] * tau[k]

@@ -9,8 +9,10 @@ bitwise-equal results must print the same bytes.  The lines cover
   default and held-out seeds: every certificate and candidate, with the
   sha256 of its fields and its levels and residuals as 17-digit reprs;
 - acceptance criterion 8's 1D search and 4-start multiplicity run,
-  criterion 9's coupled run on the 2D n=65 grid, and a certify whose
-  components differ in p, s and gamma;
+  criterion 9's coupled run on the 2D n=65 grid, a certify whose
+  components differ in p, s and gamma, a certify whose float32 screen
+  overflows (random config 30, q1 = 47.7) and a coupled certify on the
+  1D n = 17 grid;
 - the ``certify``, ``solve``, ``multi``, ``eigen`` and ``gradcheck`` CLI
   streams of ``test_cli``'s coupled and decoupled configs at n = 17, with
   the header timestamp removed.
@@ -38,6 +40,7 @@ from quasivar.cli import main  # noqa: E402
 
 from test_acceptance import COUPLED, DECOUPLED_1D  # noqa: E402
 from test_cli import COUPLED_TEXT, DECOUPLED_TEXT  # noqa: E402
+from util import random_admissible_configs  # noqa: E402
 from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
 
@@ -92,6 +95,11 @@ def acceptance_lines():
                                 gamma2=2.5)
     cert = qv.certify_geometry(mixed, qv.Grid(2, 33), 0.1, n_samples=64)
     yield f"mixed-exponents {describe(cert)}"
+    overflowing = random_admissible_configs(40, seed=1)[30]
+    cert = qv.certify_geometry(overflowing, qv.Grid(2, 17), 0.1, n_samples=64)
+    yield f"float32-overflow {describe(cert)}"
+    cert = qv.certify_geometry(COUPLED, qv.Grid(1, 17), 0.1, n_samples=32)
+    yield f"coupled-1d {describe(cert)}"
 
 
 def cli_lines():

@@ -21,7 +21,8 @@ from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       scale_to_ell, verify_candidate)
 import quasivar
 from quasivar import mpsolver
-from quasivar.grid import random_field_pair, sine_modes, sine_product
+from quasivar.grid import (ell_coefficients, random_field_pair,
+                           sine_mode_fields, sine_modes, sine_product)
 from quasivar.energy import (dJ_jacobian, dJ_loads, element_data,
                               ray_energies, ray_energy, residual_norm)
 from quasivar.mpsolver import (_lm_step, _polish_candidate,
@@ -555,6 +556,167 @@ class TestCertifyGeometry:
         a = certify_geometry(decoupled_cfg, g, 0.1, n_samples=32, seed=5)
         b = certify_geometry(decoupled_cfg, g, 0.1, n_samples=32, seed=5)
         assert a.rho0 == b.rho0
+
+
+# the radii of perfbench's coupled-certify workload
+CERTIFY_RADII = (0.05, 0.1, 0.2, 0.4)
+
+
+def _float64_certify(cfg, grid, r0, n_samples, seed, mf):
+    """Reference: the float64-only block loop certify ran before its
+    float32 screen, every sample's ray in closed form."""
+    modes = sine_modes(grid, 4)
+    coeffs = np.random.default_rng(seed).standard_normal(
+        (n_samples, 2) + (modes.shape[0],) * grid.dimension)
+    block = max(1, mpsolver._CERTIFY_BLOCK_NODES // grid.n ** grid.dimension)
+    best_level = np.inf
+    for start in range(0, n_samples, block):
+        fields = sine_mode_fields(grid, coeffs[start:start + block], modes)
+        u, v = fields[:, 0], fields[:, 1]
+        data = element_data(grid, u, v)
+        tau = mpsolver._ell_scales(
+            *ell_coefficients(grid, u, v, data[1], data[3], cfg), cfg, r0)
+        exponents, ray_coeffs = ray_energies(grid, data, mf)
+        levels = ray_energy((exponents, ray_coeffs), tau)
+        k = int(np.argmin(levels))
+        if levels[k] < best_level:
+            best_level, best = levels[k], fields[k] * tau[k]
+            best_ray, best_tau = (exponents, ray_coeffs[k]), tau[k]
+    min_sample = FieldPair(GridFunction(grid, best[0]),
+                           GridFunction(grid, best[1]))
+    rho0 = mpsolver._checked_level(min_sample, best_ray, best_tau, mf)
+    cert = mpsolver.GeometryCertificate(
+        r0=r0, rho0=rho0, endpoint=None, endpoint_level=np.nan,
+        samples=n_samples, min_sample=min_sample, validated=False)
+    return _with_endpoint(cert, _structured_start(grid, 0), cfg, mf)
+
+
+def _pair_bytes(fp):
+    return fp.u.values.tobytes() + fp.v.values.tobytes()
+
+
+def _assert_same_certificate(got, ref):
+    assert got.rho0 == ref.rho0
+    assert _pair_bytes(got.min_sample) == _pair_bytes(ref.min_sample)
+    assert _pair_bytes(got.endpoint) == _pair_bytes(ref.endpoint)
+    assert got.endpoint_level == ref.endpoint_level
+    assert got.validated == ref.validated
+
+
+def _screen_error(cfg, grid, r0, n_samples, seed, mf):
+    """max |L32 - L64| / scale over the samples of a certify call, or None
+    when the float32 screen overflows."""
+    modes = sine_modes(grid, 4)
+    coeffs = np.random.default_rng(seed).standard_normal(
+        (n_samples, 2) + (modes.shape[0],) * grid.dimension)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _, tau, (exponents, c), screen = mpsolver._certify_block(
+                grid, coeffs.astype(np.float32), modes.astype(np.float32),
+                cfg, r0, mf)
+            scale = ray_energy((exponents, np.abs(c)), tau)
+    except ArithmeticError:
+        return None
+    *_, levels = mpsolver._certify_block(grid, coeffs, modes, cfg, r0, mf)
+    return float(np.max(np.abs(screen - levels) / scale))
+
+
+class TestCertifyScreen:
+    @pytest.mark.parametrize("seed", [0, 1000003])
+    @pytest.mark.parametrize("dimension, n", [(1, 17), (2, 17), (2, 33),
+                                              (2, 65)])
+    @pytest.mark.parametrize("cfg_name",
+                             ["coupled_cfg", "decoupled_cfg", "mixed_cfg"])
+    def test_matches_float64_loop(self, cfg_name, dimension, n, seed,
+                                  request):
+        cfg = request.getfixturevalue(cfg_name)
+        g, mf = Grid(dimension, n), ModelFunctions(cfg)
+        for r0 in CERTIFY_RADII:
+            cert = certify_geometry(cfg, g, r0, n_samples=32, seed=seed, mf=mf)
+            _assert_same_certificate(
+                cert, _float64_certify(cfg, g, r0, 32, seed, mf))
+            assert (_screen_error(cfg, g, r0, 32, seed, mf)
+                    <= mpsolver._SCREEN_RTOL / 100)
+
+    @pytest.mark.parametrize("r0", [1e-42, 1e-40, 1e36])
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
+    def test_extreme_radii_match_float64_loop(self, cfg_name, r0, request):
+        # tau of order r0 leaves float32's normal range below 1.2e-38, so
+        # the scales are taken in float64 from the float32 coefficients
+        cfg = request.getfixturevalue(cfg_name)
+        g, mf = Grid(2, 17), ModelFunctions(cfg)
+        for seed in range(5):
+            cert = certify_geometry(cfg, g, r0, n_samples=64, seed=seed, mf=mf)
+            _assert_same_certificate(
+                cert, _float64_certify(cfg, g, r0, 64, seed, mf))
+
+    def test_random_configs_match_and_overflow_falls_back(self, monkeypatch):
+        g = Grid(2, 17)
+        screened = []
+        block = mpsolver._certify_block
+
+        def recorded(grid, coeffs, *args):
+            try:
+                return block(grid, coeffs, *args)
+            except ArithmeticError:
+                screened.append(coeffs.dtype)
+                raise
+
+        monkeypatch.setattr(mpsolver, "_certify_block", recorded)
+        fell_back = []
+        for k, cfg in enumerate(random_admissible_configs(40, seed=1)):
+            mf = ModelFunctions(cfg)
+            screened.clear()
+            cert = certify_geometry(cfg, g, 0.1, n_samples=64, mf=mf)
+            _assert_same_certificate(
+                cert, _float64_certify(cfg, g, 0.1, 64, 0, mf))
+            error = _screen_error(cfg, g, 0.1, 64, 0, mf)
+            assert (error is None) == bool(screened)
+            if error is None:
+                fell_back.append(k)
+            else:
+                assert error <= mpsolver._SCREEN_RTOL / 100
+            assert all(dtype == np.float32 for dtype in screened)
+        # q1 = 47.7 and 50.5: |u|^q1 / q1 overflows float32
+        assert fell_back == [30, 32]
+
+    def test_overflow_raises_as_float64(self, coupled_cfg):
+        # this far out J overflows float64 too; the screen, which
+        # overflows first, must leave that error to the float64 pass
+        g = Grid(2, 17)
+        with pytest.raises(NonFiniteEnergyError):
+            _float64_certify(coupled_cfg, g, 1e300, 8, 0,
+                             ModelFunctions(coupled_cfg))
+        with pytest.raises(NonFiniteEnergyError):
+            certify_geometry(coupled_cfg, g, 1e300, n_samples=8)
+
+
+class TestScreenCandidates:
+    def test_keeps_ties_in_index_order(self):
+        levels = np.array([2.0, 1.0, 3.0, 1.0])
+        assert list(mpsolver._screen_candidates(levels, np.zeros(4))) \
+            == [1, 3]
+
+    def test_keeps_non_finite_screen(self):
+        levels = np.array([1.0, np.nan, 5.0, np.nan])
+        margins = np.array([0.5, np.nan, 0.5, np.nan])
+        assert list(mpsolver._screen_candidates(levels, margins)) == [0, 1, 3]
+        assert list(mpsolver._screen_candidates(
+            np.full(3, np.nan), np.full(3, np.nan))) == [0, 1, 2]
+
+    def test_first_exact_minimum_survives_any_error_within_margin(self):
+        # dyadic levels, margins and errors, so that every sum is exact and
+        # an error may sit on its margin; few distinct levels make exact
+        # ties common
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            m = int(rng.integers(1, 12))
+            exact = rng.integers(0, 6, m) / 8
+            steps = rng.integers(0, 16, m)
+            margins = steps / 64
+            screen = exact + rng.integers(-steps, steps + 1) / 64
+            keep = mpsolver._screen_candidates(screen, margins)
+            assert keep[np.argmin(exact[keep])] == np.argmin(exact)
 
 
 class TestMountainPassSearch:
