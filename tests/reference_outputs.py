@@ -13,9 +13,15 @@ bitwise-equal results must print the same bytes.  The lines cover
   components differ in p, s and gamma, a certify whose float32 screen
   overflows (random config 30, q1 = 47.7) and a coupled certify on the
   1D n = 17 grid;
-- the ``certify``, ``solve``, ``multi``, ``eigen`` and ``gradcheck`` CLI
-  streams of ``test_cli``'s coupled and decoupled configs at n = 17, with
-  the header timestamp removed.
+- searches from the endpoints (b, b/2), (b/2, b) and (b, b), b the sine
+  bubble, on the coupled 2D n = 33 seed-0 certificate, which reach the
+  (u, 0) and (0, v) fallbacks and the coupled Newton band, and the
+  unconverged ridge point that tol = 1e-30 returns on the 1D n = 13 grid,
+  each with its ``verify_candidate`` record;
+- the ``certify``, ``solve``, ``multi``, ``eigen``, ``gradcheck``,
+  ``check``, ``derive``, ``constants`` and ``dump`` CLI streams of
+  ``test_cli``'s coupled and decoupled configs at n = 17, with the header
+  timestamp removed.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -52,7 +58,15 @@ def sha(fp) -> str:
 
 
 def describe(obj) -> str:
-    """One line for a certificate or a candidate."""
+    """One line for a certificate, a candidate or a verification record."""
+    if isinstance(obj, qv.VerificationRecord):
+        return (f"verification level={obj.level!r} "
+                f"residual={float(obj.residual)!r} "
+                f"cerami_residual={float(obj.cerami_residual)!r} "
+                f"nontriviality={obj.nontriviality!r} "
+                f"linf_u={obj.linf_u!r} linf_v={obj.linf_v!r} "
+                f"trivial={obj.trivial} semitrivial={obj.semitrivial} "
+                f"positive_level={obj.positive_level}")
     if isinstance(obj, qv.GeometryCertificate):
         return (f"certificate r0={obj.r0!r} rho0={obj.rho0!r} "
                 f"endpoint_level={obj.endpoint_level!r} "
@@ -73,8 +87,6 @@ def workload_lines():
             if not isinstance(outputs, (list, tuple)):
                 outputs = [outputs]
             for obj in outputs:
-                if isinstance(obj, qv.VerificationRecord):
-                    continue
                 yield f"{name} seed={seed} {describe(obj)}"
 
 
@@ -102,6 +114,29 @@ def acceptance_lines():
     yield f"coupled-1d {describe(cert)}"
 
 
+def fallback_lines():
+    grid = qv.Grid(2, 33)
+    mf = qv.ModelFunctions(COUPLED)
+    cert = qv.certify_geometry(COUPLED, grid, 0.1, n_samples=64, seed=0,
+                               mf=mf)
+    b = qv.mpsolver._structured_start(grid, 0).u
+    for label, start in (("(b, b/2)", qv.FieldPair(b, b * 0.5)),
+                         ("(b/2, b)", qv.FieldPair(b * 0.5, b)),
+                         ("(b, b)", qv.FieldPair(b, b))):
+        cand = qv.mountain_pass_search(
+            COUPLED, grid, qv.mpsolver._with_endpoint(cert, start, COUPLED,
+                                                      mf), mf=mf)
+        yield f"fallback {label} {describe(cand)}"
+        record = qv.verify_candidate(cand, COUPLED, grid, mf)
+        yield f"fallback {label} {describe(record)}"
+    grid = qv.Grid(1, 13)
+    cert = qv.certify_geometry(COUPLED, grid, 0.1, n_samples=256, seed=0)
+    cand = qv.mountain_pass_search(COUPLED, grid, cert,
+                                   qv.SolverParams(tol=1e-30))
+    yield f"unconverged {describe(cand)}"
+    yield f"unconverged {describe(qv.verify_candidate(cand, COUPLED, grid))}"
+
+
 def cli_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for label, text in (("coupled", COUPLED_TEXT),
@@ -109,7 +144,8 @@ def cli_lines():
             path = os.path.join(tmp, f"{label}.txt")
             Path(path).write_text(text)
             for command in ("certify", "solve", "multi", "eigen",
-                            "gradcheck"):
+                            "gradcheck", "check", "derive", "constants",
+                            "dump"):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = main([command, "--config", path])
@@ -120,6 +156,7 @@ def cli_lines():
 
 
 if __name__ == "__main__":
-    for lines in (workload_lines(), acceptance_lines(), cli_lines()):
+    for lines in (workload_lines(), acceptance_lines(), fallback_lines(),
+                  cli_lines()):
         for line in lines:
             print(line, flush=True)
