@@ -58,12 +58,12 @@ class RunConfig:
     s2: float = 0.0
     q1: float = 4.0
     q2: float = 4.0
-    gamma1: float = 2.0
-    gamma2: float = 2.0
-    theta1: float = 0.25
-    theta2: float = 0.25
-    c_star: float = 0.0
-    exj01_literal: bool = False
+    gamma1: float = ExponentConfig.gamma1
+    gamma2: float = ExponentConfig.gamma2
+    theta1: float = ExponentConfig.theta1
+    theta2: float = ExponentConfig.theta2
+    c_star: float = ExponentConfig.c_star
+    exj01_literal: bool = ExponentConfig.exj01_literal
     # grid
     dimension: int = 2
     n: int = 33
@@ -96,12 +96,10 @@ class RunConfig:
         for name in ("r0", "tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.epsilon_reg < 0:
-            raise ConfigError("epsilon_reg must be non-negative")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be in [0, 2^64)")
         try:
-            self.exponent_config()
+            self.model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -110,6 +108,10 @@ class RunConfig:
 
     def grid(self) -> Grid:
         return Grid(self.dimension, self.n)
+
+    def model(self) -> ModelFunctions:
+        return ModelFunctions(self.exponent_config(),
+                              epsilon_reg=self.epsilon_reg)
 
     def solver_params(self) -> SolverParams:
         return SolverParams(tol=self.tol, max_iters=self.max_iters,
@@ -173,9 +175,7 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        tname = field_types[key]
-        tname = tname if isinstance(tname, str) else tname.__name__
-        values[key] = _coerce(key, raw, type_map[tname])
+        values[key] = _coerce(key, raw, type_map[field_types[key]])
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -242,15 +242,6 @@ def emit_header(em: Emitter, rc: RunConfig, command: str) -> None:
                                                          time.gmtime())})
 
 
-def _asdict_numbers(obj) -> dict:
-    out = {}
-    for f in dataclasses.fields(obj):
-        val = getattr(obj, f.name)
-        if isinstance(val, (bool, int, float, str, type(None), np.floating)):
-            out[f.name] = val
-    return out
-
-
 def _write_dump(rc: RunConfig, name: str, gf: GridFunction,
                 em: Emitter) -> None:
     if not rc.out:
@@ -284,7 +275,7 @@ def cmd_derive(rc: RunConfig, em: Emitter) -> int:
     except InfeasibleIntervalError as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_FAIL
-    em.emit({"record": "derived_exponents", **_asdict_numbers(der)})
+    em.emit({"record": "derived_exponents", **dataclasses.asdict(der)})
     return EXIT_OK
 
 
@@ -295,7 +286,7 @@ def cmd_constants(rc: RunConfig, em: Emitter) -> int:
     except (NonAdmissibleConfigError, InfeasibleIntervalError) as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_FAIL
-    em.emit({"record": "model_constants", **_asdict_numbers(consts)})
+    em.emit({"record": "model_constants", **dataclasses.asdict(consts)})
     return EXIT_OK
 
 
@@ -354,12 +345,13 @@ def cmd_eigen(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK if pair.converged else EXIT_FAIL
 
 
-def cmd_certify(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
-    grid = rc.grid()
-    mf = ModelFunctions(cfg, epsilon_reg=rc.epsilon_reg)
-    cert = certify_geometry(cfg, grid, rc.r0, n_samples=rc.n_geo_samples,
+def _certify(rc: RunConfig, grid: Grid, mf: ModelFunctions):
+    return certify_geometry(mf.cfg, grid, rc.r0, n_samples=rc.n_geo_samples,
                             seed=rc.seed, mf=mf)
+
+
+def cmd_certify(rc: RunConfig, em: Emitter) -> int:
+    cert = _certify(rc, rc.grid(), rc.model())
     em.emit({"record": "geometry_certificate", "r0": cert.r0,
              "rho0": cert.rho0, "samples": cert.samples,
              "endpoint_level": cert.endpoint_level,
@@ -367,54 +359,47 @@ def cmd_certify(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK if cert.validated else EXIT_FAIL
 
 
-def _candidate_record(kind: str, cand, rec) -> dict:
-    return {"record": kind, "level": cand.level, "residual": cand.residual,
-            "nontriviality": cand.nontriviality, "linf_u": cand.linf_u,
-            "linf_v": cand.linf_v, "iterations": cand.iterations,
-            "converged": cand.converged, "collapsed": cand.collapsed,
-            "provenance": cand.provenance,
-            "verified_level": rec.level, "verified_residual": rec.residual,
-            "cerami_residual": rec.cerami_residual, "trivial": rec.trivial,
-            "semitrivial": rec.semitrivial,
-            "positive_level": rec.positive_level}
+def _emit_candidate(rc: RunConfig, em: Emitter, cand, mf: ModelFunctions,
+                    suffix: str = ""):
+    """Verify cand, emit its record and dump u{suffix}.txt, v{suffix}.txt."""
+    rec = verify_candidate(cand, mf.cfg, cand.fields.grid, mf,
+                           nontrivial_floor=rc.nontrivial_floor)
+    em.emit({"record": "candidate", "level": cand.level,
+             "residual": cand.residual, "nontriviality": cand.nontriviality,
+             "linf_u": cand.linf_u, "linf_v": cand.linf_v,
+             "iterations": cand.iterations, "converged": cand.converged,
+             "collapsed": cand.collapsed, "provenance": cand.provenance,
+             "verified_level": rec.level, "verified_residual": rec.residual,
+             "cerami_residual": rec.cerami_residual, "trivial": rec.trivial,
+             "semitrivial": rec.semitrivial,
+             "positive_level": rec.positive_level})
+    _write_dump(rc, f"u{suffix}.txt", cand.fields.u, em)
+    _write_dump(rc, f"v{suffix}.txt", cand.fields.v, em)
+    return rec
 
 
 def cmd_solve(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
     grid = rc.grid()
-    mf = ModelFunctions(cfg, epsilon_reg=rc.epsilon_reg)
-    params = rc.solver_params()
-    cert = certify_geometry(cfg, grid, rc.r0, n_samples=rc.n_geo_samples,
-                            seed=rc.seed, mf=mf)
+    mf = rc.model()
+    cert = _certify(rc, grid, mf)
     em.emit({"record": "geometry_certificate", "r0": cert.r0,
              "rho0": cert.rho0, "validated": cert.validated}, detail=True)
     if not cert.validated:
         em.emit({"record": "error", "message": "geometry not validated"})
         return EXIT_FAIL
-    cand = mountain_pass_search(cfg, grid, cert, params, mf)
-    rec = verify_candidate(cand, cfg, grid, mf,
-                           nontrivial_floor=params.nontrivial_floor)
-    em.emit(_candidate_record("candidate", cand, rec))
-    _write_dump(rc, "u.txt", cand.fields.u, em)
-    _write_dump(rc, "v.txt", cand.fields.v, em)
+    cand = mountain_pass_search(mf.cfg, grid, cert, rc.solver_params(), mf)
+    rec = _emit_candidate(rc, em, cand, mf)
     return EXIT_OK if cand.converged and not rec.trivial else EXIT_FAIL
 
 
 def cmd_multi(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
-    grid = rc.grid()
-    mf = ModelFunctions(cfg, epsilon_reg=rc.epsilon_reg)
-    params = rc.solver_params()
-    cands = multiplicity_search(cfg, grid, rc.count,
+    mf = rc.model()
+    cands = multiplicity_search(mf.cfg, rc.grid(), rc.count,
                                 seeds=[rc.seed + k for k in range(rc.count)],
-                                params=params, mf=mf, r0=rc.r0,
+                                params=rc.solver_params(), mf=mf, r0=rc.r0,
                                 n_geo_samples=rc.n_geo_samples)
     for m, cand in enumerate(cands):
-        rec = verify_candidate(cand, cfg, grid, mf,
-                               nontrivial_floor=params.nontrivial_floor)
-        em.emit(_candidate_record("candidate", cand, rec))
-        _write_dump(rc, f"u_{m}.txt", cand.fields.u, em)
-        _write_dump(rc, f"v_{m}.txt", cand.fields.v, em)
+        _emit_candidate(rc, em, cand, mf, f"_{m}")
     em.emit({"record": "multi_summary", "requested": rc.count,
              "found": len(cands),
              "levels": [c.level for c in cands]})

@@ -319,9 +319,8 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
         recs.append(_rec("exj01_gamma_theta", gt_sum - 1, strict=False, note=note))
         for (i, j, rid) in ((0, 1, "exj02_12"), (1, 0, "exj02_21")):
             if q[i] <= g[i]:
-                recs.append(InequalityRecord(
-                    id=rid, satisfied=False, margin=-_INF, strict=True,
-                    note="q_i <= gamma_i: cross-growth exponent undefined"))
+                recs.append(_rec(rid, -_INF, note="q_i <= gamma_i: "
+                                 "cross-growth exponent undefined"))
                 continue
             lhs = g[j] * (q[i] - 1) / (q[i] - g[i])
             recs.append(_rec(rid, bound[i] - lhs,
@@ -334,9 +333,7 @@ def check_model_hypotheses(cfg: ExponentConfig) -> HypothesisReport:
             recs.append(_rec(rid, bound[i] - d[f"t{i + 1}"],
                              note="t_i < (p_i/N)(1 - 1/p_i*(s_i+1)) p_j*(s_j+1)"))
     else:
-        recs += [InequalityRecord(id=rid, satisfied=False, margin=-_INF,
-                                  strict=True,
-                                  note=f"derivation failed: {derive_err}")
+        recs += [_rec(rid, -_INF, note=f"derivation failed: {derive_err}")
                  for rid in ("crit_expi_1", "crit_expi_2")]
 
     constants = None

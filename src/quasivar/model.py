@@ -70,7 +70,7 @@ class ModelFunctions:
 
     def __post_init__(self):
         if self.epsilon_reg < 0:
-            raise ValueError("epsilon_reg must be >= 0")
+            raise ValueError("epsilon_reg must be non-negative")
 
     # -- coefficients: A (component 1) and B (component 2) -------------------
 
@@ -359,24 +359,20 @@ def sample_structural_hypotheses(mf: ModelFunctions, n_samples: int = 100_000,
     n_ring = max(256, n_samples // (4 * _N_ANNULI))
     ang = rng.uniform(0.0, 2 * np.pi, n_ring)
     cu, sv = np.cos(ang), np.sin(ang)
-    radii_small = [2.0 ** (-k) for k in range(_N_ANNULI)]
-    ratios_small = []
-    for r in radii_small:
-        u, v = r * cu, r * sv
-        ratios_small.append(float(np.max(
-            ex.G_eval(u, v) / (_pow(u, cfg.p1) + _pow(v, cfg.p2)))))
-    radii_large = [2.0 ** k for k in range(_N_ANNULI)]
-    ratios_large = []
-    for r in radii_large:
-        u, v = r * cu, r * sv
-        ratios_large.append(float(np.min(
-            ex.G_eval(u, v)
-            / (_pow(u, 1.0 / cfg.theta1) + _pow(v, 1.0 / cfg.theta2)))))
+
+    def trend(rec_id, sign, e1, e2, extremum, note):
+        """extremum of G/(|u|^e1+|v|^e2) on the annuli of radii 2^(sign k)"""
+        radii = [2.0 ** (sign * k) for k in range(_N_ANNULI)]
+        ratios = [float(extremum(ex.G_eval(r * cu, r * sv)
+                                 / (_pow(r * cu, e1) + _pow(r * sv, e2))))
+                  for r in radii]
+        return RatioTrend(id=rec_id, radii=radii, ratios=ratios, note=note)
+
     trends = [
-        RatioTrend(id="g4", radii=radii_small, ratios=ratios_small,
-                   note="max G/(|u|^p1+|v|^p2) over shrinking annuli"),
-        RatioTrend(id="g5", radii=radii_large, ratios=ratios_large,
-                   note="min G/(|u|^{1/th1}+|v|^{1/th2}) over growing annuli"),
+        trend("g4", -1, cfg.p1, cfg.p2, np.max,
+              "max G/(|u|^p1+|v|^p2) over shrinking annuli"),
+        trend("g5", 1, 1.0 / cfg.theta1, 1.0 / cfg.theta2, np.min,
+              "min G/(|u|^{1/th1}+|v|^{1/th2}) over growing annuli"),
     ]
     return StructuralSampleReport(margins=margins, trends=trends,
                                   samples=n_samples, seed=seed)

@@ -105,6 +105,22 @@ class VerificationRecord:
     positive_level: bool
 
 
+def _model(cfg: ExponentConfig, mf) -> ModelFunctions:
+    """``mf``, or ``ModelFunctions(cfg)`` when it is None.  Raises
+    ValueError when mf has a ``cfg`` other than cfg, whose energy it is."""
+    if getattr(mf, "cfg", cfg) != cfg:
+        raise ValueError("the evaluator bundle was built for another config")
+    return ModelFunctions(cfg) if mf is None else mf
+
+
+def _measured(fp: FieldPair, cfg: ExponentConfig, mf) -> dict:
+    """The level, W-norm and sup norms of fp, keyed by the field names of
+    ``CriticalPointCandidate`` and ``VerificationRecord``."""
+    return {"level": j_value(fp, mf),
+            "nontriviality": pair_norm_W(fp, cfg.p1, cfg.p2),
+            "linf_u": norm_Linf(fp.u), "linf_v": norm_Linf(fp.v)}
+
+
 def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
                    tau: float, mf: ModelFunctions) -> float:
     """j_value of fp = tau w, checked against J in closed form on the ray.
@@ -311,7 +327,7 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
         raise ValueError("r0 must be positive and finite")
     if n_samples < 1:
         raise ValueError("certification needs at least one sample")
-    mf = mf or ModelFunctions(cfg)
+    mf = _model(cfg, mf)
     rng = np.random.default_rng(seed)
     modes = sine_modes(grid, 4)
     # one draw in the order of n_samples random_field_pair calls
@@ -549,7 +565,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     no attempt is kept the ridge point itself is returned, unconverged.
     """
     params = params or SolverParams()
-    mf = mf or ModelFunctions(cfg)
+    mf = _model(cfg, mf)
     if not certificate.validated:
         raise ValueError("mountain_pass_search requires a validated certificate")
     if params.path_points < 3:
@@ -571,24 +587,18 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         if polished is None:
             continue
         refined, residual = polished
-        level = j_value(refined, mf)
-        nontrivial = pair_norm_W(refined, cfg.p1, cfg.p2)
-        if (residual <= params.tol and level >= level_floor
-                and nontrivial >= params.nontrivial_floor):
+        measured = _measured(refined, cfg, mf)
+        if (residual <= params.tol and measured["level"] >= level_floor
+                and measured["nontriviality"] >= params.nontrivial_floor):
             return CriticalPointCandidate(
-                fields=refined, level=level, residual=residual,
-                nontriviality=nontrivial,
-                linf_u=norm_Linf(refined.u), linf_v=norm_Linf(refined.v),
-                iterations=it, converged=True,
-                provenance=provenance + label)
-    nontrivial = pair_norm_W(ridge, cfg.p1, cfg.p2)
+                fields=refined, residual=residual, iterations=it,
+                converged=True, provenance=provenance + label, **measured)
+    measured = _measured(ridge, cfg, mf)
     return CriticalPointCandidate(
-        fields=ridge, level=j_value(ridge, mf),
-        residual=residual_norm(ridge, mf), nontriviality=nontrivial,
-        linf_u=norm_Linf(ridge.u), linf_v=norm_Linf(ridge.v),
+        fields=ridge, residual=residual_norm(ridge, mf),
         iterations=len(attempts), converged=False,
-        collapsed=nontrivial < params.nontrivial_floor,
-        provenance=provenance)
+        collapsed=measured["nontriviality"] < params.nontrivial_floor,
+        provenance=provenance, **measured)
 
 
 def _structured_start(grid: Grid, index: int) -> FieldPair:
@@ -622,7 +632,7 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
     ``seeds[0]``.
     """
     params = params or SolverParams()
-    mf = mf or ModelFunctions(cfg)
+    mf = _model(cfg, mf)
     seeds = seeds if seeds is not None else list(range(max(count, 1)))
     if not seeds:
         raise ValueError("seeds must not be empty")
@@ -662,17 +672,12 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
     ``semitrivial`` is true when exactly one component is identically
     zero: a solution of one scalar equation, not a vector solution.
     """
-    mf = mf or ModelFunctions(cfg)
-    fp = cand.fields
-    level = j_value(fp, mf)
-    res = residual_norm(fp, mf)
-    nontrivial = pair_norm_W(fp, cfg.p1, cfg.p2)
-    linf_u, linf_v = norm_Linf(fp.u), norm_Linf(fp.v)
-    x_norm = nontrivial + linf_u + linf_v
+    mf = _model(cfg, mf)
+    measured = _measured(cand.fields, cfg, mf)
+    res = residual_norm(cand.fields, mf)
+    x_norm = measured["nontriviality"] + measured["linf_u"] + measured["linf_v"]
     return VerificationRecord(
-        level=level, residual=res,
-        cerami_residual=res * (1.0 + x_norm),
-        nontriviality=nontrivial, linf_u=linf_u, linf_v=linf_v,
-        trivial=bool(nontrivial < nontrivial_floor),
-        semitrivial=(linf_u == 0.0) != (linf_v == 0.0),
-        positive_level=bool(level > 0.0))
+        residual=res, cerami_residual=res * (1.0 + x_norm),
+        trivial=bool(measured["nontriviality"] < nontrivial_floor),
+        semitrivial=(measured["linf_u"] == 0.0) != (measured["linf_v"] == 0.0),
+        positive_level=bool(measured["level"] > 0.0), **measured)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasivar import cli
+from quasivar import ExponentConfig, cli
 from quasivar.cli import (ConfigError, RunConfig, json_line, main,
                           parse_config)
 
@@ -141,6 +141,10 @@ class TestConfigParsing:
     def test_defaults_documented_in_dataclass(self):
         rc = RunConfig()
         assert rc.tol == 1e-6 and rc.path_points == 33 and rc.seed == 0
+        # the decoupled p = 2 config that the README states
+        assert rc.exponent_config() == ExponentConfig(
+            N=2, p1=2.0, p2=2.0, s1=0.0, s2=0.0, q1=4.0, q2=4.0, gamma1=2.0,
+            gamma2=2.0, theta1=0.25, theta2=0.25, c_star=0.0)
 
 
 class TestSerializer:
@@ -341,6 +345,36 @@ class TestSolveAndMulti:
         levels = [r["level"] for r in records if r["record"] == "candidate"]
         assert len(levels) >= 2
         assert all(b > a for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("command", ["solve", "multi"])
+    def test_out_dumps_follow_their_candidate(self, capsys, tmp_path,
+                                              decoupled_path, command):
+        out = tmp_path / "out"
+        code, records = run_cli(capsys, command, "--config", decoupled_path,
+                                "--out", str(out))
+        assert code == 0
+        cands = [r for r in records if r["record"] == "candidate"]
+        assert cands
+        if command == "solve":
+            names = [("u.txt", "v.txt")]
+            tail = []
+        else:
+            names = [(f"u_{m}.txt", f"v_{m}.txt") for m in range(len(cands))]
+            tail = ["multi_summary"]
+        expected = []
+        for pair in names:
+            expected += ["candidate"] + [("field_dump", n) for n in pair]
+        kinds = [(r["record"], r["name"]) if r["record"] == "field_dump"
+                 else r["record"] for r in records
+                 if r["record"] not in ("header", "geometry_certificate")]
+        assert kinds == expected + tail
+        assert sorted(os.listdir(out)) == sorted(n for p in names for n in p)
+        for cand, pair in zip(cands, names):
+            for name, linf in zip(pair, (cand["linf_u"], cand["linf_v"])):
+                lines = (out / name).read_text().splitlines()
+                assert len(lines) == 17 ** 2
+                assert max(abs(float(line.split()[-1]))
+                           for line in lines) == linf
 
     @pytest.mark.parametrize("samples", [None, 100])
     def test_multi_passes_n_geo_samples(self, capsys, monkeypatch, tmp_path,

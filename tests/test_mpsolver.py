@@ -1221,6 +1221,61 @@ class TestSemitrivialFallback:
         assert counts["dJ_jacobian"] <= 50
 
 
+class _WithoutCfg:
+    """An evaluator bundle that forwards every method of ``mf`` but has no
+    ``cfg``, as a plugin bundle may."""
+
+    def __init__(self, mf):
+        self._mf = mf
+
+    def __getattr__(self, name):
+        if name == "cfg":
+            raise AttributeError(name)
+        return getattr(self._mf, name)
+
+
+class TestModelMatchesConfig:
+    """A bundle built for another config is rejected, not evaluated."""
+
+    @pytest.fixture(scope="class")
+    def q6(self, coupled_cfg):
+        # certify with the q = 8 bundle gave rho0 0.014911113046317209, the
+        # q = 8 value, for this config, whose own is 0.014911113046281269
+        g = Grid(2, 33)
+        cfg = dataclasses.replace(coupled_cfg, q1=6.0, q2=6.0)
+        cert = certify_geometry(cfg, g, 0.1, n_samples=64)
+        return cfg, g, cert, mountain_pass_search(cfg, g, cert)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg, g, cert, cand, mf: certify_geometry(
+            cfg, g, 0.1, n_samples=64, mf=mf),
+        lambda cfg, g, cert, cand, mf: mountain_pass_search(
+            cfg, g, cert, mf=mf),
+        lambda cfg, g, cert, cand, mf: multiplicity_search(
+            cfg, g, 1, n_geo_samples=64, mf=mf),
+        lambda cfg, g, cert, cand, mf: verify_candidate(cand, cfg, g, mf)],
+        ids=["certify_geometry", "mountain_pass_search",
+             "multiplicity_search", "verify_candidate"])
+    def test_other_config_bundle_raises(self, q6, coupled_cfg, call):
+        with pytest.raises(ValueError, match="another config"):
+            call(*q6, ModelFunctions(coupled_cfg))
+
+    def test_default_and_matching_bundles_agree(self, q6):
+        cfg, g, cert, cand = q6
+        assert cert.rho0 == 0.014911113046281269
+        # an equal config built apart, and a bundle with no cfg at all
+        for mf in (ModelFunctions(dataclasses.replace(cfg)),
+                   _WithoutCfg(ModelFunctions(cfg))):
+            other = certify_geometry(cfg, g, 0.1, n_samples=64, mf=mf)
+            assert (other.rho0, other.endpoint_level) == (
+                cert.rho0, cert.endpoint_level)
+            again = mountain_pass_search(cfg, g, other, mf=mf)
+            assert np.array_equal(again.fields.u.values, cand.fields.u.values)
+            assert np.array_equal(again.fields.v.values, cand.fields.v.values)
+            assert verify_candidate(cand, cfg, g, mf) == verify_candidate(
+                cand, cfg, g)
+
+
 class TestMultiplicity:
     def test_scales_one_ray_per_start(self, decoupled_cfg_1d, monkeypatch):
         # start 0 reuses the certificate's endpoint instead of scaling the
