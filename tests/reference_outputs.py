@@ -9,7 +9,9 @@ bitwise-equal results must print the same bytes.  The lines cover
   default and held-out seeds: every certificate and candidate, with the
   sha256 of its fields and its levels and residuals as 17-digit reprs;
 - acceptance criterion 8's 1D search and 4-start multiplicity run,
-  criterion 9's coupled run on the 2D n=65 grid, a certify whose
+  criterion 9's coupled run on the 2D n=65 grid, a 9-start decoupled
+  multiplicity run on the 2D n = 17 grid whose starts 7 and 8 repeat
+  starts 0 and 1 and are dropped as duplicates, a certify whose
   components differ in p, s and gamma, a certify whose float32 screen
   overflows (random config 30, q1 = 47.7) and a coupled certify on the
   1D n = 17 grid;
@@ -44,7 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import quasivar as qv  # noqa: E402
 from quasivar.cli import main  # noqa: E402
 
-from test_acceptance import COUPLED, DECOUPLED_1D  # noqa: E402
+from test_acceptance import COUPLED, DECOUPLED, DECOUPLED_1D  # noqa: E402
 from test_cli import COUPLED_TEXT, DECOUPLED_TEXT  # noqa: E402
 from util import random_admissible_configs  # noqa: E402
 from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS  # noqa: E402
@@ -103,6 +105,9 @@ def acceptance_lines():
     cand = qv.mountain_pass_search(COUPLED, grid, cert,
                                    qv.SolverParams(max_iters=1000))
     yield f"criterion-9 {describe(cand)}"
+    for cand in qv.multiplicity_search(DECOUPLED, qv.Grid(2, 17), 9,
+                                       n_geo_samples=16):
+        yield f"repeated-starts multi {describe(cand)}"
     mixed = dataclasses.replace(COUPLED, p2=3.0, s2=0.5, gamma1=3.0,
                                 gamma2=2.5)
     cert = qv.certify_geometry(mixed, qv.Grid(2, 33), 0.1, n_samples=64)
