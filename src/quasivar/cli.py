@@ -294,15 +294,13 @@ def cmd_constants(rc: RunConfig, em: Emitter) -> int:
 _GRADCHECK_STEPS = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4)
 
 
-def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
-                    epsilon_reg: float = ModelFunctions.epsilon_reg,
-                    ) -> tuple[float, list[float]]:
+def gradcheck_slope(mf: ModelFunctions, grid: Grid,
+                    seed: int) -> tuple[float, list[float]]:
     """Observed order of the central-difference error against dJ_apply.
 
     Returns (slope, errors): the least-squares slope of log error vs log h
     over ``_GRADCHECK_STEPS``, expected ~2 for the C^1 energy integrands.
     """
-    mf = ModelFunctions(cfg, epsilon_reg=epsilon_reg)
     rng = np.random.default_rng(seed)
     modes = sine_modes(grid, 3)
     fp = random_field_pair(grid, rng, modes)
@@ -320,12 +318,10 @@ def gradcheck_slope(cfg: ExponentConfig, grid: Grid, seed: int,
 
 
 def cmd_gradcheck(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
-    grid = rc.grid()
+    mf, grid = rc.model(), rc.grid()
     ok = True
     for k in range(rc.gradcheck_runs):
-        slope, errors = gradcheck_slope(cfg, grid, seed=rc.seed + k,
-                                        epsilon_reg=rc.epsilon_reg)
+        slope, errors = gradcheck_slope(mf, grid, seed=rc.seed + k)
         passed = 1.8 <= slope <= 2.2
         ok = ok and passed
         em.emit({"record": "gradcheck", "seed": rc.seed + k,

@@ -135,60 +135,84 @@ def J_eval(fp: FieldPair, mf: ModelFunctions,
         residual=residual)
 
 
-def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal load vectors (F_u, F_v) of the weak differential.
+def stacked_loads(grid: Grid, u: np.ndarray, v: np.ndarray,
+                  mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal load vectors (F_u, F_v) of the weak differential of pairs.
 
     F_u[i] = int a(u, grad u).grad phi_i + (A_t(u, grad u) - G_u(u, v)) phi_i
     and symmetrically for F_v, so dJ(fp)[(w, z)] = F_u.w + F_v.z exactly
-    for nodal directions.
+    for nodal directions.  ``u`` and ``v`` are nodal values, node axes
+    last; leading axes index a stack of pairs.  Every step is elementwise
+    or sums within one pair, so each pair's loads are bitwise its own.
     """
-    grid = fp.grid
-    um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
+    um, ug, vm, vg = element_data(grid, u, v)
     fu = grid.scatter(mf.At_eval(um, ug) - mf.Gu_eval(um, vm), mf.a_eval(um, ug))
     fv = grid.scatter(mf.Bt_eval(vm, vg) - mf.Gv_eval(um, vm), mf.b_eval(vm, vg))
     return fu, fv
 
 
-def dJ_jacobian(fp: FieldPair, mf: ModelFunctions,
-                idle: int | None = None) -> np.ndarray:
-    """Element Jacobians of the interior loads (F_u, F_v), one per cell.
+def dJ_loads(fp: FieldPair, mf: ModelFunctions) -> tuple[np.ndarray, np.ndarray]:
+    """``stacked_loads`` of the one pair fp."""
+    return stacked_loads(fp.grid, fp.u.values, fp.v.values, mf)
 
+
+def stacked_jacobians(grid: Grid, u: np.ndarray, v: np.ndarray,
+                      mf: ModelFunctions,
+                      idle: list[int | None]) -> list[np.ndarray]:
+    """Element Jacobians of the interior loads (F_u, F_v) of S pairs.
+
+    ``u`` and ``v`` hold the nodal values of the pairs, shape (S, *nodes).
     The per-cell Hessian H, over (value, gradient) of u then of v, has
     entries A_tt - G_uu (value, value), the mixed derivative (value,
     gradient and gradient, value) and the xi-Jacobian of a (gradient,
     gradient); the v-block likewise from B, and -G_uv couples the two
-    values.  Returns vol (B2^T H) B2 per cell, two matmuls, shape
+    values.  Pair s gets vol (B2^T H) B2 per cell, two matmuls, shape
     (num_cells, 2c, 2c) with c = 2^dim corners, u corners first, then v;
     B2 = blockdiag(B, B) with B the corner map of
     ``Grid.jacobian_pattern``, corners in the order the grid's stencils
     add them, (0,0), (1,0), (0,1), (1,1) in 2D.  Summing the entries over
     the interior numbers of the corners (dropping boundary corners) gives
-    the exact 2m x 2m Jacobian, u unknowns before v.  When ``idle`` names a
-    component (0 for u, 1 for v) whose load the caller found exactly
-    zero and every midpoint G_uv is exactly zero, the Jacobian is block
-    diagonal and only the other component's Hessian H_c is formed: the
-    result is vol (B^T H_c) B, shape (num_cells, c, c), bitwise the
-    matching block of the pair's.
+    the exact 2m x 2m Jacobian, u unknowns before v.  When ``idle[s]``
+    names a component (0 for u, 1 for v) whose load the caller found
+    exactly zero and every midpoint G_uv of pair s is exactly zero, its
+    Jacobian is block diagonal and only the other component's Hessian H_c
+    is formed: vol (B^T H_c) B, shape (num_cells, c, c), bitwise the
+    matching block of the pair's.  Each pair chooses alone; the pairs that
+    choose alike are formed together, as views of one array.
     """
-    grid = fp.grid
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
-    um, ug, vm, vg = element_data(grid, fp.u.values, fp.v.values)
-    g_uu, g_uv, g_vv = (np.ravel(g) for g in mf.G_hessian(um, vm))
-    parts = [(1, um, ug, g_uu), (2, vm, vg, g_vv)]
-    pair = idle is None or np.any(g_uv)
-    if not pair:
-        del parts[idle]
-    B = np.kron(np.eye(len(parts)), grid.jacobian_pattern()[0])
-    H = np.zeros((cells, len(B), len(B)))
-    for o, (comp, t, xi, g_tt) in zip(range(0, 2 * k, k), parts):
-        tt, t_xi, xi_xi = mf.coef_hessian(t, xi, comp)
-        grad = slice(o + 1, o + k)
-        H[:, o, o] = tt.ravel() - g_tt
-        H[:, o, grad] = H[:, grad, o] = t_xi.reshape(cells, dim)
-        H[:, grad, grad] = xi_xi.reshape(cells, dim, dim)
-    if pair:
-        H[:, 0, k] = H[:, k, 0] = -g_uv
-    return grid.cell_volume * ((B.T @ H) @ B)
+    um, ug, vm, vg = element_data(grid, u, v)
+    g_uu, g_uv, g_vv = (g.reshape(len(u), cells)
+                        for g in mf.G_hessian(um, vm))
+    blocks = [c if c is not None and not np.any(g_uv[s]) else None
+              for s, c in enumerate(idle)]
+    out = [None] * len(u)
+    for block in dict.fromkeys(blocks):
+        rows = [s for s, c in enumerate(blocks) if c == block]
+        parts = [(1, um, ug, g_uu), (2, vm, vg, g_vv)]
+        if block is not None:
+            del parts[block]
+        B = np.kron(np.eye(len(parts)), grid.jacobian_pattern()[0])
+        lead = (len(rows), cells)
+        H = np.zeros(lead + (len(B), len(B)))
+        for o, (comp, t, xi, g_tt) in zip(range(0, 2 * k, k), parts):
+            tt, t_xi, xi_xi = mf.coef_hessian(t[rows], xi[rows], comp)
+            grad = slice(o + 1, o + k)
+            H[..., o, o] = tt.reshape(lead) - g_tt[rows]
+            H[..., o, grad] = H[..., grad, o] = t_xi.reshape(lead + (dim,))
+            H[..., grad, grad] = xi_xi.reshape(lead + (dim, dim))
+        if block is None:
+            H[..., 0, k] = H[..., k, 0] = -g_uv[rows]
+        for s, jac in zip(rows, grid.cell_volume * ((B.T @ H) @ B)):
+            out[s] = jac
+    return out
+
+
+def dJ_jacobian(fp: FieldPair, mf: ModelFunctions,
+                idle: int | None = None) -> np.ndarray:
+    """``stacked_jacobians`` of the one pair fp."""
+    return stacked_jacobians(fp.grid, fp.u.values[None], fp.v.values[None],
+                             mf, [idle])[0]
 
 
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:

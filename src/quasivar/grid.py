@@ -164,12 +164,14 @@ class Grid:
 
         Returns the nodal vector F with
         F_i = sum_e [gradvec(e) . grad phi_i(e) + density(e) phi_i(e)] * vol,
-        zeroed on boundary nodes.  Either argument may be None.
+        zeroed on boundary nodes.  Either argument may be None.  Leading
+        axes index a stack, as in ``element_gradients``.
         """
         vol = self.cell_volume
-        out = self.zeros()
+        cells = density.shape if density is not None else gradvec.shape[:-1]
+        out = np.zeros(cells[:len(cells) - self.dimension] + self.node_shape)
         # every sum below starts from out's +0.0, so zero inputs of either
-        # sign leave it +0.0: they skip the stencils
+        # sign, alone or in a stack, leave it +0.0: they may skip the stencils
         if not any(x is not None and x.any() for x in (density, gradvec)):
             return out
         if density is not None:
@@ -184,7 +186,7 @@ class Grid:
                      @ self._signs)
             for c, s in enumerate(self._slices):
                 out[s] += terms[..., c]
-        out[self.boundary_mask()] = 0.0
+        out[..., self._boundary] = 0.0
         return out
 
     def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -238,33 +240,37 @@ class Grid:
         same transform scaled by 1/prod(2(m+1)); there is no
         factorization.  Both transforms are ``_dst1``, on numpy's FFT,
         which on numpy >= 2 rounds as ``scipy.fft.dstn`` and
-        ``idstn(type=1)`` do.  An exactly zero rhs (the idle component's
-        load at a semitrivial point) returns zeros without a transform.
+        ``idstn(type=1)`` do.  Leading axes index a stack of loads, each
+        solved bitwise as alone; an exactly zero one (the idle component's
+        at a semitrivial point) gives +0.0 without a transform.
         """
-        out = self.zeros()
-        if not np.any(rhs_nodal):
-            return out
-        inner = (slice(1, -1),) * self.dimension
-        out[inner] = _dst1(_dst1(rhs_nodal[inner])
-                           / self.laplacian_eigenvalues(),
-                           self._inverse_dst_scale)
+        out = np.zeros(rhs_nodal.shape)
+        rows = rhs_nodal.reshape((-1,) + self.node_shape)
+        live = np.flatnonzero(rows.reshape(len(rows), -1).any(axis=1))
+        if live.size:
+            inner = (live,) + (slice(1, -1),) * self.dimension
+            out.reshape(rows.shape)[inner] = _dst1(
+                _dst1(rows[inner], self.dimension)
+                / self.laplacian_eigenvalues(),
+                self.dimension, self._inverse_dst_scale)
         return out
 
 
-def _dst1(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Type-I DST of a 1D or 2D array along each axis, times ``scale``.
+def _dst1(x: np.ndarray, dimension: int, scale: float = 1.0) -> np.ndarray:
+    """Type-I DST along each of the last ``dimension`` axes, times ``scale``.
 
     An axis of length m transforms as pocketfft forms the DST inside
     ``scipy.fft``: minus the imaginary part of the real FFT of the odd
     extension (0, x, 0, -x reversed) of length 2(m+1), at frequencies
-    1..m.  Axis 0 goes first and ``scale`` multiplies the first pass
-    only, so that with numpy's pocketfft (numpy >= 2) every bit is that
-    of ``scipy.fft.dstn(x, type=1)`` times ``scale``.
+    1..m.  The first of those axes goes first and ``scale`` multiplies the
+    first pass only, so that with numpy's pocketfft (numpy >= 2) every bit
+    is that of ``scipy.fft.dstn(x, type=1)`` times ``scale``.  Leading
+    axes index a stack; pocketfft transforms each row alone.
     """
-    for _ in range(x.ndim):
-        # the pass transforms the last axis of the transpose: axis 0
-        # first, and a 2D result is back in order after the second pass
-        x = x.T
+    for _ in range(dimension):
+        # the pass transforms the last axis: in 2D the first axis first,
+        # and the result is back in order after the second pass
+        x = np.swapaxes(x, -1, -dimension)
         zero = np.zeros(x.shape[:-1] + (1,))
         ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
         x = np.fft.rfft(ext).imag[..., 1:x.shape[-1] + 1] * -scale

@@ -21,8 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .energy import (dJ_jacobian, dJ_loads, element_data, j_value,
-                     ray_energies, ray_energy, residual_norm)
+from .energy import (element_data, j_value, ray_energies, ray_energy,
+                     residual_norm, stacked_jacobians, stacked_loads)
 from .exponents import ExponentConfig
 from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
                    norm_Linf, pair_norm_W, ray_coefficients, sine_mode_fields,
@@ -458,89 +458,191 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     return dx.ravel()
 
 
-def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
-                      max_iter: int) -> tuple[FieldPair, float] | None:
-    """Newton refinement of an approximate critical point by banded LU.
+def _stacked_states(grid: Grid, values: np.ndarray,
+                    mf: ModelFunctions) -> list[tuple | None]:
+    """Per pair of ``values`` (S, 2, *nodes): its interior loads F,
+    max|K^-1 F| and F^T K^-1 F, summed over its own rows, so bitwise as
+    alone; None where not finite.  A stack whose loads raise is evaluated
+    again pair by pair, so an overflowing pair fails alone."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            loads = np.stack(stacked_loads(grid, values[:, 0], values[:, 1],
+                                           mf), axis=1)
+    except ArithmeticError:
+        return ([None] if len(values) == 1 else
+                [_stacked_states(grid, x[None], mf)[0] for x in values])
+    finite = np.isfinite(loads).reshape(len(loads), -1).all(axis=1)
+    loads = loads[finite]
+    sol = grid.laplacian_solve(loads)
+    res = np.abs(sol).reshape(len(sol), -1).max(axis=1)
+    sums = (loads * sol).reshape(len(sol), 2, -1).sum(axis=-1)
+    f = loads[:, :, ~grid.boundary_mask()].reshape(len(loads), -1)
+    states = iter(zip(f, res.tolist(), (a + b for a, b in sums.tolist())))
+    return [next(states) if ok else None for ok in finite]
+
+
+@dataclass
+class _LMState:
+    """One pair's polish: its iterate x (2, *nodes) and its state there,
+    the energies accepted, mu and the Jacobian at x."""
+
+    x: np.ndarray
+    f: np.ndarray
+    res: float
+    energy: float
+    energies: list[float]
+    mu: float = 0.0
+    jac: np.ndarray | None = None
+
+
+def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
+                  max_iter: int) -> list[tuple[FieldPair, float] | None]:
+    """Newton refinement of approximate critical points by banded LU.
 
     Each step solves (J + mu blockdiag(K, K)) dx = -F for the interior
     loads F = (F_u, F_v), with the exact Jacobian J summed from the
-    element Jacobians of ``dJ_jacobian`` and the Dirichlet stiffness K
-    summed from ``Grid.element_stiffness``, by the banded LU of
-    ``_lm_step``:
+    element Jacobians of ``stacked_jacobians`` and the Dirichlet
+    stiffness K summed from ``Grid.element_stiffness``, by the banded LU
+    of ``_lm_step``:
     Levenberg-Marquardt damping toward the Sobolev gradient step -K^-1 F.
     On a semitrivial point, (u, 0) or (0, v), of a model whose u-v
     coupling vanishes there, the idle component's load is exactly zero
-    and so is every midpoint G_uv, so ``dJ_jacobian`` forms only the
-    moving component's element Hessians and ``_lm_step`` assembles and
-    factors only its block; the idle component's step is exactly zero
-    and the iterates stay semitrivial.  A step is accepted when the
-    energy norm F^T K^-1 F of the residual (the square of
-    ``residual_norm``) decreases.  mu starts at 0, a plain Newton step; a
-    rejected step (no decrease, non-finite trial loads or a singular
-    factor) sets mu <- max(4 mu, 1e-3) and solves again, and an accepted
-    one quarters mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is <= tol * 1e-2.
-    Returns the refined pair and its ``residual_norm``, sqrt(F^T K^-1 F)
-    of its accepted loads, or None when the loads at the start are not
-    finite, mu passes 1e8, an accepted step leaves F^T K^-1 F above half
-    its value 10 accepted steps earlier (a stagnating iteration), or
-    max_iter steps do not converge.  Whether the point is kept (level,
-    nontriviality) is left to the caller.
+    and so is every midpoint G_uv, so only the moving component's element
+    Hessians are formed and ``_lm_step`` assembles and factors only its
+    block; the idle component's step is exactly zero and the iterates
+    stay semitrivial.  A step is accepted when the energy norm
+    F^T K^-1 F of the residual (the square of ``residual_norm``)
+    decreases.  mu starts at 0, a plain Newton step; a rejected step (no
+    decrease, non-finite trial loads or a singular factor) sets
+    mu <- max(4 mu, 1e-3) and solves again, and an accepted one quarters
+    mu, down to 0 below 1e-3.  Stops when the max-norm of K^-1 F is
+    <= tol * 1e-2.
+
+    The pairs advance in lock step, one try each per round: one
+    ``_stacked_states`` call evaluates every trial of a round, and one
+    ``stacked_jacobians`` call the Jacobians of the pairs that accepted a
+    step; each factors alone.  Every stacked piece is bitwise the pair's
+    own, so each result is that of the pair polished alone.
+
+    Returns, per pair, the refined pair and its ``residual_norm``,
+    sqrt(F^T K^-1 F) of its accepted loads, or None when the loads at the
+    start are not finite, mu passes 1e8, an accepted step leaves
+    F^T K^-1 F above half its value 10 accepted steps earlier (a
+    stagnating iteration), or max_iter steps do not converge.  Whether a
+    point is kept (level, nontriviality) is left to the caller.
     """
-    grid = fp.grid
+    if not pairs:
+        return []
+    grid = pairs[0].grid
     interior = ~grid.boundary_mask()
-
-    def loads(pair: FieldPair) -> tuple | None:
-        """The interior loads F of pair, max|K^-1 F| and F^T K^-1 F;
-        None if not finite."""
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                fu, fv = dJ_loads(pair, mf)
-        except ArithmeticError:
-            return None
-        if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(fv))):
-            return None
-        ru, rv = grid.laplacian_solve(fu), grid.laplacian_solve(fv)
-        res = max(np.max(np.abs(ru)), np.max(np.abs(rv)))
-        energy = float(np.sum(fu * ru) + np.sum(fv * rv))
-        return (np.concatenate([fu[interior], fv[interior]]), float(res),
-                energy)
-
-    state = loads(fp)
-    if state is None:
-        return None
-    f, res, energy = state
     fatol = tol * 1e-2
-    mu = 0.0
-    energies = [energy]
-    for _ in range(max_iter):
-        if res <= fatol:
-            break
-        fu, fv = f.reshape(2, -1)
-        idle = 1 if not np.any(fv) else 0 if not np.any(fu) else None
-        jac = dJ_jacobian(fp, mf, idle)
-        while True:
-            try:
-                dx = _lm_step(jac, f, mu, grid)
-            except RuntimeError:  # exactly singular factor
-                state = None
-            else:
-                trial = fp.copy()
-                for gf, step in zip((trial.u, trial.v), dx.reshape(2, -1)):
-                    gf.values[interior] += step
-                state = loads(trial)
-            if state is not None and state[2] < energy:
-                break
-            mu = max(4.0 * mu, _LM_MU_MIN)
-            if mu > _LM_MU_MAX:
-                return None
-        fp = trial
-        f, res, energy = state
-        energies.append(energy)
-        if (res > fatol and len(energies) > _STALL_STEPS
-                and energy > _STALL_RATIO * energies[-1 - _STALL_STEPS]):
-            return None
-        mu = mu / 4.0 if mu / 4.0 >= _LM_MU_MIN else 0.0
-    return (fp, np.sqrt(max(energy, 0.0))) if res <= fatol else None
+    out: list[tuple[FieldPair, float] | None] = [None] * len(pairs)
+    starts = np.stack([(fp.u.values, fp.v.values) for fp in pairs])
+    live = {s: _LMState(x, *state, [state[2]]) for s, (x, state) in
+            enumerate(zip(starts, _stacked_states(grid, starts, mf)))
+            if state is not None}
+    while live:
+        fresh = {s: p for s, p in live.items() if p.jac is None}
+        for s, p in list(fresh.items()):
+            if p.res <= fatol:
+                fields = (GridFunction(grid, c) for c in p.x.copy())
+                out[s] = FieldPair(*fields), np.sqrt(max(p.energy, 0.0))
+            # the start's energy, then one per Jacobian taken
+            if p.res <= fatol or len(p.energies) > max_iter:
+                del live[s], fresh[s]
+        if fresh:
+            x = np.stack([p.x for p in fresh.values()])
+            idle = [1 if not np.any(fv) else 0 if not np.any(fu) else None
+                    for fu, fv in (p.f.reshape(2, -1) for p in fresh.values())]
+            for p, jac in zip(fresh.values(), stacked_jacobians(
+                    grid, x[:, 0], x[:, 1], mf, idle)):
+                p.jac = jac
+        steps, states = {}, {}
+        for s, p in live.items():
+            with contextlib.suppress(RuntimeError):  # exactly singular factor
+                steps[s] = _lm_step(p.jac, p.f, p.mu, grid)
+        if steps:
+            trials = np.stack([live[s].x for s in steps])
+            trials[:, :, interior] += np.reshape(list(steps.values()),
+                                                 (len(steps), 2, -1))
+            states = dict(zip(steps, zip(trials, _stacked_states(
+                grid, trials, mf))))
+        for s, p in list(live.items()):
+            trial, state = states.get(s, (None, None))
+            if state is None or not state[2] < p.energy:
+                p.mu = max(4.0 * p.mu, _LM_MU_MIN)
+                if p.mu > _LM_MU_MAX:
+                    del live[s]
+                continue
+            p.x, (p.f, p.res, p.energy), p.jac = trial, state, None
+            p.energies.append(p.energy)
+            if (p.res > fatol and len(p.energies) > _STALL_STEPS
+                    and p.energy > _STALL_RATIO
+                    * p.energies[-1 - _STALL_STEPS]):
+                del live[s]
+            p.mu = p.mu / 4.0 if p.mu / 4.0 >= _LM_MU_MIN else 0.0
+    return out
+
+
+def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
+                      max_iter: int) -> tuple[FieldPair, float] | None:
+    """``_polish_stack`` of the one pair fp."""
+    return _polish_stack([fp], mf, tol, max_iter)[0]
+
+
+def _ridge_point(endpoint: FieldPair, points: int,
+                 mf: ModelFunctions) -> FieldPair:
+    """``mountain_pass_search``'s ridge point on the path to endpoint."""
+    if points < 3:
+        raise ValueError("path_points must be at least 3")
+    taus = [k / (points - 1) for k in range(points)]
+    grid = endpoint.grid
+    ray = ray_energies(grid, element_data(grid, endpoint.u.values,
+                                          endpoint.v.values), mf)
+    return endpoint * taus[int(np.argmax(ray_energy(ray, np.array(taus))))]
+
+
+def _search_starts(cfg: ExponentConfig, grid: Grid,
+                   certificates: list[GeometryCertificate],
+                   params: SolverParams, mf: ModelFunctions,
+                   provenances: list[str]) -> list[CriticalPointCandidate]:
+    """The ``mountain_pass_search`` candidate of each certificate.  Round
+    1 polishes every ridge point in one ``_polish_stack``, rounds 2 and 3
+    the (u, 0) and (0, v) projections of those not kept that have both."""
+    ridges = [_ridge_point(cert.endpoint, params.path_points, mf)
+              for cert in certificates]
+    vector = [bool(r.u.values.any() and r.v.values.any()) for r in ridges]
+    zero = GridFunction.zero(grid)
+    attempts = [("", lambda r: r),
+                (" (u, 0)", lambda r: FieldPair(r.u, zero)),
+                (" (0, v)", lambda r: FieldPair(zero, r.v))]
+    out: list[CriticalPointCandidate | None] = [None] * len(ridges)
+    for it, (label, project) in enumerate(attempts, start=1):
+        todo = [s for s in range(len(ridges))
+                if out[s] is None and (it == 1 or vector[s])]
+        polished = _polish_stack([project(ridges[s]) for s in todo], mf,
+                                 params.tol, params.max_iters)
+        for s, result in zip(todo, polished):
+            if result is None:
+                continue
+            refined, residual = result
+            measured = _measured(refined, cfg, mf)
+            floor = 0.5 * max(certificates[s].rho0, 0.0)
+            if (residual <= params.tol and measured["level"] >= floor
+                    and measured["nontriviality"] >= params.nontrivial_floor):
+                out[s] = CriticalPointCandidate(
+                    fields=refined, residual=residual, iterations=it,
+                    converged=True, provenance=provenances[s] + label,
+                    **measured)
+    for s, ridge in enumerate(ridges):
+        if out[s] is None:
+            measured = _measured(ridge, cfg, mf)
+            out[s] = CriticalPointCandidate(
+                fields=ridge, residual=residual_norm(ridge, mf),
+                iterations=3 if vector[s] else 1, converged=False,
+                collapsed=measured["nontriviality"] < params.nontrivial_floor,
+                provenance=provenances[s], **measured)
+    return out
 
 
 def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
@@ -555,7 +657,7 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     index) of the ``path_points`` points tau e, tau = k / (path_points -
     1), of the straight path to the certificate endpoint e; their levels
     come from the closed form of J along that ray (``ray_energies``).
-    ``_polish_candidate`` refines it with at most ``max_iters`` Newton
+    ``_polish_stack`` refines it with at most ``max_iters`` Newton
     steps, and a result is kept when its residual is <= tol, its level is
     at least half of max(rho0, 0) (a min-max level dominates rho0) and its
     W-norm is at least ``nontrivial_floor``.  When that fails and both
@@ -568,37 +670,8 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     mf = _model(cfg, mf)
     if not certificate.validated:
         raise ValueError("mountain_pass_search requires a validated certificate")
-    if params.path_points < 3:
-        raise ValueError("path_points must be at least 3")
-    endpoint = certificate.endpoint
-    npts = params.path_points
-    taus = [k / (npts - 1) for k in range(npts)]
-    ray = ray_energies(grid, element_data(grid, endpoint.u.values,
-                                          endpoint.v.values), mf)
-    ridge = endpoint * taus[int(np.argmax(ray_energy(ray, np.array(taus))))]
-    attempts = [(ridge, "")]
-    if np.any(ridge.u.values) and np.any(ridge.v.values):
-        zero = GridFunction.zero(grid)
-        attempts += [(FieldPair(ridge.u, zero), " (u, 0)"),
-                     (FieldPair(zero, ridge.v), " (0, v)")]
-    level_floor = 0.5 * max(certificate.rho0, 0.0)
-    for it, (start, label) in enumerate(attempts, start=1):
-        polished = _polish_candidate(start, mf, params.tol, params.max_iters)
-        if polished is None:
-            continue
-        refined, residual = polished
-        measured = _measured(refined, cfg, mf)
-        if (residual <= params.tol and measured["level"] >= level_floor
-                and measured["nontriviality"] >= params.nontrivial_floor):
-            return CriticalPointCandidate(
-                fields=refined, residual=residual, iterations=it,
-                converged=True, provenance=provenance + label, **measured)
-    measured = _measured(ridge, cfg, mf)
-    return CriticalPointCandidate(
-        fields=ridge, residual=residual_norm(ridge, mf),
-        iterations=len(attempts), converged=False,
-        collapsed=measured["nontriviality"] < params.nontrivial_floor,
-        provenance=provenance, **measured)
+    return _search_starts(cfg, grid, [certificate], params, mf,
+                          [provenance])[0]
 
 
 def _structured_start(grid: Grid, index: int) -> FieldPair:
@@ -620,14 +693,15 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
                         ) -> list[CriticalPointCandidate]:
     """Multi-start mountain-pass search with deduplication up to sign.
 
-    Certifies the geometry once (sampling seed ``seeds[0]``), then runs
-    ``count`` searches, start m from the ray through the sine mode
+    Certifies the geometry once (sampling seed ``seeds[0]``), then
+    searches from ``count`` starts, their polishes in lock step
+    (``_search_starts``), start m from the ray through the sine mode
     ``_structured_start(grid, m)``, with its endpoint and validation set
     by the same rule as ``certify_geometry`` (start 0 is the certify
     endpoint's ray, so it reuses that certificate).  Drops starts that do
     not validate, non-converged or collapsed runs, and candidates equal to
-    a kept one up to the dedup tolerance or a global sign flip, and
-    returns the survivors sorted by level.  May return fewer than
+    a kept one (in start order) up to the dedup tolerance or a global sign
+    flip, and returns the survivors sorted by level.  May return fewer than
     ``count`` candidates.  The seeds only label the provenance past
     ``seeds[0]``.
     """
@@ -638,15 +712,15 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
         raise ValueError("seeds must not be empty")
     base_cert = certify_geometry(cfg, grid, r0, n_samples=n_geo_samples,
                                  seed=seeds[0], mf=mf)
-    results: list[CriticalPointCandidate] = []
+    certs, labels = [], []
     for m in range(count):
         cert = (base_cert if m == 0 else
                 _with_endpoint(base_cert, _structured_start(grid, m), cfg, mf))
-        if not cert.validated:
-            continue
-        cand = mountain_pass_search(
-            cfg, grid, cert, params, mf,
-            provenance=f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
+        if cert.validated:
+            certs.append(cert)
+            labels.append(f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
+    results: list[CriticalPointCandidate] = []
+    for cand in _search_starts(cfg, grid, certs, params, mf, labels):
         # a collapsed candidate is never converged
         if not cand.converged:
             continue

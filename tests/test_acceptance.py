@@ -91,7 +91,7 @@ def test_criterion_3_differential_consistency(verdict):
     slopes = []
     for cfg in (COUPLED, DECOUPLED):
         for seed in range(5):
-            slope, _ = gradcheck_slope(cfg, grid, seed)
+            slope, _ = gradcheck_slope(qv.ModelFunctions(cfg), grid, seed)
             slopes.append(slope)
     elapsed = time.time() - t0
     ok = all(1.8 <= s <= 2.2 for s in slopes) and elapsed < 30.0

@@ -7,7 +7,8 @@ from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
 from quasivar.energy import (dJ_jacobian, dJ_loads, element_data, energy_terms,
-                             ray_energies, ray_energy)
+                             ray_energies, ray_energy, stacked_jacobians,
+                             stacked_loads)
 from quasivar.grid import random_field_pair, sine_modes
 
 from util import assemble_jacobian
@@ -138,7 +139,7 @@ class TestDifferential:
         cfg = coupled_cfg if which == "coupled" else decoupled_cfg
         g = Grid(2, 33)
         for seed in range(3):
-            slope, _ = gradcheck_slope(cfg, g, seed)
+            slope, _ = gradcheck_slope(ModelFunctions(cfg), g, seed)
             assert 1.8 <= slope <= 2.2
 
 
@@ -270,6 +271,59 @@ class TestJacobian:
         o = c * (1 - idle)
         assert np.array_equal(dJ_jacobian(fp, mf, idle),
                               full[:, o:o + c, o:o + c])
+
+
+class TestStackedEvaluation:
+    """stacked_loads and stacked_jacobians, bitwise per pair."""
+
+    @staticmethod
+    def _stack(g):
+        """Pairs (values, idle): vector, semitrivial either way, with an
+        idle component named or not, and zero pairs of either sign."""
+        rng = np.random.default_rng(g.n)
+        a, b = random_pair(g, rng), random_pair(g, rng)
+        zero = g.zeros()
+        pairs = [(a.u.values, a.v.values, None), (b.u.values, zero, 1),
+                 (zero, b.v.values, 0), (a.u.values * 3.0, zero, None),
+                 (b.u.values, a.v.values, 1), (zero, zero, 0),
+                 (-zero, -zero, None), (a.v.values, zero, 1)]
+        u, v, idle = zip(*pairs)
+        return np.stack(u), np.stack(v), list(idle)
+
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg",
+                                          "mixed_cfg"])
+    @pytest.mark.parametrize("dimension, n", [(1, 17), (2, 17), (2, 33)])
+    def test_loads_match_per_pair_calls(self, cfg_name, dimension, n,
+                                        request):
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(dimension, n)
+        u, v, _ = self._stack(g)
+        fu, fv = stacked_loads(g, u, v, mf)
+        for s in range(len(u)):
+            ref = dJ_loads(FieldPair(GridFunction(g, u[s]),
+                                     GridFunction(g, v[s])), mf)
+            assert fu[s].tobytes() == ref[0].tobytes()
+            assert fv[s].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg",
+                                          "mixed_cfg"])
+    @pytest.mark.parametrize("dimension, n", [(1, 17), (2, 17), (2, 33)])
+    def test_jacobians_match_per_pair_calls(self, cfg_name, dimension, n,
+                                            request):
+        # each pair decides alone whether it forms one block or the pair:
+        # a coupled vector pair keeps the pair with an idle component named
+        mf = ModelFunctions(request.getfixturevalue(cfg_name))
+        g = Grid(dimension, n)
+        u, v, idle = self._stack(g)
+        jacs = stacked_jacobians(g, u, v, mf, idle)
+        for s, jac in enumerate(jacs):
+            ref = dJ_jacobian(FieldPair(GridFunction(g, u[s]),
+                                        GridFunction(g, v[s])), mf, idle[s])
+            assert jac.shape == ref.shape
+            assert jac.tobytes() == ref.tobytes()
+        # the pairs that form the same blocks (the pair's, u's or v's)
+        # share one array: eight Jacobians, at most three arrays
+        assert len({id(jac.base) for jac in jacs}) <= 3
 
 
 class TestHourglassModes:

@@ -242,6 +242,63 @@ class TestGrid:
         assert np.allclose(ET, loads[interior], rtol=0, atol=1e-13)
 
 
+def _mixed_stack(grid: Grid, shape: tuple, seed: int) -> np.ndarray:
+    """Random rows with rows of +0.0 and of -0.0 among them, for the
+    stacked operators; a row holds ``shape`` values."""
+    rows = np.random.default_rng(seed).standard_normal((6,) + shape)
+    rows[1] = 0.0
+    rows[4] = -0.0
+    return rows.reshape((2, 3) + shape)
+
+
+STACK_GRIDS = [pytest.param(d, n, id=f"{d}-{n}")
+               for d in (1, 2) for n in (3, 17, 33, 65)]
+
+
+class TestStackedOperators:
+    """scatter and laplacian_solve on stacks, bitwise per field."""
+
+    @pytest.mark.parametrize("dimension, n", STACK_GRIDS)
+    def test_scatter_matches_per_field_calls(self, dimension, n):
+        g = Grid(dimension, n)
+        cells = (n - 1,) * dimension
+        dens = _mixed_stack(g, cells, n)
+        gvec = _mixed_stack(g, cells + (dimension,), n + 1)
+        for args in ((dens, gvec), (dens, None), (None, gvec)):
+            got = g.scatter(*args)
+            assert got.shape == (2, 3) + g.node_shape
+            for i in np.ndindex(2, 3):
+                ref = g.scatter(*(None if a is None else a[i] for a in args))
+                assert got[i].tobytes() == ref.tobytes()
+        # zero rows of either sign come back +0.0
+        zero = g.scatter(dens * 0.0, -0.0 * gvec)
+        assert not np.any(zero) and not np.any(np.signbit(zero))
+
+    @pytest.mark.parametrize("dimension, n", STACK_GRIDS)
+    def test_laplacian_solve_matches_per_field_calls(self, dimension, n,
+                                                     monkeypatch):
+        g = Grid(dimension, n)
+        loads = _mixed_stack(g, g.node_shape, n)
+        loads[..., g.boundary_mask()] = 0.0
+        calls = []
+        dst1 = quasivar.grid._dst1
+        monkeypatch.setattr(quasivar.grid, "_dst1", lambda x, *args: (
+            calls.append(x.shape) or dst1(x, *args)))
+        got = g.laplacian_solve(loads)
+        # the four nonzero rows take one forward and one inverse transform
+        assert calls == [(4,) + (n - 2,) * dimension] * 2
+        assert got.shape == loads.shape
+        for i in np.ndindex(2, 3):
+            assert got[i].tobytes() == g.laplacian_solve(loads[i]).tobytes()
+        for i in ((0, 1), (1, 1)):
+            assert not np.any(got[i]) and not np.any(np.signbit(got[i]))
+        calls.clear()
+        zero = g.laplacian_solve(np.stack([g.zeros(), -g.zeros()]))
+        assert not calls
+        assert zero.shape == (2,) + g.node_shape
+        assert not np.any(zero) and not np.any(np.signbit(zero))
+
+
 class TestGridFunction:
     def test_rejects_nonzero_boundary(self):
         g = Grid(1, 9)

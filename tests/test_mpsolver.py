@@ -24,7 +24,8 @@ from quasivar import mpsolver
 from quasivar.grid import (ell_coefficients, random_field_pair,
                            sine_mode_fields, sine_modes, sine_product)
 from quasivar.energy import (dJ_jacobian, dJ_loads, element_data,
-                              ray_energies, ray_energy, residual_norm)
+                              ray_energies, ray_energy, residual_norm,
+                              stacked_loads)
 from quasivar.mpsolver import (_lm_step, _polish_candidate,
                                _scale_until_negative, _structured_start,
                                _with_endpoint)
@@ -756,11 +757,11 @@ class TestMountainPassSearch:
         # one point would divide by zero in tau = k / (points - 1), and two
         # put the ridge point at the origin; the CLI enforces the same bound
         cert, _ = solved_1d
-        counts = _count_calls(monkeypatch, "_polish_candidate")
+        counts = _count_calls(monkeypatch, "_polish_stack")
         with pytest.raises(ValueError, match="path_points"):
             mountain_pass_search(decoupled_cfg_1d, grid_1d, cert,
                                  SolverParams(path_points=points))
-        assert counts["_polish_candidate"] == 0
+        assert counts["_polish_stack"] == 0
 
     def test_converges_on_most_random_configs(self):
         # a robustness floor: 32 of these 40 admissible configs converge
@@ -791,7 +792,7 @@ def coupled_polish(coupled_cfg, coupled_start):
     recorded."""
     _, cert, b = coupled_start
     with pytest.MonkeyPatch.context() as patch:
-        counts = _count_calls(patch, "dJ_jacobian")
+        counts = _count_calls(patch, "stacked_jacobians")
         bands = _record_bands(patch)
         coef_hessian = ModelFunctions.coef_hessian
 
@@ -819,7 +820,7 @@ class TestPolish:
         # counts repeat exactly, so a polish that starts wasting Newton
         # steps or LM retries fails here without any timing
         _, counts, bands = coupled_polish
-        assert counts["dJ_jacobian"] <= 9
+        assert counts["stacked_jacobians"] <= 9
         assert len(bands) <= 17
         # every iterate has v = 0, where the u-v coupling vanishes, so only
         # the u-block over the 31^2 interior nodes is factored, in grid
@@ -831,8 +832,8 @@ class TestPolish:
         # on {v = 0} only the u-block is factored, so only the u-component
         # Hessian is formed: one coef_hessian call per Jacobian, not two
         _, counts, _ = coupled_polish
-        assert counts["dJ_jacobian"] >= 1
-        assert counts["coef_hessian"] == counts["dJ_jacobian"]
+        assert counts["stacked_jacobians"] >= 1
+        assert counts["coef_hessian"] == counts["stacked_jacobians"]
 
     @pytest.mark.parametrize("cfg_name", ["coupled_cfg", "decoupled_cfg"])
     @pytest.mark.parametrize("mirror", [False, True])
@@ -1047,9 +1048,12 @@ class TestPolish:
         inner = (slice(1, -1),) * g.dimension
 
         def always_solve(grid, rhs):
-            out = grid.zeros()
-            out[inner] = idstn(dstn(rhs[inner], type=1)
-                               / grid.laplacian_eigenvalues(), type=1)
+            # the polish solves a stack of loads, node axes last
+            out = np.zeros(rhs.shape)
+            axes = tuple(range(-g.dimension, 0))
+            out[(...,) + inner] = idstn(
+                dstn(rhs[(...,) + inner], type=1, axes=axes)
+                / grid.laplacian_eigenvalues(), type=1, axes=axes)
             return out
 
         monkeypatch.setattr(Grid, "laplacian_solve", always_solve)
@@ -1114,10 +1118,10 @@ class TestPolish:
         mf, cert, b = coupled_start
         endpoint = _with_endpoint(cert, FieldPair(b, b * 0.2), coupled_cfg,
                                   mf).endpoint
-        counts = _count_calls(monkeypatch, "dJ_jacobian")
+        counts = _count_calls(monkeypatch, "stacked_jacobians")
         assert _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
                                  max_iter=500) is None
-        assert counts["dJ_jacobian"] <= 40
+        assert counts["stacked_jacobians"] <= 40
 
 
     @pytest.mark.parametrize("every_call", [False, True])
@@ -1161,18 +1165,18 @@ class TestPolish:
     @pytest.mark.parametrize("v_scale", [0.0, 2.0])
     def test_jacobian_takes_accepted_loads_pair(self, coupled_start, v_scale,
                                                 monkeypatch):
-        # each iterate's pair is built once: every dJ_jacobian call, and
-        # the result, take the pair of the dJ_loads call just accepted
+        # every Jacobian, and the result, take the pair of the loads call
+        # just accepted: the polish evaluates a stack of one pair here
         mf, _, b = coupled_start
         calls = []
 
         def recorded(name, fn):
-            def wrapper(fp, *args):
-                calls.append((name, fp))
-                return fn(fp, *args)
+            def wrapper(grid, u, v, *args):
+                calls.append((name, u.tobytes() + v.tobytes()))
+                return fn(grid, u, v, *args)
             return wrapper
 
-        for name in ("dJ_loads", "dJ_jacobian"):
+        for name in ("stacked_loads", "stacked_jacobians"):
             monkeypatch.setattr(mpsolver, name,
                                 recorded(name, getattr(mpsolver, name)))
         polished = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf,
@@ -1180,13 +1184,14 @@ class TestPolish:
         assert polished is not None
         refined, _ = polished
         jacobians = [k for k, (name, _) in enumerate(calls)
-                     if name == "dJ_jacobian"]
+                     if name == "stacked_jacobians"]
         assert jacobians
         for k in jacobians:
-            assert calls[k - 1][0] == "dJ_loads"
-            assert calls[k][1] is calls[k - 1][1]
-        assert calls[-1][0] == "dJ_loads"
-        assert calls[-1][1] is refined
+            assert calls[k - 1][0] == "stacked_loads"
+            assert calls[k][1] == calls[k - 1][1]
+        assert calls[-1][0] == "stacked_loads"
+        assert calls[-1][1] == (refined.u.values.tobytes()
+                                + refined.v.values.tobytes())
 
 
 class TestSemitrivialFallback:
@@ -1214,11 +1219,11 @@ class TestSemitrivialFallback:
         # exit, not run its max_iters = 10000 Newton steps
         g = Grid(1, 13)
         cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=256, seed=0)
-        counts = _count_calls(monkeypatch, "dJ_jacobian")
+        counts = _count_calls(monkeypatch, "stacked_jacobians")
         cand = mountain_pass_search(coupled_cfg, g, cert,
                                     SolverParams(tol=1e-30))
         assert not cand.converged
-        assert counts["dJ_jacobian"] <= 50
+        assert counts["stacked_jacobians"] <= 50
 
 
 class _WithoutCfg:
@@ -1342,23 +1347,28 @@ class TestMultiplicity:
             return out
 
         monkeypatch.setattr(mpsolver, "_with_endpoint", failing)
-        counts = _count_calls(monkeypatch, "mountain_pass_search")
+        search, searched = mpsolver._search_starts, []
+
+        def recorded(cfg, grid, certs, params, mf, provenances):
+            searched.extend(provenances)
+            return search(cfg, grid, certs, params, mf, provenances)
+
+        monkeypatch.setattr(mpsolver, "_search_starts", recorded)
         cands = multiplicity_search(decoupled_cfg_1d, g, 3, n_geo_samples=4)
         assert sorted(c.provenance for c in cands) == [
             "multi_start[0] seed=0", "multi_start[2] seed=2"]
-        assert counts["mountain_pass_search"] == 2
+        assert searched == ["multi_start[0] seed=0", "multi_start[2] seed=2"]
 
     def test_drops_start_that_does_not_converge(self, decoupled_cfg_1d,
                                                 monkeypatch):
-        search = mpsolver.mountain_pass_search
+        search = mpsolver._search_starts
 
-        def failing(*args, **kwargs):
-            out = search(*args, **kwargs)
-            if kwargs["provenance"].startswith("multi_start[1]"):
-                return dataclasses.replace(out, converged=False)
-            return out
+        def failing(*args):
+            return [dataclasses.replace(c, converged=False)
+                    if c.provenance.startswith("multi_start[1]") else c
+                    for c in search(*args)]
 
-        monkeypatch.setattr(mpsolver, "mountain_pass_search", failing)
+        monkeypatch.setattr(mpsolver, "_search_starts", failing)
         cands = multiplicity_search(decoupled_cfg_1d, Grid(1, 33), 3,
                                     n_geo_samples=4)
         assert sorted(c.provenance for c in cands) == [
@@ -1381,6 +1391,227 @@ class TestMultiplicity:
             assert rec.positive_level
             assert rec.cerami_residual <= 10 * 1e-6 * (
                 1 + rec.nontriviality + rec.linf_u + rec.linf_v)
+
+
+def _serial_polish(fp, mf, tol, max_iter):
+    """The polish before the lock step, kept as the reference: one pair,
+    one dJ_loads and two Laplacian solves per try, one dJ_jacobian per
+    accepted step."""
+    grid = fp.grid
+    interior = ~grid.boundary_mask()
+
+    def loads(pair):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                fu, fv = dJ_loads(pair, mf)
+        except ArithmeticError:
+            return None
+        if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(fv))):
+            return None
+        ru, rv = grid.laplacian_solve(fu), grid.laplacian_solve(fv)
+        res = max(np.max(np.abs(ru)), np.max(np.abs(rv)))
+        energy = float(np.sum(fu * ru) + np.sum(fv * rv))
+        return (np.concatenate([fu[interior], fv[interior]]), float(res),
+                energy)
+
+    state = loads(fp)
+    if state is None:
+        return None
+    f, res, energy = state
+    fatol = tol * 1e-2
+    mu = 0.0
+    energies = [energy]
+    for _ in range(max_iter):
+        if res <= fatol:
+            break
+        fu, fv = f.reshape(2, -1)
+        idle = 1 if not np.any(fv) else 0 if not np.any(fu) else None
+        jac = dJ_jacobian(fp, mf, idle)
+        while True:
+            try:
+                dx = mpsolver._lm_step(jac, f, mu, grid)
+            except RuntimeError:
+                state = None
+            else:
+                trial = fp.copy()
+                for gf, step in zip((trial.u, trial.v), dx.reshape(2, -1)):
+                    gf.values[interior] += step
+                state = loads(trial)
+            if state is not None and state[2] < energy:
+                break
+            mu = max(4.0 * mu, mpsolver._LM_MU_MIN)
+            if mu > mpsolver._LM_MU_MAX:
+                return None
+        fp = trial
+        f, res, energy = state
+        energies.append(energy)
+        if (res > fatol and len(energies) > mpsolver._STALL_STEPS
+                and energy > mpsolver._STALL_RATIO
+                * energies[-1 - mpsolver._STALL_STEPS]):
+            return None
+        mu = mu / 4.0 if mu / 4.0 >= mpsolver._LM_MU_MIN else 0.0
+    return (fp, np.sqrt(max(energy, 0.0))) if res <= fatol else None
+
+
+def _serially(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every polish run by _serial_polish."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpsolver, "_polish_stack", lambda pairs, *rest: [
+            _serial_polish(fp, *rest) for fp in pairs])
+        return fn(*args, **kwargs)
+
+
+def _serial_multiplicity(cfg, grid, count, seeds=None, params=None,
+                         r0=0.1, n_geo_samples=64):
+    """multiplicity_search as before the lock step: one
+    mountain_pass_search per start, then deduplication in start order."""
+    params = params or SolverParams()
+    mf = ModelFunctions(cfg)
+    seeds = list(seeds) if seeds is not None else list(range(max(count, 1)))
+    base = certify_geometry(cfg, grid, r0, n_samples=n_geo_samples,
+                            seed=seeds[0], mf=mf)
+    results = []
+    for m in range(count):
+        cert = (base if m == 0 else
+                _with_endpoint(base, _structured_start(grid, m), cfg, mf))
+        if not cert.validated:
+            continue
+        cand = _serially(mountain_pass_search, cfg, grid, cert, params, mf,
+                         provenance=f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
+        if not cand.converged:
+            continue
+        a = cand.fields
+        if not any(min(pair_norm_W(a - kept.fields, cfg.p1, cfg.p2),
+                       pair_norm_W(a + kept.fields, cfg.p1, cfg.p2))
+                   < params.dedup_tol for kept in results):
+            results.append(cand)
+    results.sort(key=lambda c: c.level)
+    return results
+
+
+def _assert_same_candidates(got, ref):
+    """Same order, fields bytes and every other field's repr."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert _pair_bytes(a.fields) == _pair_bytes(b.fields)
+        assert (repr(dataclasses.replace(a, fields=None))
+                == repr(dataclasses.replace(b, fields=None)))
+
+
+def _assert_same_polish(got, ref):
+    """Both None, or the same fields bytes and residual."""
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert _pair_bytes(got[0]) == _pair_bytes(ref[0])
+        assert repr(got[1]) == repr(ref[1])
+
+
+class TestLockStep:
+    """All starts polish in lock step, every bit as when run one by one."""
+
+    @pytest.mark.parametrize("cfg_name, dimension, n, kwargs", [
+        pytest.param("decoupled_cfg", 2, 33, dict(
+            count=7, seeds=range(7), params=SolverParams(max_iters=300)),
+            id="decoupled-multi"),
+        pytest.param("decoupled_cfg", 2, 33, dict(
+            count=7, seeds=range(1_000_003, 1_000_010),
+            params=SolverParams(max_iters=300)), id="decoupled-multi-held-out"),
+        pytest.param("decoupled_cfg", 2, 17, dict(count=9, n_geo_samples=16),
+                     id="repeated-starts"),
+        pytest.param("decoupled_cfg_1d", 1, 257, dict(count=4),
+                     id="criterion-8"),
+        pytest.param("coupled_cfg", 2, 17, dict(count=3), id="coupled")])
+    def test_multi_start_matches_serial_loop(self, cfg_name, dimension, n,
+                                             kwargs, request):
+        cfg = request.getfixturevalue(cfg_name)
+        grid = Grid(dimension, n)
+        got = multiplicity_search(cfg, grid, **kwargs)
+        assert got
+        _assert_same_candidates(got, _serial_multiplicity(cfg, grid, **kwargs))
+
+    def test_fallback_rounds_match_serial_search(self, coupled_cfg):
+        # the (u, 0) round takes two of the five starts, the (0, v) round
+        # one; the (b, b) start factors the coupled pair among one-block
+        # starts
+        g = Grid(2, 17)
+        mf = ModelFunctions(coupled_cfg)
+        cert = certify_geometry(coupled_cfg, g, 0.1, n_samples=64, mf=mf)
+        b = _structured_start(g, 0).u
+        certs = [_with_endpoint(cert, FieldPair(b * x, b * y), coupled_cfg, mf)
+                 for x, y in ((1, 0.5), (0.5, 1), (1, 1), (1, 0.2), (1, 0))]
+        labels = [f"start {k}" for k in range(len(certs))]
+        got = mpsolver._search_starts(coupled_cfg, g, certs, SolverParams(),
+                                      mf, labels)
+        assert [c.iterations for c in got] == [2, 3, 1, 2, 1]
+        _assert_same_candidates(got, [
+            _serially(mountain_pass_search, coupled_cfg, g, c, None, mf,
+                      provenance=label) for c, label in zip(certs, labels)])
+
+    def test_failures_stay_their_own(self, decoupled_cfg, monkeypatch):
+        # in one stack: a start whose loads overflow, a start whose first
+        # factor is exactly singular, and a vector start, which factors
+        # the pair, whose first trial loads raise and so raise the stacked
+        # evaluation of every start tried with it.  Each start returns
+        # what it returns alone.
+        g = Grid(2, 17)
+        mf = ModelFunctions(decoupled_cfg)
+        ridge = [_ridge_point(_scale_until_negative(_structured_start(g, m),
+                                                    mf)[0], mf)
+                 for m in range(3)]
+        vector = FieldPair(ridge[1].u, ridge[0].u)
+        pairs = [ridge[0], ridge[0] * 1e150, ridge[2], vector]
+        trials = []
+        monkeypatch.setattr(mpsolver, "stacked_loads", lambda grid, u, *a: (
+            trials.append(u.copy()) or stacked_loads(grid, u, *a)))
+        _polish_candidate(vector, mf, 1e-6, max_iter=200)
+        poison = trials[1][0]  # the vector start's first trial u
+        sizes, raised = [], []
+
+        def poisoned(grid, u, v, mf):
+            sizes.append(len(u))
+            if any(np.array_equal(row, poison) for row in u):
+                raised.append(len(u))
+                raise FloatingPointError("poisoned trial")
+            return stacked_loads(grid, u, v, mf)
+
+        singular_rhs = (-dJ_loads(ridge[2], mf)[0][~g.boundary_mask()]
+                        ).tobytes()
+        dgbsv, singular = mpsolver.dgbsv, []
+
+        def first_singular(kl, ku, ab, rhs, **kwargs):
+            lu, piv, x, info = dgbsv(kl, ku, ab, rhs, **kwargs)
+            if rhs.tobytes() == singular_rhs and not singular:
+                singular.append(True)
+                return lu, piv, x, 1
+            return lu, piv, x, info
+
+        monkeypatch.setattr(mpsolver, "stacked_loads", poisoned)
+        monkeypatch.setattr(mpsolver, "dgbsv", first_singular)
+        got = mpsolver._polish_stack(pairs, mf, 1e-6, 200)
+        # the overflowing start raises the stack of all four, which is
+        # evaluated again start by start; in round 1 the singular start
+        # tries nothing, and the poisoned trial raises the stack of the
+        # other two, then its own
+        assert sizes[:8] == [4, 1, 1, 1, 1, 2, 1, 1]
+        assert raised[:2] == [2, 1] and singular == [True]
+        # only the overflowing start fails; the other two recover by damping
+        assert [result is None for result in got] == [False, True, False,
+                                                      False]
+        for fp, result in zip(pairs, got):
+            singular.clear()
+            _assert_same_polish(result, _polish_candidate(fp, mf, 1e-6, 200))
+
+    def test_decoupled_multi_pass_counts(self, decoupled_cfg, monkeypatch):
+        # one pass of the decoupled-multi workload: every start factors
+        # alone, and the loads and Jacobians are evaluated once per round
+        counts = _count_calls(monkeypatch, "stacked_loads",
+                              "stacked_jacobians")
+        bands = _record_bands(monkeypatch)
+        multiplicity_search(decoupled_cfg, Grid(2, 33), 7, seeds=range(7),
+                            params=SolverParams(max_iters=300))
+        assert len(bands) == 56
+        assert counts["stacked_loads"] <= 13
+        assert counts["stacked_jacobians"] <= 10
 
 
 class TestEvaluationCounts:
