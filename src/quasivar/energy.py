@@ -177,8 +177,8 @@ def stacked_jacobians(grid: Grid, u: np.ndarray, v: np.ndarray,
     exactly zero and every midpoint G_uv of pair s is exactly zero, its
     Jacobian is block diagonal and only the other component's Hessian H_c
     is formed: vol (B^T H_c) B, shape (num_cells, c, c), bitwise the
-    matching block of the pair's.  Each pair chooses alone; the pairs that
-    choose alike are formed together, as views of one array.
+    matching block of the pair's.  Each pair chooses alone; pairs that
+    choose alike share one Hessian stack, each with its own Jacobian array.
     """
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
     um, ug, vm, vg = element_data(grid, u, v)
@@ -203,8 +203,9 @@ def stacked_jacobians(grid: Grid, u: np.ndarray, v: np.ndarray,
             H[..., grad, grad] = xi_xi.reshape(lead + (dim, dim))
         if block is None:
             H[..., 0, k] = H[..., k, 0] = -g_uv[rows]
-        for s, jac in zip(rows, grid.cell_volume * ((B.T @ H) @ B)):
-            out[s] = jac
+        for s, h in zip(rows, H):
+            out[s] = (B.T @ h) @ B
+            out[s] *= grid.cell_volume
     return out
 
 

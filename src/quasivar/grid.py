@@ -186,7 +186,7 @@ class Grid:
                      @ self._signs)
             for c, s in enumerate(self._slices):
                 out[s] += terms[..., c]
-        out[..., self._boundary] = 0.0
+        np.copyto(out, 0.0, where=self._boundary)
         return out
 
     def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +246,7 @@ class Grid:
         """
         out = np.zeros(rhs_nodal.shape)
         rows = rhs_nodal.reshape((-1,) + self.node_shape)
-        live = np.flatnonzero(rows.reshape(len(rows), -1).any(axis=1))
+        live = np.flatnonzero(rows.any(axis=tuple(range(1, rows.ndim))))
         if live.size:
             inner = (live,) + (slice(1, -1),) * self.dimension
             out.reshape(rows.shape)[inner] = _dst1(
@@ -270,7 +270,7 @@ def _dst1(x: np.ndarray, dimension: int, scale: float = 1.0) -> np.ndarray:
     for _ in range(dimension):
         # the pass transforms the last axis: in 2D the first axis first,
         # and the result is back in order after the second pass
-        x = np.swapaxes(x, -1, -dimension)
+        x = x.swapaxes(-1, -dimension)
         zero = np.zeros(x.shape[:-1] + (1,))
         ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
         x = np.fft.rfft(ext).imag[..., 1:x.shape[-1] + 1] * -scale

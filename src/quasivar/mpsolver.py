@@ -466,25 +466,26 @@ def _stacked_states(grid: Grid, values: np.ndarray,
     again pair by pair, so an overflowing pair fails alone."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            loads = np.stack(stacked_loads(grid, values[:, 0], values[:, 1],
-                                           mf), axis=1)
+            loads = np.array(stacked_loads(grid, values[:, 0], values[:, 1],
+                                           mf)).swapaxes(0, 1)
     except ArithmeticError:
         return ([None] if len(values) == 1 else
                 [_stacked_states(grid, x[None], mf)[0] for x in values])
     finite = np.isfinite(loads).reshape(len(loads), -1).all(axis=1)
     loads = loads[finite]
     sol = grid.laplacian_solve(loads)
-    res = np.abs(sol).reshape(len(sol), -1).max(axis=1)
-    sums = (loads * sol).reshape(len(sol), 2, -1).sum(axis=-1)
-    f = loads[:, :, ~grid.boundary_mask()].reshape(len(loads), -1)
+    nodes = tuple(range(2, sol.ndim))
+    res = np.abs(sol).max(axis=(1,) + nodes)
+    sums = (loads * sol).sum(axis=nodes)
+    # each pair's F is its own array (ravel copies the strided rows)
+    f = (x.ravel() for x in loads[(...,) + (slice(1, -1),) * grid.dimension])
     states = iter(zip(f, res.tolist(), (a + b for a, b in sums.tolist())))
     return [next(states) if ok else None for ok in finite]
 
 
 @dataclass
 class _LMState:
-    """One pair's polish: its iterate x (2, *nodes) and its state there,
-    the energies accepted, mu and the Jacobian at x."""
+    """A pair's polish: iterate x (2, *nodes), its state, mu and Jacobian."""
 
     x: np.ndarray
     f: np.ndarray
@@ -534,10 +535,11 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
     if not pairs:
         return []
     grid = pairs[0].grid
-    interior = ~grid.boundary_mask()
+    # the interior nodes, in the order of the loads F (faster than a mask)
+    inner = (...,) + (slice(1, -1),) * grid.dimension
     fatol = tol * 1e-2
     out: list[tuple[FieldPair, float] | None] = [None] * len(pairs)
-    starts = np.stack([(fp.u.values, fp.v.values) for fp in pairs])
+    starts = np.array([(fp.u.values, fp.v.values) for fp in pairs])
     live = {s: _LMState(x, *state, [state[2]]) for s, (x, state) in
             enumerate(zip(starts, _stacked_states(grid, starts, mf)))
             if state is not None}
@@ -545,26 +547,26 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
         fresh = {s: p for s, p in live.items() if p.jac is None}
         for s, p in list(fresh.items()):
             if p.res <= fatol:
-                fields = (GridFunction(grid, c) for c in p.x.copy())
-                out[s] = FieldPair(*fields), np.sqrt(max(p.energy, 0.0))
+                out[s] = (FieldPair(*(GridFunction(grid, c) for c in p.x)),
+                          np.sqrt(max(p.energy, 0.0)))
             # the start's energy, then one per Jacobian taken
             if p.res <= fatol or len(p.energies) > max_iter:
                 del live[s], fresh[s]
         if fresh:
-            x = np.stack([p.x for p in fresh.values()])
+            u, v = np.array([p.x for p in fresh.values()]).swapaxes(0, 1)
             idle = [1 if not np.any(fv) else 0 if not np.any(fu) else None
                     for fu, fv in (p.f.reshape(2, -1) for p in fresh.values())]
             for p, jac in zip(fresh.values(), stacked_jacobians(
-                    grid, x[:, 0], x[:, 1], mf, idle)):
+                    grid, u, v, mf, idle)):
                 p.jac = jac
         steps, states = {}, {}
         for s, p in live.items():
             with contextlib.suppress(RuntimeError):  # exactly singular factor
                 steps[s] = _lm_step(p.jac, p.f, p.mu, grid)
         if steps:
-            trials = np.stack([live[s].x for s in steps])
-            trials[:, :, interior] += np.reshape(list(steps.values()),
-                                                 (len(steps), 2, -1))
+            trials = np.array([live[s].x for s in steps])
+            trials[inner] += np.array(list(steps.values())).reshape(
+                trials[inner].shape)
             states = dict(zip(steps, zip(trials, _stacked_states(
                 grid, trials, mf))))
         for s, p in list(live.items()):
@@ -574,7 +576,7 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
                 if p.mu > _LM_MU_MAX:
                     del live[s]
                 continue
-            p.x, (p.f, p.res, p.energy), p.jac = trial, state, None
+            p.x, (p.f, p.res, p.energy), p.jac = trial.copy(), state, None
             p.energies.append(p.energy)
             if (p.res > fatol and len(p.energies) > _STALL_STEPS
                     and p.energy > _STALL_RATIO
@@ -595,8 +597,7 @@ def _ridge_point(endpoint: FieldPair, points: int,
     """``mountain_pass_search``'s ridge point on the path to endpoint."""
     if points < 3:
         raise ValueError("path_points must be at least 3")
-    taus = [k / (points - 1) for k in range(points)]
-    grid = endpoint.grid
+    grid, taus = endpoint.grid, [k / (points - 1) for k in range(points)]
     ray = ray_energies(grid, element_data(grid, endpoint.u.values,
                                           endpoint.v.values), mf)
     return endpoint * taus[int(np.argmax(ray_energy(ray, np.array(taus))))]
@@ -606,15 +607,13 @@ def _search_starts(cfg: ExponentConfig, grid: Grid,
                    certificates: list[GeometryCertificate],
                    params: SolverParams, mf: ModelFunctions,
                    provenances: list[str]) -> list[CriticalPointCandidate]:
-    """The ``mountain_pass_search`` candidate of each certificate.  Round
-    1 polishes every ridge point in one ``_polish_stack``, rounds 2 and 3
-    the (u, 0) and (0, v) projections of those not kept that have both."""
+    """Each certificate's ``mountain_pass_search`` candidate; each of its
+    three attempt rounds is one ``_polish_stack`` over the starts not kept."""
     ridges = [_ridge_point(cert.endpoint, params.path_points, mf)
               for cert in certificates]
     vector = [bool(r.u.values.any() and r.v.values.any()) for r in ridges]
     zero = GridFunction.zero(grid)
-    attempts = [("", lambda r: r),
-                (" (u, 0)", lambda r: FieldPair(r.u, zero)),
+    attempts = [("", lambda r: r), (" (u, 0)", lambda r: FieldPair(r.u, zero)),
                 (" (0, v)", lambda r: FieldPair(zero, r.v))]
     out: list[CriticalPointCandidate | None] = [None] * len(ridges)
     for it, (label, project) in enumerate(attempts, start=1):

@@ -298,6 +298,16 @@ class TestStackedOperators:
         assert zero.shape == (2,) + g.node_shape
         assert not np.any(zero) and not np.any(np.signbit(zero))
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_empty_stacks(self, dimension):
+        g = Grid(dimension, 17)
+        cells = (16,) * dimension
+        assert g.laplacian_solve(np.zeros((0, 2) + g.node_shape)).shape == (
+            (0, 2) + g.node_shape)
+        assert g.scatter(np.zeros((0,) + cells),
+                         np.zeros((0,) + cells + (dimension,))).shape == (
+            (0,) + g.node_shape)
+
 
 class TestGridFunction:
     def test_rejects_nonzero_boundary(self):

@@ -1601,6 +1601,21 @@ class TestLockStep:
             singular.clear()
             _assert_same_polish(result, _polish_candidate(fp, mf, 1e-6, 200))
 
+    def test_non_finite_start_fails_alone(self, decoupled_cfg):
+        # a NaN node gives NaN loads without a floating-point error: that
+        # start returns None, alone or in a stack, and the other its own
+        g = Grid(2, 17)
+        mf = ModelFunctions(decoupled_cfg)
+        b = _structured_start(g, 0).u
+        u = b.values.copy()
+        u[5, 5] = np.nan
+        pairs = [FieldPair(GridFunction(g, u), b * 0.0),
+                 _structured_start(g, 0) * 3.0]
+        assert _polish_candidate(pairs[0], mf, 1e-6, 200) is None
+        got = mpsolver._polish_stack(pairs, mf, 1e-6, 200)
+        assert got[0] is None and got[1] is not None
+        _assert_same_polish(got[1], _serial_polish(pairs[1], mf, 1e-6, 200))
+
     def test_decoupled_multi_pass_counts(self, decoupled_cfg, monkeypatch):
         # one pass of the decoupled-multi workload: every start factors
         # alone, and the loads and Jacobians are evaluated once per round
