@@ -182,8 +182,7 @@ def stacked_jacobians(grid: Grid, u: np.ndarray, v: np.ndarray,
     """
     dim, cells, k = grid.dimension, grid.num_cells, grid.dimension + 1
     um, ug, vm, vg = element_data(grid, u, v)
-    g_uu, g_uv, g_vv = (g.reshape(len(u), cells)
-                        for g in mf.G_hessian(um, vm))
+    g_uu, g_uv, g_vv = (g.reshape(len(u), -1) for g in mf.G_hessian(um, vm))
     blocks = [c if c is not None and not np.any(g_uv[s]) else None
               for s, c in enumerate(idle)]
     out = [None] * len(u)

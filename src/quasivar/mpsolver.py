@@ -428,7 +428,7 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     """Solve (J + mu blockdiag(K, K)) dx = -f by banded LU.
 
     The unknowns are the m interior values of u, then of v.  ``jac``
-    holds ``dJ_jacobian``'s kc x kc element Jacobians of k components.
+    holds ``stacked_jacobians``' kc x kc element Jacobians of k components.
     k = 2 is the full system; k = 1 (an idle component, whose load must
     be exactly zero) its block-diagonal case, whose idle step is exactly
     0: u moves when v's load is exactly zero, else v.  J is summed from
@@ -539,9 +539,9 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
     inner = (...,) + (slice(1, -1),) * grid.dimension
     fatol = tol * 1e-2
     out: list[tuple[FieldPair, float] | None] = [None] * len(pairs)
-    starts = np.array([(fp.u.values, fp.v.values) for fp in pairs])
+    evaluated = np.array([(fp.u.values, fp.v.values) for fp in pairs])
     live = {s: _LMState(x, *state, [state[2]]) for s, (x, state) in
-            enumerate(zip(starts, _stacked_states(grid, starts, mf)))
+            enumerate(zip(evaluated, _stacked_states(grid, evaluated, mf)))
             if state is not None}
     while live:
         fresh = {s: p for s, p in live.items() if p.jac is None}
@@ -552,23 +552,24 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
             # the start's energy, then one per Jacobian taken
             if p.res <= fatol or len(p.energies) > max_iter:
                 del live[s], fresh[s]
-        if fresh:
-            u, v = np.array([p.x for p in fresh.values()]).swapaxes(0, 1)
+        if fresh:  # read the stack just evaluated when all its rows are fresh
+            x = (evaluated if len(fresh) == len(evaluated)
+                 else np.array([p.x for p in fresh.values()]))
             idle = [1 if not np.any(fv) else 0 if not np.any(fu) else None
                     for fu, fv in (p.f.reshape(2, -1) for p in fresh.values())]
             for p, jac in zip(fresh.values(), stacked_jacobians(
-                    grid, u, v, mf, idle)):
+                    grid, x[:, 0], x[:, 1], mf, idle)):
                 p.jac = jac
         steps, states = {}, {}
         for s, p in live.items():
             with contextlib.suppress(RuntimeError):  # exactly singular factor
                 steps[s] = _lm_step(p.jac, p.f, p.mu, grid)
         if steps:
-            trials = np.array([live[s].x for s in steps])
-            trials[inner] += np.array(list(steps.values())).reshape(
-                trials[inner].shape)
-            states = dict(zip(steps, zip(trials, _stacked_states(
-                grid, trials, mf))))
+            evaluated = np.array([live[s].x for s in steps])
+            evaluated[inner] += np.array(list(steps.values())).reshape(
+                evaluated[inner].shape)
+            states = dict(zip(steps, zip(evaluated, _stacked_states(
+                grid, evaluated, mf))))
         for s, p in list(live.items()):
             trial, state = states.get(s, (None, None))
             if state is None or not state[2] < p.energy:
@@ -576,7 +577,7 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
                 if p.mu > _LM_MU_MAX:
                     del live[s]
                 continue
-            p.x, (p.f, p.res, p.energy), p.jac = trial.copy(), state, None
+            p.x, (p.f, p.res, p.energy), p.jac = trial, state, None
             p.energies.append(p.energy)
             if (p.res > fatol and len(p.energies) > _STALL_STEPS
                     and p.energy > _STALL_RATIO
