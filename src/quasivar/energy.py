@@ -208,13 +208,6 @@ def stacked_jacobians(grid: Grid, u: np.ndarray, v: np.ndarray,
     return out
 
 
-def dJ_jacobian(fp: FieldPair, mf: ModelFunctions,
-                idle: int | None = None) -> np.ndarray:
-    """``stacked_jacobians`` of the one pair fp."""
-    return stacked_jacobians(fp.grid, fp.u.values[None], fp.v.values[None],
-                             mf, [idle])[0]
-
-
 def dJ_apply(fp: FieldPair, direction: FieldPair, mf: ModelFunctions) -> float:
     """Gateaux differential of J at fp along a nodal direction pair."""
     if direction.grid is not fp.grid:
@@ -232,8 +225,7 @@ def gradient_representative(fp: FieldPair, mf: ModelFunctions,
     """
     grid = fp.grid
     fu, fv = dJ_loads(fp, mf)
-    ru = grid.laplacian_solve(fu)
-    rv = grid.laplacian_solve(fv)
+    ru, rv = grid.laplacian_solve(np.array([fu, fv]))
     sq = float(np.sum(fu * ru) + np.sum(fv * rv))
     rep = FieldPair(GridFunction(grid, ru), GridFunction(grid, rv))
     return rep, np.sqrt(max(sq, 0.0))

@@ -158,34 +158,30 @@ class Grid:
         lead = density.shape[:density.ndim - self.dimension]
         return density.reshape(lead + (-1,)).sum(axis=-1) * self.cell_volume
 
-    def scatter(self, density: np.ndarray | None,
-                gradvec: np.ndarray | None) -> np.ndarray:
+    def scatter(self, density: np.ndarray, gradvec: np.ndarray) -> np.ndarray:
         """Adjoint of (midpoint_values, element_gradients) with quadrature weight.
 
         Returns the nodal vector F with
         F_i = sum_e [gradvec(e) . grad phi_i(e) + density(e) phi_i(e)] * vol,
-        zeroed on boundary nodes.  Either argument may be None.  Leading
-        axes index a stack, as in ``element_gradients``.
+        zeroed on boundary nodes.  Leading axes index a stack, as in
+        ``element_gradients``.
         """
         vol = self.cell_volume
-        cells = density.shape if density is not None else gradvec.shape[:-1]
-        out = np.zeros(cells[:len(cells) - self.dimension] + self.node_shape)
+        out = np.zeros(density.shape[:-self.dimension] + self.node_shape)
         # every sum below starts from out's +0.0, so zero inputs of either
         # sign, alone or in a stack, leave it +0.0: they may skip the stencils
-        if not any(x is not None and x.any() for x in (density, gradvec)):
+        if not (density.any() or gradvec.any()):
             return out
-        if density is not None:
-            t = 0.5 ** self.dimension * vol * density
-            for s in self._slices:
-                out[s] += t
-        if gradvec is not None:
-            # corner c gets sum_a sign_ca g_a.  The products by +-1 are
-            # exact and a corner sums at most two, so this is bitwise the
-            # stencil's +-g_x +- g_y.
-            terms = ((gradvec * vol / (2 ** (self.dimension - 1) * self.h))
-                     @ self._signs)
-            for c, s in enumerate(self._slices):
-                out[s] += terms[..., c]
+        t = 0.5 ** self.dimension * vol * density
+        for s in self._slices:
+            out[s] += t
+        # corner c gets sum_a sign_ca g_a.  The products by +-1 are exact
+        # and a corner sums at most two, so this is bitwise the stencil's
+        # +-g_x +- g_y.
+        terms = ((gradvec * vol / (2 ** (self.dimension - 1) * self.h))
+                 @ self._signs)
+        for c, s in enumerate(self._slices):
+            out[s] += terms[..., c]
         np.copyto(out, 0.0, where=self._boundary)
         return out
 

@@ -377,7 +377,7 @@ _STALL_RATIO = 0.5
 
 @functools.lru_cache(maxsize=2)
 def _band_layout(dimension: int, n: int,
-                 k: int) -> tuple[int, np.ndarray, np.ndarray]:
+                 k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """LAPACK band layout of the Newton matrix of k components on a grid.
 
     The unknowns are the k components' m interior values of
@@ -386,11 +386,11 @@ def _band_layout(dimension: int, n: int,
     are r = n - 1 interior numbers apart in 2D, 1 in 1D, so kl = ku =
     k r + k - 1.  Entry (i, j) sits at ab[2 kl + i - j, j] of the
     Fortran-ordered band array; its first kl rows hold the pivoting fill.
-    Returns (kl, slots, k_data): slots holds the flat position in ab of
-    each raveled (cell, i, j) entry of the kc x kc element matrices,
-    ab.size for a boundary corner, followed by the positions of the
-    nonzero entries k_data of blockdiag(K, ..., K), the grid's
-    ``element_stiffness`` kron I_k summed over those element slots.
+    Returns (kl, slots, k_slots, k_data): slots holds the flat position
+    in ab of each raveled (cell, i, j) entry of the kc x kc element
+    matrices, ab.size for a boundary corner, and k_slots the distinct
+    positions of the nonzero entries k_data of blockdiag(K, ..., K), the
+    grid's ``element_stiffness`` kron I_k summed over those element slots.
     Built once per grid size and k; the arrays are read-only.
     """
     grid = Grid(dimension, n)
@@ -408,9 +408,9 @@ def _band_layout(dimension: int, n: int,
     band = np.bincount(slots, weights=weights, minlength=size + 1)[:-1]
     k_slots = np.flatnonzero(band)
     k_data = band[k_slots]
-    slots = np.concatenate([slots, k_slots])
-    slots.flags.writeable = k_data.flags.writeable = False
-    return kl, slots, k_data
+    for a in (slots, k_slots, k_data):
+        a.flags.writeable = False
+    return kl, slots, k_slots, k_data
 
 
 def dgbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray, **kwargs):
@@ -433,22 +433,20 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     be exactly zero) its block-diagonal case, whose idle step is exactly
     0: u moves when v's load is exactly zero, else v.  J is summed from
     ``jac`` straight into the band storage of ``_band_layout``, moving
-    components interleaved, in raveled (cell, i, j) order, and the
-    entries of mu K are added after them.  Raises RuntimeError on an
-    exactly singular factor.
+    components interleaved, by one ``np.bincount`` in raveled (cell, i,
+    j) order, and mu K is then added at its distinct slots.  Raises
+    RuntimeError on an exactly singular factor.
     """
     k = jac.shape[1] // 2 ** grid.dimension
     loads = f.reshape(2, -1)
     first = int(k == 1 and np.any(loads[1]))
     moving = slice(first, first + k)
-    kl, slots, k_data = _band_layout(grid.dimension, grid.n, k)
+    kl, slots, k_slots, k_data = _band_layout(grid.dimension, grid.n, k)
     rhs = -loads[moving].T.ravel()
-    weights = jac.ravel()
-    if mu:
-        weights = np.concatenate([weights, mu * k_data])
     size = (3 * kl + 1) * rhs.size
-    ab = np.bincount(slots[:weights.size], weights=weights,
-                     minlength=size + 1)[:-1]
+    ab = np.bincount(slots, weights=jac.ravel(), minlength=size + 1)[:-1]
+    if mu:
+        ab[k_slots] += mu * k_data
     _, _, x, info = dgbsv(kl, kl, ab.reshape(rhs.size, -1).T, rhs,
                           overwrite_ab=True)
     if info > 0:
@@ -587,12 +585,6 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
     return out
 
 
-def _polish_candidate(fp: FieldPair, mf: ModelFunctions, tol: float,
-                      max_iter: int) -> tuple[FieldPair, float] | None:
-    """``_polish_stack`` of the one pair fp."""
-    return _polish_stack([fp], mf, tol, max_iter)[0]
-
-
 def _ridge_point(endpoint: FieldPair, points: int,
                  mf: ModelFunctions) -> FieldPair:
     """``mountain_pass_search``'s ridge point on the path to endpoint."""
@@ -703,11 +695,13 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
     a kept one (in start order) up to the dedup tolerance or a global sign
     flip, and returns the survivors sorted by level.  May return fewer than
     ``count`` candidates.  The seeds only label the provenance past
-    ``seeds[0]``.
+    ``seeds[0]``.  Raises ValueError when count < 1.
     """
     params = params or SolverParams()
     mf = _model(cfg, mf)
-    seeds = seeds if seeds is not None else list(range(max(count, 1)))
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    seeds = seeds if seeds is not None else list(range(count))
     if not seeds:
         raise ValueError("seeds must not be empty")
     base_cert = certify_geometry(cfg, grid, r0, n_samples=n_geo_samples,
@@ -745,8 +739,11 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
     with the X-norm surrogate  |u|_W1 + |v|_W2 + |u|_inf + |v|_inf.
     ``semitrivial`` is true when exactly one component is identically
     zero: a solution of one scalar equation, not a vector solution.
+    Raises ValueError when grid is not the size of the candidate's own.
     """
     mf = _model(cfg, mf)
+    if grid.node_shape != cand.fields.grid.node_shape:
+        raise ValueError("the candidate lives on a grid of another size")
     measured = _measured(cand.fields, cfg, mf)
     res = residual_norm(cand.fields, mf)
     x_norm = measured["nontriviality"] + measured["linf_u"] + measured["linf_v"]

@@ -6,12 +6,12 @@ from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
                       NonFiniteEnergyError, dJ_apply, gradient_representative,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
-from quasivar.energy import (dJ_jacobian, dJ_loads, element_data, energy_terms,
+from quasivar.energy import (dJ_loads, element_data, energy_terms,
                              ray_energies, ray_energy, stacked_jacobians,
                              stacked_loads)
 from quasivar.grid import random_field_pair, sine_modes
 
-from util import assemble_jacobian
+from util import assemble_jacobian, pair_jacobian
 
 
 def random_pair(g, rng):
@@ -180,7 +180,7 @@ class TestJacobian:
             fu, fv = dJ_loads(pair, mf)
             return np.concatenate([fu[interior], fv[interior]])
 
-        jd = assemble_jacobian(g, dJ_jacobian(fp, mf)) @ np.concatenate(
+        jd = assemble_jacobian(g, pair_jacobian(fp, mf)) @ np.concatenate(
             [d.u.values[interior], d.v.values[interior]])
         hs = 1e-2 * 2.0 ** -np.arange(4)
         errs = [np.max(np.abs((interior_loads(fp + h * d)
@@ -230,7 +230,7 @@ class TestJacobian:
         put(k, 0, -g_uv)
         E2 = np.block([[E, np.zeros_like(E)], [np.zeros_like(E), E]])
         ref = g.cell_volume * E2.T @ H @ E2
-        jac = assemble_jacobian(g, dJ_jacobian(fp, mf))
+        jac = assemble_jacobian(g, pair_jacobian(fp, mf))
         assert np.max(np.abs(jac - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -239,7 +239,7 @@ class TestJacobian:
         # zero, which is how the polish sees that it may factor one block
         mf = ModelFunctions(decoupled_cfg)
         g = Grid(dimension, 5)
-        jac = dJ_jacobian(_smooth_point(g), mf)
+        jac = pair_jacobian(_smooth_point(g), mf)
         c = 2 ** dimension
         assert jac.shape == (g.num_cells, 2 * c, 2 * c)
         assert not np.any(jac[:, :c, c:]) and not np.any(jac[:, c:, :c])
@@ -253,9 +253,9 @@ class TestJacobian:
         mf = ModelFunctions(coupled_cfg)
         g = Grid(2, 5)
         fp = _smooth_point(g)
-        full = dJ_jacobian(fp, mf)
+        full = pair_jacobian(fp, mf)
         assert np.any(full[:, :4, 4:])
-        assert np.array_equal(dJ_jacobian(fp, mf, idle), full)
+        assert np.array_equal(pair_jacobian(fp, mf, idle), full)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("idle", [0, 1])
@@ -266,10 +266,10 @@ class TestJacobian:
         mf = ModelFunctions(decoupled_cfg)
         g = Grid(dimension, 5)
         fp = _smooth_point(g)
-        full = dJ_jacobian(fp, mf)
+        full = pair_jacobian(fp, mf)
         c = 2 ** dimension
         o = c * (1 - idle)
-        assert np.array_equal(dJ_jacobian(fp, mf, idle),
+        assert np.array_equal(pair_jacobian(fp, mf, idle),
                               full[:, o:o + c, o:o + c])
 
 
@@ -317,8 +317,8 @@ class TestStackedEvaluation:
         u, v, idle = self._stack(g)
         jacs = stacked_jacobians(g, u, v, mf, idle)
         for s, jac in enumerate(jacs):
-            ref = dJ_jacobian(FieldPair(GridFunction(g, u[s]),
-                                        GridFunction(g, v[s])), mf, idle[s])
+            ref = pair_jacobian(FieldPair(GridFunction(g, u[s]),
+                                          GridFunction(g, v[s])), mf, idle[s])
             assert jac.shape == ref.shape
             assert jac.tobytes() == ref.tobytes()
         # each Jacobian owns its memory, so one kept alive keeps no other
@@ -339,7 +339,7 @@ class TestHourglassModes:
         for n in (9, 17, 33):
             g = Grid(2, n)
             m = (n - 2) ** 2
-            jac = assemble_jacobian(g, dJ_jacobian(FieldPair.zero(g), mf))
+            jac = assemble_jacobian(g, pair_jacobian(FieldPair.zero(g), mf))
             K = assemble_jacobian(g, g.element_stiffness)
             lam = scipy.linalg.eigh(jac[:m, :m], K, eigvals_only=True)
             smallest.append(lam[0])
@@ -358,6 +358,29 @@ class TestGradientRepresentative:
         fp = random_pair(g, np.random.default_rng(8))
         rep, res = gradient_representative(fp, mf)
         assert dJ_apply(fp, rep, mf) == pytest.approx(res ** 2, rel=1e-8)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("semitrivial", [False, True])
+    def test_one_solve_of_the_stacked_loads(self, coupled_cfg, dimension,
+                                            semitrivial, monkeypatch):
+        # reference: one Laplacian solve per component; the two loads
+        # take one solve of their stack, each row bitwise as alone
+        g = Grid(dimension, 17)
+        mf = ModelFunctions(coupled_cfg)
+        fp = random_pair(g, np.random.default_rng(10))
+        if semitrivial:
+            fp = FieldPair(fp.u, GridFunction.zero(g))
+        fu, fv = dJ_loads(fp, mf)
+        ru, rv = g.laplacian_solve(fu), g.laplacian_solve(fv)
+        solve, shapes = Grid.laplacian_solve, []
+        monkeypatch.setattr(Grid, "laplacian_solve", lambda self, rhs: (
+            shapes.append(rhs.shape) or solve(self, rhs)))
+        rep, res = gradient_representative(fp, mf)
+        assert shapes == [(2,) + g.node_shape]
+        assert rep.u.values.tobytes() == ru.tobytes()
+        assert rep.v.values.tobytes() == rv.tobytes()
+        assert res == np.sqrt(max(float(np.sum(fu * ru) + np.sum(fv * rv)),
+                                  0.0))
 
     def test_zero_at_origin(self, coupled_cfg):
         g = Grid(2, 17)

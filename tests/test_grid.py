@@ -61,7 +61,8 @@ class TestGrid:
         g = Grid(1, 257)
         x = g.node_coords()[:, 0]
         target = np.sin(np.pi * x)
-        load = g.scatter(np.pi ** 2 * np.sin(np.pi * g.centers[:, 0]), None)
+        load = g.scatter(np.pi ** 2 * np.sin(np.pi * g.centers[:, 0]),
+                         np.zeros((g.num_cells, 1)))
         sol = g.laplacian_solve(load)
         assert np.max(np.abs(sol - target)) < 5e-4
 
@@ -162,37 +163,32 @@ class TestGrid:
         def stencil_scatter(density, gradvec):
             out = g.zeros()
             if dimension == 1:
-                if density is not None:
-                    t = 0.5 * vol * density
-                    out[:-1] += t
-                    out[1:] += t
-                if gradvec is not None:
-                    gx = gradvec[..., 0] * vol / h
-                    out[:-1] -= gx
-                    out[1:] += gx
+                t = 0.5 * vol * density
+                out[:-1] += t
+                out[1:] += t
+                gx = gradvec[..., 0] * vol / h
+                out[:-1] -= gx
+                out[1:] += gx
             else:
-                if density is not None:
-                    t = 0.25 * vol * density
-                    out[:-1, :-1] += t
-                    out[1:, :-1] += t
-                    out[:-1, 1:] += t
-                    out[1:, 1:] += t
-                if gradvec is not None:
-                    gx = gradvec[..., 0] * vol / (2 * h)
-                    gy = gradvec[..., 1] * vol / (2 * h)
-                    out[:-1, :-1] += -gx - gy
-                    out[1:, :-1] += gx - gy
-                    out[:-1, 1:] += -gx + gy
-                    out[1:, 1:] += gx + gy
+                t = 0.25 * vol * density
+                out[:-1, :-1] += t
+                out[1:, :-1] += t
+                out[:-1, 1:] += t
+                out[1:, 1:] += t
+                gx = gradvec[..., 0] * vol / (2 * h)
+                gy = gradvec[..., 1] * vol / (2 * h)
+                out[:-1, :-1] += -gx - gy
+                out[1:, :-1] += gx - gy
+                out[:-1, 1:] += -gx + gy
+                out[1:, 1:] += gx + gy
             out[g.boundary_mask()] = 0.0
             return out
 
         got = g.midpoint_values(vals)
         assert got.shape == mid.shape and got.dtype == mid.dtype
         assert got.tobytes() == mid.tobytes()
-        for args in ((dens, gvec), (dens, None), (None, gvec)):
-            ref = stencil_scatter(*args)
-            assert g.scatter(*args).tobytes() == ref.tobytes()
+        ref = stencil_scatter(dens, gvec)
+        assert g.scatter(dens, gvec).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("n", [3, 4, 17, 65, 257])
@@ -264,12 +260,10 @@ class TestStackedOperators:
         cells = (n - 1,) * dimension
         dens = _mixed_stack(g, cells, n)
         gvec = _mixed_stack(g, cells + (dimension,), n + 1)
-        for args in ((dens, gvec), (dens, None), (None, gvec)):
-            got = g.scatter(*args)
-            assert got.shape == (2, 3) + g.node_shape
-            for i in np.ndindex(2, 3):
-                ref = g.scatter(*(None if a is None else a[i] for a in args))
-                assert got[i].tobytes() == ref.tobytes()
+        got = g.scatter(dens, gvec)
+        assert got.shape == (2, 3) + g.node_shape
+        for i in np.ndindex(2, 3):
+            assert got[i].tobytes() == g.scatter(dens[i], gvec[i]).tobytes()
         # zero rows of either sign come back +0.0
         zero = g.scatter(dens * 0.0, -0.0 * gvec)
         assert not np.any(zero) and not np.any(np.signbit(zero))

@@ -23,16 +23,15 @@ import quasivar
 from quasivar import mpsolver
 from quasivar.grid import (ell_coefficients, random_field_pair,
                            sine_mode_fields, sine_modes, sine_product)
-from quasivar.energy import (dJ_jacobian, dJ_loads, element_data,
-                              ray_energies, ray_energy, residual_norm,
-                              stacked_loads)
-from quasivar.mpsolver import (_lm_step, _polish_candidate,
-                               _scale_until_negative, _structured_start,
-                               _with_endpoint)
+from quasivar.energy import (dJ_loads, element_data, ray_energies,
+                              ray_energy, residual_norm, stacked_loads)
+from quasivar.mpsolver import (_lm_step, _scale_until_negative,
+                               _structured_start, _with_endpoint)
 
 from oracles import model_ground_state, model_k_bump, power_law_root
 from test_cli import COUPLED_TEXT
-from util import assemble_jacobian, kron_stiffness, random_admissible_configs
+from util import (assemble_jacobian, kron_stiffness, pair_jacobian,
+                  polish_pair, random_admissible_configs)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +94,31 @@ def _band(matrix, kl):
     out = np.zeros((coo.shape[1], 3 * kl + 1))
     out[coo.col, 2 * kl + coo.row - coo.col] = coo.data
     return out.ravel()
+
+
+def _concatenated_weights_step(jac, f, mu, grid):
+    """``_lm_step`` as it once summed the band: the element Jacobians'
+    entries and mu K's in one bincount over the element slots followed by
+    K's.  Returns the band array handed to dgbsv and the step."""
+    k = jac.shape[1] // 2 ** grid.dimension
+    loads = f.reshape(2, -1)
+    first = int(k == 1 and np.any(loads[1]))
+    moving = slice(first, first + k)
+    kl, slots, k_slots, k_data = mpsolver._band_layout(grid.dimension,
+                                                       grid.n, k)
+    slots = np.concatenate([slots, k_slots])
+    rhs = -loads[moving].T.ravel()
+    weights = jac.ravel()
+    if mu:
+        weights = np.concatenate([weights, mu * k_data])
+    size = (3 * kl + 1) * rhs.size
+    ab = np.bincount(slots[:weights.size], weights=weights,
+                     minlength=size + 1)[:-1].reshape(rhs.size, -1).T
+    _, _, x, info = mpsolver.dgbsv(kl, kl, ab.copy(order="F"), rhs)
+    assert info == 0
+    dx = np.zeros_like(loads)
+    dx[moving] = x.reshape(-1, k).T
+    return ab, dx.ravel()
 
 
 def _ridge_point(endpoint, mf):
@@ -850,11 +874,11 @@ class TestPolish:
                                                                   b * 0.0)
         interior = ~g.boundary_mask()
         f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
-        full = dJ_jacobian(fp, mf)
+        full = pair_jacobian(fp, mf)
         c = full.shape[1] // 2
         block = np.ascontiguousarray(full[:, c:, c:] if mirror
                                      else full[:, :c, :c])
-        jac = dJ_jacobian(fp, mf, int(not mirror))
+        jac = pair_jacobian(fp, mf, int(not mirror))
         assert jac.shape == block.shape
         assert jac.tobytes() == block.tobytes()
         for mu in (0.0, 1e-3, 1.0):
@@ -880,13 +904,13 @@ class TestPolish:
         moving, idle = ((slice(m, None), slice(None, m)) if mirror
                         else (slice(None, m), slice(m, None)))
         assert not np.any(f[idle]) and np.any(f[moving])
-        jac = dJ_jacobian(fp, mf)
+        jac = pair_jacobian(fp, mf)
         K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         damping = sp.block_diag((K, K), format="csc")
         ref = splu(assemble_jacobian(g, jac, sparse=True) + mu * damping,
                    permc_spec="MMD_AT_PLUS_A").solve(-f)
         bands = _record_bands(monkeypatch)
-        step = _lm_step(dJ_jacobian(fp, mf, int(not mirror)), f, mu, g)
+        step = _lm_step(pair_jacobian(fp, mf, int(not mirror)), f, mu, g)
         assert bands == [(m, 16, 16)]
         assert not np.any(step[idle])
         assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -909,7 +933,7 @@ class TestPolish:
         m = int(interior.sum())
         f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
         assert np.any(f[:m]) and np.any(f[m:])
-        jac = dJ_jacobian(fp, mf)
+        jac = pair_jacobian(fp, mf)
         K = assemble_jacobian(g, g.element_stiffness, sparse=True)
         ref = splu(assemble_jacobian(g, jac, sparse=True)
                    + mu * sp.block_diag((K, K), format="csc"),
@@ -955,7 +979,7 @@ class TestPolish:
         interior = ~g.boundary_mask()
         m = int(interior.sum())
         f = np.concatenate([x[interior] for x in dJ_loads(fp, mf)])
-        jac = dJ_jacobian(fp, mf)
+        jac = pair_jacobian(fp, mf)
         dense = (assemble_jacobian(g, jac)
                  + mu * assemble_jacobian(
                      g, np.kron(np.eye(2), g.element_stiffness)))
@@ -964,7 +988,7 @@ class TestPolish:
             dense = dense[np.ix_(order, order)]
         else:
             dense = dense[:m, :m]
-            jac = dJ_jacobian(fp, mf, 1)
+            jac = pair_jacobian(fp, mf, 1)
         captured = []
         dgbsv = mpsolver.dgbsv
 
@@ -989,11 +1013,12 @@ class TestPolish:
     @pytest.mark.parametrize("pair", [False, True])
     def test_band_layout_holds_kron_stiffness(self, dimension, n, pair):
         # reference: the stencil K placed into band storage; the K entries
-        # of _band_layout, one per band slot after the element slots, must
-        # hold exactly its entries
-        kl, slots, k_data = mpsolver._band_layout(dimension, n, 1 + pair)
+        # of _band_layout, one per band slot apart from the element slots,
+        # must hold exactly its entries
+        kl, slots, k_slots, k_data = mpsolver._band_layout(dimension, n,
+                                                           1 + pair)
         c = 2 ** dimension * (2 if pair else 1)
-        k_slots = slots[Grid(dimension, n).num_cells * c * c:]
+        assert slots.size == Grid(dimension, n).num_cells * c * c
         assert k_slots.size == k_data.size
         assert np.unique(k_slots).size == k_slots.size
         expected = _band(_kron_damping(dimension, n, pair), kl)
@@ -1035,6 +1060,37 @@ class TestPolish:
         expected = (_band(J, kl)
                     + mu * _band(_kron_damping(dimension, n, pair), kl))
         assert ab.T.ravel().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 1e8])
+    def test_damping_after_jacobian_sum_keeps_every_bit(
+            self, dimension, pair, mu, monkeypatch):
+        # reference: one bincount of the element Jacobians' entries and
+        # then mu K's over the concatenated slots.  Each slot sums its J
+        # entries in input order and then its one mu K entry, as the sum
+        # of J with mu K added after it does, so the band and the step
+        # agree bit for bit
+        g = Grid(dimension, 12)
+        m = 10 ** dimension
+        c = 2 ** dimension * (2 if pair else 1)
+        rng = np.random.default_rng(12)
+        jac = rng.standard_normal((g.num_cells, c, c))
+        f = rng.standard_normal(2 * m)
+        if not pair:
+            f[m:] = 0.0
+        ref_ab, ref_step = _concatenated_weights_step(jac, f, mu, g)
+        captured = []
+        dgbsv = mpsolver.dgbsv
+
+        def capture(kl, ku, ab, rhs, **kwargs):
+            captured.append(ab.copy())
+            return dgbsv(kl, ku, ab, rhs, **kwargs)
+
+        monkeypatch.setattr(mpsolver, "dgbsv", capture)
+        step = _lm_step(jac, f, mu, g)
+        assert captured[0].tobytes() == ref_ab.tobytes()
+        assert step.tobytes() == ref_step.tobytes()
 
     def test_zero_load_skip_keeps_candidate(self, decoupled_cfg,
                                             monkeypatch):
@@ -1093,8 +1149,8 @@ class TestPolish:
         g = Grid(2, 33)
         mf = ModelFunctions(decoupled_cfg)
         endpoint, _ = _scale_until_negative(_structured_start(g, 4), mf)
-        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
-                                     max_iter=200)
+        polished = polish_pair(_ridge_point(endpoint, mf), mf, 1e-6,
+                               max_iter=200)
         assert polished is not None
         refined, residual = polished
         # the residual of the last accepted loads, bitwise residual_norm's
@@ -1109,7 +1165,7 @@ class TestPolish:
         g = Grid(2, 9)
         fp = random_field_pair(g, np.random.default_rng(0),
                                sine_modes(g, 3)) * amplitude
-        assert _polish_candidate(fp, mf, 1e-6, max_iter=200) is None
+        assert polish_pair(fp, mf, 1e-6, max_iter=200) is None
 
     def test_stagnating_polish_gives_up(self, coupled_cfg, coupled_start,
                                         monkeypatch):
@@ -1119,8 +1175,8 @@ class TestPolish:
         endpoint = _with_endpoint(cert, FieldPair(b, b * 0.2), coupled_cfg,
                                   mf).endpoint
         counts = _count_calls(monkeypatch, "stacked_jacobians")
-        assert _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
-                                 max_iter=500) is None
+        assert polish_pair(_ridge_point(endpoint, mf), mf, 1e-6,
+                           max_iter=500) is None
         assert counts["stacked_jacobians"] <= 40
 
 
@@ -1148,8 +1204,8 @@ class TestPolish:
 
         monkeypatch.setattr(mpsolver, "dgbsv", singular)
         monkeypatch.setattr(mpsolver, "_lm_step", recorded)
-        polished = _polish_candidate(_ridge_point(endpoint, mf), mf, 1e-6,
-                                     max_iter=200)
+        polished = polish_pair(_ridge_point(endpoint, mf), mf, 1e-6,
+                               max_iter=200)
         if every_call:
             assert polished is None
             assert mus == [0.0] + [mpsolver._LM_MU_MIN * 4.0 ** k
@@ -1183,8 +1239,8 @@ class TestPolish:
         for name in ("stacked_loads", "stacked_jacobians"):
             monkeypatch.setattr(mpsolver, name,
                                 recorded(name, getattr(mpsolver, name)))
-        polished = _polish_candidate(FieldPair(b * 2.0, b * v_scale), mf,
-                                     1e-6, max_iter=200)
+        polished = polish_pair(FieldPair(b * 2.0, b * v_scale), mf,
+                               1e-6, max_iter=200)
         assert polished is not None
         refined, _ = polished
         jacobians = [k for k, (name, *_) in enumerate(calls)
@@ -1295,6 +1351,15 @@ class TestMultiplicity:
                             n_geo_samples=4)
         assert counts["_scale_until_negative"] == 3
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_count_below_one(self, decoupled_cfg_1d, count,
+                                     monkeypatch):
+        # no start to search: refused before the geometry is certified
+        counts = _count_calls(monkeypatch, "certify_geometry")
+        with pytest.raises(ValueError, match="count"):
+            multiplicity_search(decoupled_cfg_1d, Grid(1, 33), count)
+        assert counts["certify_geometry"] == 0
+
     def test_rejects_empty_seeds(self, decoupled_cfg_1d, monkeypatch):
         # the provenance labels read seeds[m % len(seeds)]
         counts = _count_calls(monkeypatch, "certify_geometry")
@@ -1400,7 +1465,7 @@ class TestMultiplicity:
 
 def _serial_polish(fp, mf, tol, max_iter):
     """The polish before the lock step, kept as the reference: one pair,
-    one dJ_loads and two Laplacian solves per try, one dJ_jacobian per
+    one dJ_loads and two Laplacian solves per try, one pair_jacobian per
     accepted step."""
     grid = fp.grid
     interior = ~grid.boundary_mask()
@@ -1431,7 +1496,7 @@ def _serial_polish(fp, mf, tol, max_iter):
             break
         fu, fv = f.reshape(2, -1)
         idle = 1 if not np.any(fv) else 0 if not np.any(fu) else None
-        jac = dJ_jacobian(fp, mf, idle)
+        jac = pair_jacobian(fp, mf, idle)
         while True:
             try:
                 dx = mpsolver._lm_step(jac, f, mu, grid)
@@ -1568,7 +1633,7 @@ class TestLockStep:
         trials = []
         monkeypatch.setattr(mpsolver, "stacked_loads", lambda grid, u, *a: (
             trials.append(u.copy()) or stacked_loads(grid, u, *a)))
-        _polish_candidate(vector, mf, 1e-6, max_iter=200)
+        polish_pair(vector, mf, 1e-6, max_iter=200)
         poison = trials[1][0]  # the vector start's first trial u
         sizes, raised = [], []
 
@@ -1604,7 +1669,7 @@ class TestLockStep:
                                                       False]
         for fp, result in zip(pairs, got):
             singular.clear()
-            _assert_same_polish(result, _polish_candidate(fp, mf, 1e-6, 200))
+            _assert_same_polish(result, polish_pair(fp, mf, 1e-6, 200))
 
     def test_non_finite_start_fails_alone(self, decoupled_cfg):
         # a NaN node gives NaN loads without a floating-point error: that
@@ -1616,7 +1681,7 @@ class TestLockStep:
         u[5, 5] = np.nan
         pairs = [FieldPair(GridFunction(g, u), b * 0.0),
                  _structured_start(g, 0) * 3.0]
-        assert _polish_candidate(pairs[0], mf, 1e-6, 200) is None
+        assert polish_pair(pairs[0], mf, 1e-6, 200) is None
         got = mpsolver._polish_stack(pairs, mf, 1e-6, 200)
         assert got[0] is None and got[1] is not None
         _assert_same_polish(got[1], _serial_polish(pairs[1], mf, 1e-6, 200))
@@ -1692,6 +1757,34 @@ class TestVerifyCandidate:
         assert round(rec.level, 4) == 7.4693
         assert not rec.semitrivial
         assert not rec.trivial
+
+    def test_rejects_grid_of_another_size(self, coupled_polish,
+                                          coupled_cfg):
+        # every quantity comes from the candidate's own fields, so a grid
+        # of another dimension or size is refused; an equal one is not
+        cand, *_ = coupled_polish
+        for grid in (Grid(1, 33), Grid(2, 17)):
+            with pytest.raises(ValueError, match="another size"):
+                verify_candidate(cand, coupled_cfg, grid)
+        assert verify_candidate(cand, coupled_cfg, Grid(2, 33)) == (
+            verify_candidate(cand, coupled_cfg, cand.fields.grid))
+
+    def test_converged_residual_is_verified_residual(
+            self, coupled_polish, coupled_cfg, decoupled_cfg):
+        # a polished candidate's residual comes from its last accepted
+        # stacked loads and solves, verify_candidate's from one solve of
+        # the pair's two loads: every bit agrees, on the coupled n = 33
+        # search and on the seven starts of the decoupled one
+        cand, *_ = coupled_polish
+        multi = multiplicity_search(decoupled_cfg, Grid(2, 33), 7,
+                                    seeds=range(7),
+                                    params=SolverParams(max_iters=300))
+        assert len(multi) == 7
+        for cfg, cands in ((coupled_cfg, [cand]), (decoupled_cfg, multi)):
+            for c in cands:
+                assert c.converged
+                rec = verify_candidate(c, cfg, c.fields.grid)
+                assert c.residual == rec.residual
 
     def test_cerami_weight(self, solved_1d, decoupled_cfg_1d, grid_1d):
         _, cand = solved_1d

@@ -1,5 +1,5 @@
-"""Shared test helpers: random admissible configuration sampling and
-Jacobian assembly."""
+"""Shared test helpers: random admissible configuration sampling,
+Jacobian assembly and the one-pair Jacobian and polish."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from quasivar import ExponentConfig, check_model_hypotheses
+from quasivar.energy import stacked_jacobians
+from quasivar.mpsolver import _polish_stack
 
 
 def random_admissible_configs(count: int, seed: int = 0,
@@ -61,12 +63,23 @@ def random_admissible_configs(count: int, seed: int = 0,
     return out
 
 
+def pair_jacobian(fp, mf, idle: int | None = None) -> np.ndarray:
+    """``stacked_jacobians`` of the one pair fp."""
+    return stacked_jacobians(fp.grid, fp.u.values[None], fp.v.values[None],
+                             mf, [idle])[0]
+
+
+def polish_pair(fp, mf, tol: float, max_iter: int):
+    """``_polish_stack`` of the one pair fp."""
+    return _polish_stack([fp], mf, tol, max_iter)[0]
+
+
 def assemble_jacobian(grid, jac: np.ndarray, sparse: bool = False):
     """The global matrix summed from one matrix per cell.
 
     ``jac`` holds one component's (c, c) block per cell, c = 2^dim
     corners in the order of ``jacobian_pattern``, or the pair's (2c, 2c)
-    matrix, u corners before v, as ``dJ_jacobian`` returns; a single
+    matrix, u corners before v, as ``pair_jacobian`` returns; a single
     matrix, such as ``Grid.element_stiffness``, serves every cell.  Its
     entries are summed in cell order, as ``np.add.at`` sums them, over
     the interior numbers of the corners, and boundary corners dropped.
