@@ -16,13 +16,12 @@ from .exponents import (DerivedExponents, ExponentConfig, HypothesisReport,
                         check_model_hypotheses, compute_model_constants,
                         critical_exponent, derive_auxiliary_exponents)
 from .grid import (FieldPair, Grid, GridFunction, dump_field, ell_norm,
-                   gradient_at_quadrature, integrate, norm_Linf, norm_Lp,
-                   norm_W, pair_norm_W, power_map)
+                   integrate, norm_Linf, norm_Lp, norm_W, pair_norm_W,
+                   power_map)
 from .model import (ModelFunctions, StructuralSampleReport,
                     sample_structural_hypotheses)
-from .energy import (EnergyReport, J_eval, NonFiniteEnergyError, dJ_apply,
-                     dJ_loads, gradient_representative, j_value,
-                     residual_norm)
+from .energy import (NonFiniteEnergyError, dJ_apply, dJ_loads,
+                     gradient_representative, j_value, residual_norm)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .mpsolver import (CriticalPointCandidate, GeometryCertificate,
                        NoNegativeEnergyError, SolverParams, VerificationRecord,
@@ -38,14 +37,13 @@ __all__ = [
     "derive_auxiliary_exponents", "check_model_hypotheses",
     "compute_model_constants",
     # grid
-    "Grid", "GridFunction", "FieldPair", "integrate", "gradient_at_quadrature",
-    "norm_W", "norm_Lp", "norm_Linf", "power_map", "pair_norm_W",
-    "ell_norm", "dump_field",
+    "Grid", "GridFunction", "FieldPair", "integrate", "norm_W", "norm_Lp",
+    "norm_Linf", "power_map", "pair_norm_W", "ell_norm", "dump_field",
     # model
     "ModelFunctions", "StructuralSampleReport", "sample_structural_hypotheses",
     # energy
-    "EnergyReport", "NonFiniteEnergyError", "J_eval", "j_value", "dJ_loads",
-    "dJ_apply", "gradient_representative", "residual_norm",
+    "NonFiniteEnergyError", "j_value", "dJ_loads", "dJ_apply",
+    "gradient_representative", "residual_norm",
     # eigen
     "EigenPair", "first_eigenpair", "rayleigh_quotient",
     # mpsolver

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, integrate, norm_Lp, sine_product,
-                   squared_magnitude)
-from .model import ModelFunctions
+from .grid import (Grid, GridFunction, integrate, magnitude_power, norm_Lp,
+                   sine_product, squared_magnitude)
+from .model import ModelFunctions, _pow, _xi_pow
 
 # the descent stops at a drop of the quotient <= _TOL max(1, |q|)
 _TOL = 1e-10
@@ -38,7 +38,7 @@ def rayleigh_quotient(y: GridFunction, p: float) -> float:
     """Quadrature ratio int |grad y|^p / int |y|^p."""
     grid = y.grid
     g = grid.element_gradients(y.values)
-    num = integrate(np.sqrt(squared_magnitude(g)) ** p, grid)
+    num = integrate(magnitude_power(g, p), grid)
     m = grid.midpoint_values(y.values)
     den = integrate(np.abs(m) ** p, grid)
     if den == 0.0:
@@ -68,10 +68,9 @@ def first_eigenpair(p: float, grid: Grid,
         # Sobolev gradient of the quotient at |y|_p = 1:
         # dR[d] = p int |grad y|^{p-2} grad y . grad d - q p int |y|^{p-2} y d
         g = grid.element_gradients(y.values)
-        g_sq = squared_magnitude(g)
-        coef = (g_sq + epsilon_reg ** 2) ** ((p - 2.0) / 2.0)
+        coef = _xi_pow(squared_magnitude(g), p, 2.0, epsilon_reg)
         m = grid.midpoint_values(y.values)
-        load = grid.scatter(-q * p * np.abs(m) ** (p - 2.0) * m,
+        load = grid.scatter(-q * p * _pow(m, p - 2.0) * m,
                             p * coef[..., None] * g)
         r = grid.laplacian_solve(load)
         step = alpha

@@ -14,32 +14,14 @@ preconditioned residual norm used as a dual-norm surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import (FieldPair, Grid, GridFunction, ell_norm, norm_Linf, norm_W)
+from .grid import FieldPair, Grid, GridFunction
 from .model import ModelFunctions
 
 
 class NonFiniteEnergyError(ArithmeticError):
     """An energy integrand overflowed to a non-finite value."""
-
-
-@dataclass
-class EnergyReport:
-    """Energy value with per-term breakdown, norms, and optional residual."""
-
-    total: float
-    int_A: float
-    int_B: float
-    int_G: float
-    norm_W_u: float
-    norm_W_v: float
-    linf_u: float
-    linf_v: float
-    ell: float
-    residual: float | None = None
 
 
 def element_data(grid: Grid, u: np.ndarray, v: np.ndarray):
@@ -116,23 +98,6 @@ def ray_energy(ray: tuple[np.ndarray, np.ndarray], tau) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteEnergyError("non-finite energy along the ray")
     return out
-
-
-def J_eval(fp: FieldPair, mf: ModelFunctions,
-           with_residual: bool = False) -> EnergyReport:
-    """Full energy report with term breakdown and discrete norms."""
-    cfg = mf.cfg
-    int_A, int_B, int_G = energy_terms(fp, mf)
-    residual = None
-    if with_residual:
-        _, residual = gradient_representative(fp, mf)
-    return EnergyReport(
-        total=int_A + int_B - int_G,
-        int_A=int_A, int_B=int_B, int_G=int_G,
-        norm_W_u=norm_W(fp.u, cfg.p1), norm_W_v=norm_W(fp.v, cfg.p2),
-        linf_u=norm_Linf(fp.u), linf_v=norm_Linf(fp.v),
-        ell=ell_norm(fp, cfg),
-        residual=residual)
 
 
 def stacked_loads(grid: Grid, u: np.ndarray, v: np.ndarray,

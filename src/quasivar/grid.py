@@ -372,11 +372,6 @@ class FieldPair:
         return FieldPair(-self.u, -self.v)
 
 
-def gradient_at_quadrature(gf: GridFunction) -> np.ndarray:
-    """Element-constant gradient vectors at quadrature points."""
-    return gf.grid.element_gradients(gf.values)
-
-
 def norm_W(gf: GridFunction, p: float) -> float:
     """Gradient p-norm (integral of |grad|^p)^(1/p) by midpoint quadrature."""
     if p < 1:

@@ -51,6 +51,13 @@ def _pow_from_abs(a: np.ndarray, e: float,
     return a
 
 
+def _xi_pow(xi_sq: np.ndarray, p: float, k: float, eps: float) -> np.ndarray:
+    """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2; the zero
+    rule of _pow where eps = 0 or p >= 2."""
+    e = (p - k) / 2.0
+    return (xi_sq + eps * eps) ** e if p < 2 and eps > 0 else _pow(xi_sq, e)
+
+
 @dataclass
 class ModelFunctions:
     """Evaluator bundle for one exponent configuration.
@@ -85,18 +92,12 @@ class ModelFunctions:
         return ((1.0 / p) * (1.0 + _pow(t, s * p))
                 * magnitude_power(np.asarray(xi, dtype=float), p))
 
-    def _xi_pow(self, xi_sq: np.ndarray, p: float, k: float) -> np.ndarray:
-        """(|xi|^2 + eps^2)^{(p-k)/2}, regularized only for p < 2; the
-        zero rule of _pow where eps = 0 or p >= 2."""
-        e, eps = (p - k) / 2.0, self.epsilon_reg
-        return (xi_sq + eps * eps) ** e if p < 2 and eps > 0 else _pow(xi_sq, e)
-
     def _coef_xi(self, t, xi, component: int) -> np.ndarray:
         """a or b, the xi-gradient of A or B, with |xi|^{p-2} regularized."""
         p, s = self._exponents(component)
         xi = np.asarray(xi, dtype=float)
         coef = ((1.0 + _pow(t, s * p))
-                * self._xi_pow(squared_magnitude(xi), p, 2.0))
+                * _xi_pow(squared_magnitude(xi), p, 2.0, self.epsilon_reg))
         return coef[..., None] * xi
 
     def _coef_t(self, t, xi, component: int) -> np.ndarray:
@@ -160,10 +161,10 @@ class ModelFunctions:
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
         xi_sq = squared_magnitude(xi)
-        f = self._xi_pow(xi_sq, p, 2.0)
+        f = _xi_pow(xi_sq, p, 2.0, self.epsilon_reg)
         xi_xi = f[..., None, None] * np.eye(xi.shape[-1])
         if p != 2:
-            f2 = self._xi_pow(xi_sq, p, 4.0)
+            f2 = _xi_pow(xi_sq, p, 4.0, self.epsilon_reg)
             xi_xi = xi_xi + ((p - 2.0) * f2)[..., None, None] \
                 * xi[..., :, None] * xi[..., None, :]
         sp_ = s * p

@@ -596,7 +596,7 @@ def _ridge_point(endpoint: FieldPair, points: int,
     return endpoint * taus[int(np.argmax(ray_energy(ray, np.array(taus))))]
 
 
-def _search_starts(cfg: ExponentConfig, grid: Grid,
+def _search_starts(cfg: ExponentConfig,
                    certificates: list[GeometryCertificate],
                    params: SolverParams, mf: ModelFunctions,
                    provenances: list[str]) -> list[CriticalPointCandidate]:
@@ -605,9 +605,9 @@ def _search_starts(cfg: ExponentConfig, grid: Grid,
     ridges = [_ridge_point(cert.endpoint, params.path_points, mf)
               for cert in certificates]
     vector = [bool(r.u.values.any() and r.v.values.any()) for r in ridges]
-    zero = GridFunction.zero(grid)
-    attempts = [("", lambda r: r), (" (u, 0)", lambda r: FieldPair(r.u, zero)),
-                (" (0, v)", lambda r: FieldPair(zero, r.v))]
+    attempts = [("", lambda r: r),
+                (" (u, 0)", lambda r: FieldPair(r.u, GridFunction.zero(r.grid))),
+                (" (0, v)", lambda r: FieldPair(GridFunction.zero(r.grid), r.v))]
     out: list[CriticalPointCandidate | None] = [None] * len(ridges)
     for it, (label, project) in enumerate(attempts, start=1):
         todo = [s for s in range(len(ridges))
@@ -657,13 +657,16 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
     (u, 0) and then (0, v) are polished in turn, and the one kept is named
     in the provenance.  ``iterations`` counts the polish attempts.  When
     no attempt is kept the ridge point itself is returned, unconverged.
+    The search runs on the endpoint's own grid; raises ValueError when
+    grid is not of its size.
     """
     params = params or SolverParams()
     mf = _model(cfg, mf)
     if not certificate.validated:
         raise ValueError("mountain_pass_search requires a validated certificate")
-    return _search_starts(cfg, grid, [certificate], params, mf,
-                          [provenance])[0]
+    if grid.node_shape != certificate.endpoint.grid.node_shape:
+        raise ValueError("the certificate lives on a grid of another size")
+    return _search_starts(cfg, [certificate], params, mf, [provenance])[0]
 
 
 def _structured_start(grid: Grid, index: int) -> FieldPair:
@@ -714,7 +717,7 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
             certs.append(cert)
             labels.append(f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
     results: list[CriticalPointCandidate] = []
-    for cand in _search_starts(cfg, grid, certs, params, mf, labels):
+    for cand in _search_starts(cfg, certs, params, mf, labels):
         # a collapsed candidate is never converged
         if not cand.converged:
             continue

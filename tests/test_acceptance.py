@@ -105,10 +105,10 @@ def _power_gradient_sides(n: int, s: float, p: float) -> tuple[float, float]:
     gf = qv.GridFunction.from_callable(
         g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     lhs = qv.integrate(np.sum(
-        qv.gradient_at_quadrature(qv.power_map(gf, s)) ** 2,
+        g.element_gradients(qv.power_map(gf, s).values) ** 2,
         axis=-1) ** (p / 2), g)
     m = np.abs(g.midpoint_values(gf.values))
-    grad_p = np.sum(qv.gradient_at_quadrature(gf) ** 2, axis=-1) ** (p / 2)
+    grad_p = np.sum(g.element_gradients(gf.values) ** 2, axis=-1) ** (p / 2)
     rhs = (s + 1.0) ** p * qv.integrate(m ** (s * p) * grad_p, g)
     return lhs, rhs
 

@@ -259,6 +259,20 @@ class TestEigenCommand:
         assert abs(rec["lambda1"] - math.pi ** 2) < 1e-3 * math.pi ** 2
         assert abs(rec["rayleigh_quotient"] - rec["lambda1"]) < 1e-10
 
+    def test_unregularized_even_grid(self, capsys, tmp_path):
+        p = tmp_path / "eig.txt"
+        p.write_text(with_values(COUPLED_TEXT, {"epsilon_reg": 0}))
+        code = main(["eigen", "--config", str(p), "--grid-n", "18"])
+        lines = capsys.readouterr().out.strip().splitlines()
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON value {name}")
+
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert code == 0
+        rec = [r for r in records if r["record"] == "eigenpair"][0]
+        assert rec["converged"] is True and rec["lambda1"] > 0.0
+
     def test_field_dump_written(self, capsys, tmp_path, decoupled_path):
         out = tmp_path / "out"
         code, _ = run_cli(capsys, "eigen", "--config", decoupled_path,

@@ -65,6 +65,14 @@ class TestNonlinearEigenpair:
             trial = GridFunction(g, vals)
             assert rayleigh_quotient(trial, 1.5) >= pair.lambda1 - 1e-9
 
+    def test_unregularized_even_grid_stays_finite(self):
+        # on an even grid the bubble's centre cell has zero gradient, where
+        # the unregularized flux factor |xi|^{p-2} takes the zero rule
+        pair = first_eigenpair(1.5, Grid(2, 18), epsilon_reg=0.0)
+        assert pair.converged
+        assert np.isfinite(pair.lambda1) and pair.lambda1 > 0.0
+        assert np.all(np.isfinite(pair.phi1.values))
+
     def test_rejects_p_at_most_one(self):
         with pytest.raises(ValueError):
             first_eigenpair(1.0, Grid(1, 33))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasivar import (FieldPair, Grid, GridFunction, J_eval, ModelFunctions,
+from quasivar import (FieldPair, Grid, GridFunction, ModelFunctions,
                       NonFiniteEnergyError, dJ_apply, gradient_representative,
                       j_value, residual_norm)
 from quasivar.cli import gradcheck_slope
@@ -39,14 +39,6 @@ class TestEnergyValue:
         assert int_A == pytest.approx(np.pi ** 2 / 2, rel=0.01)
         assert int_B == 0.0
         assert int_G == pytest.approx((3.0 / 8.0) ** 2 / 4.0, rel=0.01)
-
-    def test_report_fields(self, decoupled_cfg, bubble_pair):
-        mf = ModelFunctions(decoupled_cfg)
-        rep = J_eval(bubble_pair, mf, with_residual=True)
-        assert rep.total == pytest.approx(rep.int_A + rep.int_B - rep.int_G)
-        assert rep.linf_u == pytest.approx(1.0, abs=1e-3)
-        assert rep.linf_v == 0.0
-        assert rep.residual is not None and rep.residual > 0.0
 
     def test_evenness(self, coupled_cfg):
         g = Grid(2, 17)

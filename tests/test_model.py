@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from quasivar import (ModelFunctions, compute_model_constants,
                       sample_structural_hypotheses)
 from quasivar.grid import squared_magnitude
+from quasivar.model import _xi_pow
 
 # Reference forms of the first derivatives, each signed power written as
 # sign(t) |t|^e and G_u, G_v as two mirrored formulas.  Where they are
@@ -332,6 +333,20 @@ class TestRegularization:
     def test_rejects_negative_eps(self, coupled_cfg):
         with pytest.raises(ValueError):
             ModelFunctions(coupled_cfg, epsilon_reg=-1.0)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.3])
+    def test_xi_pow_is_the_regularized_power(self, p, eps):
+        x = np.array([0.0, 1e-20, 1e-12, 0.25, 1.0, 7.5])
+        assert np.array_equal(_xi_pow(x, p, 2.0, eps),
+                              (x + eps ** 2) ** ((p - 2) / 2))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("k", [2.0, 4.0])
+    def test_xi_pow_unregularized_is_zero_at_zero(self, p, k):
+        out = _xi_pow(np.array([0.0, 0.25]), p, k, 0.0)
+        assert out[0] == 0.0
+        assert out[1] == 0.25 ** ((p - k) / 2)
 
     def test_regularized_converges_to_exact(self, coupled_cfg):
         xi = np.array([0.3, -0.2])

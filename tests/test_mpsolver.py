@@ -1274,6 +1274,25 @@ class TestSemitrivialFallback:
         assert cand.provenance.endswith("(0, v)" if mirror else "(u, 0)")
         assert cand.iterations == (3 if mirror else 2)
 
+    def test_fallback_runs_on_the_endpoint_grid(self, coupled_cfg,
+                                                coupled_start):
+        # the (u, 0) round builds its zero field on the ridge point's own
+        # grid, so an equal-size grid object gives the same candidate
+        mf, cert, b = coupled_start
+        cert = _with_endpoint(cert, FieldPair(b, b * 0.5), coupled_cfg, mf)
+        same = mountain_pass_search(coupled_cfg, b.grid, cert, mf=mf)
+        other = mountain_pass_search(coupled_cfg, Grid(2, 33), cert, mf=mf)
+        assert other.provenance == same.provenance
+        assert other.provenance.endswith("(u, 0)")
+        assert other.level == same.level and other.residual == same.residual
+        assert np.array_equal(other.fields.u.values, same.fields.u.values)
+        assert np.array_equal(other.fields.v.values, same.fields.v.values)
+
+    def test_grid_of_another_size_raises(self, coupled_cfg, coupled_start):
+        mf, cert, _ = coupled_start
+        with pytest.raises(ValueError, match="another size"):
+            mountain_pass_search(coupled_cfg, Grid(2, 17), cert, mf=mf)
+
     def test_unreachable_tol_ends_unconverged_quickly(self, coupled_cfg,
                                                       monkeypatch):
         # tol 1e-30 is below rounding: each attempt must stop at the stall
@@ -1419,9 +1438,9 @@ class TestMultiplicity:
         monkeypatch.setattr(mpsolver, "_with_endpoint", failing)
         search, searched = mpsolver._search_starts, []
 
-        def recorded(cfg, grid, certs, params, mf, provenances):
+        def recorded(cfg, certs, params, mf, provenances):
             searched.extend(provenances)
-            return search(cfg, grid, certs, params, mf, provenances)
+            return search(cfg, certs, params, mf, provenances)
 
         monkeypatch.setattr(mpsolver, "_search_starts", recorded)
         cands = multiplicity_search(decoupled_cfg_1d, g, 3, n_geo_samples=4)
@@ -1610,8 +1629,8 @@ class TestLockStep:
         certs = [_with_endpoint(cert, FieldPair(b * x, b * y), coupled_cfg, mf)
                  for x, y in ((1, 0.5), (0.5, 1), (1, 1), (1, 0.2), (1, 0))]
         labels = [f"start {k}" for k in range(len(certs))]
-        got = mpsolver._search_starts(coupled_cfg, g, certs, SolverParams(),
-                                      mf, labels)
+        got = mpsolver._search_starts(coupled_cfg, certs, SolverParams(), mf,
+                                      labels)
         assert [c.iterations for c in got] == [2, 3, 1, 2, 1]
         _assert_same_candidates(got, [
             _serially(mountain_pass_search, coupled_cfg, g, c, None, mf,
