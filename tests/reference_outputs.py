@@ -23,7 +23,16 @@ bitwise-equal results must print the same bytes.  The lines cover
 - the ``certify``, ``solve``, ``multi``, ``eigen``, ``gradcheck``,
   ``check``, ``derive``, ``constants`` and ``dump`` CLI streams of
   ``test_cli``'s coupled and decoupled configs at n = 17, with the header
-  timestamp removed.
+  timestamp removed, and the sha256 of the ``u.txt`` and ``v.txt`` that
+  ``solve --out`` writes for each;
+- ``scale_to_ell`` of the coupled sine bubble (b, b) at amplitude 1 and at
+  1e-200, where its ray coefficients underflow and it rescales to peak 1
+  first, and the margins and trend ratios of
+  ``sample_structural_hypotheses`` on the coupled config;
+- the exit code and error record of every single-fault usage error of
+  README's config format, on the decoupled config: each command-line
+  override, one malformed value per type and one out-of-range value per
+  rule.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -47,7 +56,7 @@ import quasivar as qv  # noqa: E402
 from quasivar.cli import main  # noqa: E402
 
 from test_acceptance import COUPLED, DECOUPLED, DECOUPLED_1D  # noqa: E402
-from test_cli import COUPLED_TEXT, DECOUPLED_TEXT  # noqa: E402
+from test_cli import COUPLED_TEXT, DECOUPLED_TEXT, with_values  # noqa: E402
 from util import random_admissible_configs  # noqa: E402
 from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
@@ -160,8 +169,74 @@ def cli_lines():
                 yield f"cli {label} {command} exit={code}"
 
 
+def run_main(*argv) -> tuple[int, list[str]]:
+    """main's exit code and output lines, the header timestamp removed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, [re.sub(r', "timestamp": "[^"]*"', "", line)
+                  for line in out.getvalue().splitlines()]
+
+
+def dump_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, text in (("coupled", COUPLED_TEXT),
+                            ("decoupled", DECOUPLED_TEXT)):
+            path = os.path.join(tmp, f"{label}.txt")
+            Path(path).write_text(text)
+            out = os.path.join(tmp, label)
+            code = run_main("solve", "--config", path, "--out", out)[0]
+            for name in ("u.txt", "v.txt"):
+                digest = hashlib.sha256(
+                    Path(out, name).read_bytes()).hexdigest()
+                yield f"dump {label} solve exit={code} {name} {digest}"
+
+
+def model_lines():
+    grid = qv.Grid(2, 33)
+    b = qv.mpsolver._structured_start(grid, 0).u
+    for amplitude in (1.0, 1e-200):
+        scaled = qv.scale_to_ell(qv.FieldPair(b, b) * amplitude, COUPLED, 0.1)
+        yield (f"scale_to_ell amplitude={amplitude!r} {sha(scaled)} "
+               f"ell={qv.ell_norm(scaled, COUPLED)!r}")
+    report = qv.sample_structural_hypotheses(qv.ModelFunctions(COUPLED),
+                                             n_samples=2000, seed=0)
+    for m in report.margins:
+        yield f"structural {m.id} min_margin={m.min_margin!r}"
+    for t in report.trends:
+        yield f"structural {t.id} ratios={[float(r) for r in t.ratios]!r}"
+
+
+USAGE_OVERRIDES = (("--grid-n", "2"), ("--seed", "-1"),
+                   ("--seed", str(2 ** 64)), ("--tol", "0"))
+# one fault per config: values out of range, then malformed ones
+USAGE_ERRORS = (
+    ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("dimension", "3"),
+    ("dimension", "0"), ("n", "2"), ("path_points", "2"), ("count", "0"),
+    ("n_geo_samples", "0"), ("gradcheck_runs", "0"), ("r0", "0"),
+    ("r0", "-1"), ("tol", "0"), ("epsilon_reg", "-1"), ("seed", "-1"),
+    ("seed", str(2 ** 64)), ("N", "0"), ("p1", "1"), ("p2", "1"),
+    ("s1", "-0.5"), ("s2", "-0.5"), ("q1", "0.5"), ("q2", "0.5"),
+    ("theta1", "0"), ("theta2", "0"), ("c_star", "-1"),
+    ("p3", "2"), ("quiet", "maybe"), ("n", "x"), ("n", "1.5"),
+    ("tol", "1/0"), ("tol", "a/b"))
+
+
+def usage_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.txt")
+        Path(path).write_text(DECOUPLED_TEXT)
+        for option, value in USAGE_OVERRIDES:
+            code, lines = run_main("check", "--config", path, option, value)
+            yield f"usage {option} {value} exit={code} {' '.join(lines)}"
+        for key, value in USAGE_ERRORS:
+            Path(path).write_text(with_values(DECOUPLED_TEXT, {key: value}))
+            code, lines = run_main("check", "--config", path)
+            yield f"usage {key} = {value} exit={code} {' '.join(lines)}"
+
+
 if __name__ == "__main__":
     for lines in (workload_lines(), acceptance_lines(), fallback_lines(),
-                  cli_lines()):
+                  cli_lines(), dump_lines(), model_lines(), usage_lines()):
         for line in lines:
             print(line, flush=True)
