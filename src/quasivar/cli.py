@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -87,19 +88,15 @@ class RunConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        if self.dimension not in (1, 2):
-            raise ConfigError("dimension must be 1 or 2")
-        for name, low in (("n", 3), ("path_points", 3), ("count", 1),
-                          ("n_geo_samples", 1), ("gradcheck_runs", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be at least {low}")
-        for name in ("r0", "tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("count", "n_geo_samples", "gradcheck_runs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if not self.r0 > 0:
+            raise ConfigError("r0 must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be in [0, 2^64)")
-        try:
-            self.model()
+        try:  # the objects built from the other values check them
+            self.grid(), self.solver_params(), self.model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -114,39 +111,34 @@ class RunConfig:
                               epsilon_reg=self.epsilon_reg)
 
     def solver_params(self) -> SolverParams:
-        return SolverParams(tol=self.tol, max_iters=self.max_iters,
-                            path_points=self.path_points,
-                            nontrivial_floor=self.nontrivial_floor)
+        return SolverParams(**{f.name: getattr(self, f.name)
+                               for f in fields(SolverParams)})
 
 
-def _coerce(name: str, raw: str, target_type) -> object:
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
+def _number(raw: str) -> float:
+    """A float literal or a simple fraction such as 1/8."""
+    num, slash, den = raw.partition("/")
+    return float(num) / float(den) if slash else float(raw)
+
+
+# per field type: the name of what a value must be, and its parser
+_PARSERS = {"bool": ("boolean", lambda raw: _BOOLEANS[raw.lower()]),
+            "int": ("integer", int), "float": ("number", _number),
+            "str": ("string", str)}
+
+
+def _coerce(name: str, raw: str, type_name: str) -> object:
     raw = raw.strip()
-    if target_type is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key '{name}': expected boolean, got '{raw}'")
-    if target_type is int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{name}': expected integer, got '{raw}'") from exc
-    if target_type is float:
-        try:
-            return float(raw)  # accepts fractions via eval-free parsing below
-        except ValueError:
-            # allow simple rational literals like 1/8
-            if "/" in raw:
-                num, _, den = raw.partition("/")
-                try:
-                    return float(num) / float(den)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ConfigError(
-                        f"key '{name}': expected number, got '{raw}'") from exc
-            raise ConfigError(f"key '{name}': expected number, got '{raw}'")
-    return raw
+    expected, parse = _PARSERS[type_name]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"key '{name}': expected {expected}, got '{raw}'") from exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -156,7 +148,6 @@ def parse_config(path: str) -> RunConfig:
     ``ConfigError``.
     """
     field_types = {f.name: f.type for f in fields(RunConfig)}
-    type_map = {"int": int, "float": float, "bool": bool, "str": str}
     values: dict[str, object] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,7 +166,7 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        values[key] = _coerce(key, raw, type_map[field_types[key]])
+        values[key] = _coerce(key, raw, field_types[key])
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -268,26 +259,23 @@ def cmd_check(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK if report.admissible else EXIT_FAIL
 
 
-def cmd_derive(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
+def _exponent_record(record: str, compute, rc: RunConfig,
+                     em: Emitter) -> int:
+    """compute(cfg)'s fields as one record, or the error that the config
+    fails the hypotheses compute needs: ``derive`` and ``constants``."""
     try:
-        der = derive_auxiliary_exponents(cfg)
-    except InfeasibleIntervalError as exc:
-        em.emit({"record": "error", "message": str(exc)})
-        return EXIT_FAIL
-    em.emit({"record": "derived_exponents", **dataclasses.asdict(der)})
-    return EXIT_OK
-
-
-def cmd_constants(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
-    try:
-        consts = compute_model_constants(cfg)
+        result = compute(rc.exponent_config())
     except (NonAdmissibleConfigError, InfeasibleIntervalError) as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_FAIL
-    em.emit({"record": "model_constants", **dataclasses.asdict(consts)})
+    em.emit({"record": record, **dataclasses.asdict(result)})
     return EXIT_OK
+
+
+cmd_derive = functools.partial(_exponent_record, "derived_exponents",
+                               derive_auxiliary_exponents)
+cmd_constants = functools.partial(_exponent_record, "model_constants",
+                                  compute_model_constants)
 
 
 # the central-difference steps h of gradcheck_slope
@@ -359,7 +347,7 @@ def _emit_candidate(rc: RunConfig, em: Emitter, cand, mf: ModelFunctions,
                     suffix: str = ""):
     """Verify cand, emit its record and dump u{suffix}.txt, v{suffix}.txt."""
     rec = verify_candidate(cand, mf.cfg, cand.fields.grid, mf,
-                           nontrivial_floor=rc.nontrivial_floor)
+                           rc.solver_params())
     em.emit({"record": "candidate", "level": cand.level,
              "residual": cand.residual, "nontriviality": cand.nontriviality,
              "linf_u": cand.linf_u, "linf_v": cand.linf_v,

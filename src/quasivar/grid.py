@@ -30,7 +30,7 @@ class Grid:
         if dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if n < 3:
-            raise ValueError("need at least 3 nodes per axis")
+            raise ValueError("n must be at least 3")
         self.dimension = dimension
         self.n = n
         self.h = 1.0 / (n - 1)
@@ -337,14 +337,14 @@ class GridFunction:
 
 @dataclass
 class FieldPair:
-    """A pair (u, v) of fields on a shared grid."""
+    """A pair (u, v) of fields on grids of one size."""
 
     u: GridFunction
     v: GridFunction
 
     def __post_init__(self):
-        if self.u.grid is not self.v.grid:
-            raise ValueError("FieldPair components must share a grid")
+        if self.u.grid.node_shape != self.v.grid.node_shape:
+            raise ValueError("FieldPair components must share a grid size")
 
     @property
     def grid(self) -> Grid:

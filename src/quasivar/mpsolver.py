@@ -43,6 +43,14 @@ class SolverParams:
     # multiplicity_search drops a candidate this W-close to a kept one
     dedup_tol: ClassVar[float] = 1e-2
 
+    def __post_init__(self):
+        for name, low in (("max_iters", 0), ("path_points", 3)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
+        for name in ("tol", "nontrivial_floor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
 
 # nodes per block of certify samples, which bounds the memory of the
 # batched ray coefficients (3 samples on the 2D n=65 grid, 15 on n=33);
@@ -231,7 +239,10 @@ def _ell_scales(a, b1, b2, cfg: ExponentConfig, r0: float) -> np.ndarray:
     tau0, |y| <= log 2 keeps full relative precision where log tau would
     not.  Where tau0^e_i overflows (b_i zero or subnormal), d_i is
     (tau0/c_i)^e_i, with c_i the crossing, so a zero b gives a zero term.
+    Raises ValueError unless 0 < r0 < inf.
     """
+    if not 0 < r0 < math.inf:
+        raise ValueError("r0 must be positive and finite")
     e1, e2 = cfg.s1 + 1.0, cfg.s2 + 1.0
     if e1 == e2:
         return np.minimum(r0 / a, (r0 / (b1 + b2)) ** (1.0 / e1))
@@ -260,8 +271,6 @@ def scale_to_ell(fp: FieldPair, cfg: ExponentConfig, r0: float) -> FieldPair:
     max(tau a, tau^(s1+1) b1 + tau^(s2+1) b2), with the coefficients of
     ``ray_coefficients``; the scale is that of ``_ell_scales``.
     """
-    if not 0 < r0 < math.inf:
-        raise ValueError("r0 must be positive and finite")
     with np.errstate(over="ignore"):
         a, b1, b2 = ray_coefficients(fp, cfg)
     if not (0.0 < a < math.inf and 0.0 < b1 + b2 < math.inf):
@@ -323,8 +332,6 @@ def certify_geometry(cfg: ExponentConfig, grid: Grid, r0: float,
     certificate rather than raising: the geometry may genuinely fail at
     that radius.
     """
-    if not 0 < r0 < math.inf:
-        raise ValueError("r0 must be positive and finite")
     if n_samples < 1:
         raise ValueError("certification needs at least one sample")
     mf = _model(cfg, mf)
@@ -588,8 +595,6 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
 def _ridge_point(endpoint: FieldPair, points: int,
                  mf: ModelFunctions) -> FieldPair:
     """``mountain_pass_search``'s ridge point on the path to endpoint."""
-    if points < 3:
-        raise ValueError("path_points must be at least 3")
     grid, taus = endpoint.grid, [k / (points - 1) for k in range(points)]
     ray = ray_energies(grid, element_data(grid, endpoint.u.values,
                                           endpoint.v.values), mf)
@@ -641,7 +646,6 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
                          certificate: GeometryCertificate,
                          params: SolverParams | None = None,
                          mf: ModelFunctions | None = None,
-                         provenance: str = "mountain_pass",
                          ) -> CriticalPointCandidate:
     """Polish the ridge point of the path from the origin to the endpoint.
 
@@ -666,7 +670,8 @@ def mountain_pass_search(cfg: ExponentConfig, grid: Grid,
         raise ValueError("mountain_pass_search requires a validated certificate")
     if grid.node_shape != certificate.endpoint.grid.node_shape:
         raise ValueError("the certificate lives on a grid of another size")
-    return _search_starts(cfg, [certificate], params, mf, [provenance])[0]
+    return _search_starts(cfg, [certificate], params, mf,
+                          ["mountain_pass"])[0]
 
 
 def _structured_start(grid: Grid, index: int) -> FieldPair:
@@ -733,7 +738,7 @@ def multiplicity_search(cfg: ExponentConfig, grid: Grid, count: int,
 
 def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
                      grid: Grid, mf: ModelFunctions | None = None,
-                     nontrivial_floor: float = SolverParams.nontrivial_floor,
+                     params: SolverParams | None = None,
                      ) -> VerificationRecord:
     """Independent re-evaluation of a candidate's certificates.
 
@@ -741,10 +746,12 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
     reports the Cerami-weighted residual  residual * (1 + |fields|_X)
     with the X-norm surrogate  |u|_W1 + |v|_W2 + |u|_inf + |v|_inf.
     ``semitrivial`` is true when exactly one component is identically
-    zero: a solution of one scalar equation, not a vector solution.
+    zero: a solution of one scalar equation, not a vector solution, and
+    ``trivial`` when the W-norm is below ``params.nontrivial_floor``.
     Raises ValueError when grid is not the size of the candidate's own.
     """
     mf = _model(cfg, mf)
+    params = params or SolverParams()
     if grid.node_shape != cand.fields.grid.node_shape:
         raise ValueError("the candidate lives on a grid of another size")
     measured = _measured(cand.fields, cfg, mf)
@@ -752,6 +759,6 @@ def verify_candidate(cand: CriticalPointCandidate, cfg: ExponentConfig,
     x_norm = measured["nontriviality"] + measured["linf_u"] + measured["linf_v"]
     return VerificationRecord(
         residual=res, cerami_residual=res * (1.0 + x_norm),
-        trivial=bool(measured["nontriviality"] < nontrivial_floor),
+        trivial=bool(measured["nontriviality"] < params.nontrivial_floor),
         semitrivial=(measured["linf_u"] == 0.0) != (measured["linf_v"] == 0.0),
         positive_level=bool(measured["level"] > 0.0), **measured)

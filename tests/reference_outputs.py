@@ -219,7 +219,8 @@ USAGE_ERRORS = (
     ("s1", "-0.5"), ("s2", "-0.5"), ("q1", "0.5"), ("q2", "0.5"),
     ("theta1", "0"), ("theta2", "0"), ("c_star", "-1"),
     ("p3", "2"), ("quiet", "maybe"), ("n", "x"), ("n", "1.5"),
-    ("tol", "1/0"), ("tol", "a/b"))
+    ("tol", "1/0"), ("tol", "a/b"), ("max_iters", "-1"),
+    ("nontrivial_floor", "0"))
 
 
 def usage_lines():

@@ -104,7 +104,8 @@ class TestConfigParsing:
         ("r0", "-1"), ("r0", "0"), ("count", "0"), ("n_geo_samples", "0"),
         ("tol", "0"), ("epsilon_reg", "-1"), ("gradcheck_runs", "0"),
         ("p1", "1"), ("s1", "-0.5"), ("q1", "0.5"), ("theta1", "0"),
-        ("c_star", "-1"), ("N", "0"), ("seed", "-1")])
+        ("c_star", "-1"), ("N", "0"), ("seed", "-1"), ("max_iters", "-1"),
+        ("nontrivial_floor", "0"), ("nontrivial_floor", "-1")])
     def test_out_of_range_value_exits_two(self, capsys, tmp_path, key,
                                           value):
         p = tmp_path / "bad.txt"
@@ -456,7 +457,7 @@ _CLI_BASES = {
                                 "eigen")),
        values=st.fixed_dictionaries({
            "n": st.integers(3, 17),
-           "max_iters": st.integers(-1, 20),
+           "max_iters": st.integers(0, 20),
            "path_points": st.integers(3, 9),
            "count": st.integers(1, 3),
            "n_geo_samples": st.integers(1, 16),
@@ -467,7 +468,8 @@ _CLI_BASES = {
            ("r0", -1.0), ("path_points", 2), ("count", 0),
            ("n_geo_samples", 0), ("tol", 0.0), ("epsilon_reg", -1.0),
            ("gradcheck_runs", 0), ("p1", 1.0), ("s1", -0.5), ("q1", 0.5),
-           ("theta1", 0.0), ("c_star", -1.0), ("N", 0), ("seed", -1))))
+           ("theta1", 0.0), ("c_star", -1.0), ("N", 0), ("seed", -1),
+           ("max_iters", -1), ("nontrivial_floor", 0.0))))
 @settings(max_examples=20, deadline=10_000)
 def test_cli_emits_json_lines_with_documented_exit_code(base, command,
                                                         values, bad):

@@ -126,6 +126,15 @@ class TestDifferential:
         with pytest.raises(ValueError):
             dJ_apply(fp, FieldPair.zero(Grid(2, 9)), mf)
 
+    def test_accepts_direction_on_an_equal_grid(self, coupled_cfg):
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 17)
+        rng = np.random.default_rng(0)
+        fp, d = random_pair(g, rng), random_pair(g, rng)
+        twin = FieldPair(GridFunction(Grid(2, 17), d.u.values),
+                         GridFunction(Grid(2, 17), d.v.values))
+        assert dJ_apply(fp, twin, mf) == dJ_apply(fp, d, mf)
+
     @pytest.mark.parametrize("which", ["coupled", "decoupled"])
     def test_finite_difference_slope(self, which, coupled_cfg, decoupled_cfg):
         cfg = coupled_cfg if which == "coupled" else decoupled_cfg

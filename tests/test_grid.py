@@ -318,6 +318,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             FieldPair(GridFunction.zero(Grid(1, 9)), GridFunction.zero(Grid(1, 17)))
 
+    def test_pair_accepts_equal_grids(self):
+        # grids of one size are one grid: Grid is immutable
+        u = GridFunction.from_callable(Grid(2, 9), lambda x, y: x * (1 - x))
+        fp = FieldPair(u, GridFunction.zero(Grid(2, 9)))
+        assert fp.grid is u.grid
+        assert np.array_equal((fp + fp).u.values, 2.0 * u.values)
+
 
 class TestNorms:
     def test_zero_field_all_norms_zero(self):

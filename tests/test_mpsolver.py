@@ -744,6 +744,28 @@ class TestScreenCandidates:
             assert keep[np.argmin(exact[keep])] == np.argmin(exact)
 
 
+class TestSolverParams:
+    @pytest.mark.parametrize("name, value, message", [
+        ("tol", 0.0, "tol must be positive"),
+        ("tol", -1e-6, "tol must be positive"),
+        ("tol", np.nan, "tol must be positive"),
+        ("max_iters", -1, "max_iters must be at least 0"),
+        ("path_points", 2, "path_points must be at least 3"),
+        ("nontrivial_floor", 0.0, "nontrivial_floor must be positive"),
+        ("nontrivial_floor", -1.0, "nontrivial_floor must be positive"),
+        ("nontrivial_floor", np.nan, "nontrivial_floor must be positive")])
+    def test_rejects_value_out_of_range(self, name, value, message):
+        # a floor <= 0 would label the zero pair nontrivial, and
+        # max_iters < 0 would return an unpolished ridge point
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolverParams(**{name: value})
+
+    def test_accepts_the_bounds(self):
+        params = SolverParams(tol=5e-324, max_iters=0, path_points=3,
+                              nontrivial_floor=5e-324)
+        assert params.max_iters == 0 and params.path_points == 3
+
+
 class TestMountainPassSearch:
     def test_matches_shooting_oracle(self, solved_1d, grid_1d):
         cert, cand = solved_1d
@@ -1550,6 +1572,12 @@ def _serially(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def _relabelled(cand, label):
+    """cand with label in place of the "mountain_pass" of its provenance."""
+    return dataclasses.replace(cand, provenance=cand.provenance.replace(
+        "mountain_pass", label, 1))
+
+
 def _serial_multiplicity(cfg, grid, count, seeds=None, params=None,
                          r0=0.1, n_geo_samples=64):
     """multiplicity_search as before the lock step: one
@@ -1565,8 +1593,9 @@ def _serial_multiplicity(cfg, grid, count, seeds=None, params=None,
                 _with_endpoint(base, _structured_start(grid, m), cfg, mf))
         if not cert.validated:
             continue
-        cand = _serially(mountain_pass_search, cfg, grid, cert, params, mf,
-                         provenance=f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
+        cand = _relabelled(
+            _serially(mountain_pass_search, cfg, grid, cert, params, mf),
+            f"multi_start[{m}] seed={seeds[m % len(seeds)]}")
         if not cand.converged:
             continue
         a = cand.fields
@@ -1632,9 +1661,9 @@ class TestLockStep:
         got = mpsolver._search_starts(coupled_cfg, certs, SolverParams(), mf,
                                       labels)
         assert [c.iterations for c in got] == [2, 3, 1, 2, 1]
-        _assert_same_candidates(got, [
-            _serially(mountain_pass_search, coupled_cfg, g, c, None, mf,
-                      provenance=label) for c, label in zip(certs, labels)])
+        _assert_same_candidates(got, [_relabelled(
+            _serially(mountain_pass_search, coupled_cfg, g, c, None, mf),
+            label) for c, label in zip(certs, labels)])
 
     def test_failures_stay_their_own(self, decoupled_cfg, monkeypatch):
         # in one stack: a start whose loads overflow, a start whose first
@@ -1776,6 +1805,14 @@ class TestVerifyCandidate:
         assert round(rec.level, 4) == 7.4693
         assert not rec.semitrivial
         assert not rec.trivial
+
+    def test_floor_comes_from_params(self, coupled_polish, coupled_cfg):
+        cand, *_ = coupled_polish
+        for floor, trivial in ((cand.nontriviality, False),
+                               (2.0 * cand.nontriviality, True)):
+            rec = verify_candidate(cand, coupled_cfg, cand.fields.grid,
+                                   params=SolverParams(nontrivial_floor=floor))
+            assert rec.trivial is trivial
 
     def test_rejects_grid_of_another_size(self, coupled_polish,
                                           coupled_cfg):
