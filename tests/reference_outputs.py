@@ -31,8 +31,8 @@ bitwise-equal results must print the same bytes.  The lines cover
   ``sample_structural_hypotheses`` on the coupled config;
 - the exit code and error record of every single-fault usage error of
   README's config format, on the decoupled config: each command-line
-  override, one malformed value per type and one out-of-range value per
-  rule.
+  override, one malformed value per type, one out-of-range value per
+  rule, and each float key at nan and at inf.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -53,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import quasivar as qv  # noqa: E402
-from quasivar.cli import main  # noqa: E402
+from quasivar.cli import RunConfig, main  # noqa: E402
 
 from test_acceptance import COUPLED, DECOUPLED, DECOUPLED_1D  # noqa: E402
 from test_cli import COUPLED_TEXT, DECOUPLED_TEXT, with_values  # noqa: E402
@@ -208,7 +208,8 @@ def model_lines():
 
 
 USAGE_OVERRIDES = (("--grid-n", "2"), ("--seed", "-1"),
-                   ("--seed", str(2 ** 64)), ("--tol", "0"))
+                   ("--seed", str(2 ** 64)), ("--tol", "0"), ("--tol", "nan"),
+                   ("--tol", "inf"))
 # one fault per config: values out of range, then malformed ones
 USAGE_ERRORS = (
     ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("dimension", "3"),
@@ -221,6 +222,11 @@ USAGE_ERRORS = (
     ("p3", "2"), ("quiet", "maybe"), ("n", "x"), ("n", "1.5"),
     ("tol", "1/0"), ("tol", "a/b"), ("max_iters", "-1"),
     ("nontrivial_floor", "0"))
+# then every float key at nan and inf, but the pairs pinned above
+USAGE_ERRORS += tuple(
+    (f.name, value) for f in dataclasses.fields(RunConfig)
+    if f.type == "float" for value in ("nan", "inf")
+    if (f.name, value) not in USAGE_ERRORS)
 
 
 def usage_lines():
