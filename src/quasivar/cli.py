@@ -12,7 +12,6 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -20,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,8 +39,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_EXPONENT_FIELDS = tuple(f.name for f in fields(ExponentConfig))
-
 
 class ConfigError(ValueError):
     """Malformed config file, unknown key or out-of-range value."""
@@ -49,7 +46,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat run configuration: exponents, grid, solver, and output knobs."""
+    """Flat run configuration: exponents, grid, solver, and output knobs.
+
+    ``grid``, ``model`` and ``params`` are built once, as cached attributes
+    that ``fields`` (so ``config_hash`` and ``dump``) does not list."""
 
     # exponent/parameter tuple
     N: int = 2
@@ -85,32 +85,32 @@ class RunConfig:
     quiet: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
         for name in ("count", "n_geo_samples", "gradcheck_runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if not self.r0 > 0:
+        if not math.isfinite(self.r0):
+            raise ConfigError("r0 must be finite")
+        if self.r0 <= 0:
             raise ConfigError("r0 must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be in [0, 2^64)")
         try:  # the objects built from the other values check them
-            self.grid(), self.solver_params(), self.model()
+            self.grid, self.params, self.model
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def exponent_config(self) -> ExponentConfig:
-        return ExponentConfig(**{k: getattr(self, k) for k in _EXPONENT_FIELDS})
-
+    @functools.cached_property
     def grid(self) -> Grid:
         return Grid(self.dimension, self.n)
 
+    @functools.cached_property
     def model(self) -> ModelFunctions:
-        return ModelFunctions(self.exponent_config(),
-                              epsilon_reg=self.epsilon_reg)
+        cfg = ExponentConfig(**{f.name: getattr(self, f.name)
+                                for f in fields(ExponentConfig)})
+        return ModelFunctions(cfg, epsilon_reg=self.epsilon_reg)
 
-    def solver_params(self) -> SolverParams:
+    @functools.cached_property
+    def params(self) -> SolverParams:
         return SolverParams(**{f.name: getattr(self, f.name)
                                for f in fields(SolverParams)})
 
@@ -141,10 +141,11 @@ def _coerce(name: str, raw: str, type_name: str) -> object:
             f"key '{name}': expected {expected}, got '{raw}'") from exc
 
 
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str, **overrides) -> RunConfig:
     """Parse a flat key = value config file.
 
-    Unknown keys, malformed values and out-of-range values raise
+    Each override that is not None replaces the file's value before any
+    check.  Unknown keys, malformed values and out-of-range values raise
     ``ConfigError``.
     """
     field_types = {f.name: f.type for f in fields(RunConfig)}
@@ -167,6 +168,7 @@ def parse_config(path: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         values[key] = _coerce(key, raw, field_types[key])
+    values.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -248,8 +250,7 @@ def _write_dump(rc: RunConfig, name: str, gf: GridFunction,
 
 
 def cmd_check(rc: RunConfig, em: Emitter) -> int:
-    cfg = rc.exponent_config()
-    report = check_model_hypotheses(cfg)
+    report = check_model_hypotheses(rc.model.cfg)
     for rec in report.records:
         em.emit({"record": "inequality", "id": rec.id,
                  "satisfied": rec.satisfied, "margin": rec.margin,
@@ -264,11 +265,11 @@ def _exponent_record(record: str, compute, rc: RunConfig,
     """compute(cfg)'s fields as one record, or the error that the config
     fails the hypotheses compute needs: ``derive`` and ``constants``."""
     try:
-        result = compute(rc.exponent_config())
+        result = compute(rc.model.cfg)
     except (NonAdmissibleConfigError, InfeasibleIntervalError) as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_FAIL
-    em.emit({"record": record, **dataclasses.asdict(result)})
+    em.emit({"record": record, **asdict(result)})
     return EXIT_OK
 
 
@@ -306,10 +307,9 @@ def gradcheck_slope(mf: ModelFunctions, grid: Grid,
 
 
 def cmd_gradcheck(rc: RunConfig, em: Emitter) -> int:
-    mf, grid = rc.model(), rc.grid()
     ok = True
     for k in range(rc.gradcheck_runs):
-        slope, errors = gradcheck_slope(mf, grid, seed=rc.seed + k)
+        slope, errors = gradcheck_slope(rc.model, rc.grid, seed=rc.seed + k)
         passed = 1.8 <= slope <= 2.2
         ok = ok and passed
         em.emit({"record": "gradcheck", "seed": rc.seed + k,
@@ -319,8 +319,7 @@ def cmd_gradcheck(rc: RunConfig, em: Emitter) -> int:
 
 
 def cmd_eigen(rc: RunConfig, em: Emitter) -> int:
-    grid = rc.grid()
-    pair = first_eigenpair(rc.p1, grid, epsilon_reg=rc.epsilon_reg)
+    pair = first_eigenpair(rc.p1, rc.grid, epsilon_reg=rc.epsilon_reg)
     em.emit({"record": "eigenpair", "p": pair.p, "lambda1": pair.lambda1,
              "rayleigh_quotient": rayleigh_quotient(pair.phi1, pair.p),
              "iterations": pair.iterations, "residual": pair.residual,
@@ -329,13 +328,14 @@ def cmd_eigen(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK if pair.converged else EXIT_FAIL
 
 
-def _certify(rc: RunConfig, grid: Grid, mf: ModelFunctions):
-    return certify_geometry(mf.cfg, grid, rc.r0, n_samples=rc.n_geo_samples,
-                            seed=rc.seed, mf=mf)
+def _certify(rc: RunConfig):
+    return certify_geometry(rc.model.cfg, rc.grid, rc.r0,
+                            n_samples=rc.n_geo_samples, seed=rc.seed,
+                            mf=rc.model)
 
 
 def cmd_certify(rc: RunConfig, em: Emitter) -> int:
-    cert = _certify(rc, rc.grid(), rc.model())
+    cert = _certify(rc)
     em.emit({"record": "geometry_certificate", "r0": cert.r0,
              "rho0": cert.rho0, "samples": cert.samples,
              "endpoint_level": cert.endpoint_level,
@@ -343,11 +343,10 @@ def cmd_certify(rc: RunConfig, em: Emitter) -> int:
     return EXIT_OK if cert.validated else EXIT_FAIL
 
 
-def _emit_candidate(rc: RunConfig, em: Emitter, cand, mf: ModelFunctions,
-                    suffix: str = ""):
+def _emit_candidate(rc: RunConfig, em: Emitter, cand, suffix: str = ""):
     """Verify cand, emit its record and dump u{suffix}.txt, v{suffix}.txt."""
-    rec = verify_candidate(cand, mf.cfg, cand.fields.grid, mf,
-                           rc.solver_params())
+    rec = verify_candidate(cand, rc.model.cfg, cand.fields.grid, rc.model,
+                           rc.params)
     em.emit({"record": "candidate", "level": cand.level,
              "residual": cand.residual, "nontriviality": cand.nontriviality,
              "linf_u": cand.linf_u, "linf_v": cand.linf_v,
@@ -363,27 +362,25 @@ def _emit_candidate(rc: RunConfig, em: Emitter, cand, mf: ModelFunctions,
 
 
 def cmd_solve(rc: RunConfig, em: Emitter) -> int:
-    grid = rc.grid()
-    mf = rc.model()
-    cert = _certify(rc, grid, mf)
+    cert = _certify(rc)
     em.emit({"record": "geometry_certificate", "r0": cert.r0,
              "rho0": cert.rho0, "validated": cert.validated}, detail=True)
     if not cert.validated:
         em.emit({"record": "error", "message": "geometry not validated"})
         return EXIT_FAIL
-    cand = mountain_pass_search(mf.cfg, grid, cert, rc.solver_params(), mf)
-    rec = _emit_candidate(rc, em, cand, mf)
+    cand = mountain_pass_search(rc.model.cfg, rc.grid, cert, rc.params,
+                                rc.model)
+    rec = _emit_candidate(rc, em, cand)
     return EXIT_OK if cand.converged and not rec.trivial else EXIT_FAIL
 
 
 def cmd_multi(rc: RunConfig, em: Emitter) -> int:
-    mf = rc.model()
-    cands = multiplicity_search(mf.cfg, rc.grid(), rc.count,
+    cands = multiplicity_search(rc.model.cfg, rc.grid, rc.count,
                                 seeds=[rc.seed + k for k in range(rc.count)],
-                                params=rc.solver_params(), mf=mf, r0=rc.r0,
+                                params=rc.params, mf=rc.model, r0=rc.r0,
                                 n_geo_samples=rc.n_geo_samples)
     for m, cand in enumerate(cands):
-        _emit_candidate(rc, em, cand, mf, f"_{m}")
+        _emit_candidate(rc, em, cand, f"_{m}")
     em.emit({"record": "multi_summary", "requested": rc.count,
              "found": len(cands),
              "levels": [c.level for c in cands]})
@@ -434,12 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     em = Emitter(quiet=False)
-    overrides = {"seed": args.seed, "out": args.out, "n": args.grid_n,
-                 "tol": args.tol, "quiet": args.quiet or None}
     try:
-        rc = parse_config(args.config)
-        rc = dataclasses.replace(
-            rc, **{k: v for k, v in overrides.items() if v is not None})
+        rc = parse_config(args.config, seed=args.seed, out=args.out,
+                          n=args.grid_n, tol=args.tol,
+                          quiet=args.quiet or None)
     except ConfigError as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_USAGE

@@ -54,10 +54,9 @@ class ExponentConfig:
     exj01_literal: bool = False
 
     def __post_init__(self):
-        vals = (self.p1, self.p2, self.s1, self.s2, self.q1, self.q2,
-                self.gamma1, self.gamma2, self.theta1, self.theta2, self.c_star)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("all exponent fields must be finite")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.N < 1:
             raise ValueError("spatial dimension N must be >= 1")
         if self.p1 <= 1 or self.p2 <= 1:

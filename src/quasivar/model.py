@@ -76,6 +76,8 @@ class ModelFunctions:
     epsilon_reg: float = 1e-8
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon_reg):
+            raise ValueError("epsilon_reg must be finite")
         if self.epsilon_reg < 0:
             raise ValueError("epsilon_reg must be non-negative")
 

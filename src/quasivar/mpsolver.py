@@ -48,7 +48,9 @@ class SolverParams:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         for name in ("tol", "nontrivial_floor"):
-            if not getattr(self, name) > 0:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -32,7 +32,9 @@ bitwise-equal results must print the same bytes.  The lines cover
 - the exit code and error record of every single-fault usage error of
   README's config format, on the decoupled config: each command-line
   override, one malformed value per type, one out-of-range value per
-  rule, and each float key at nan and at inf.
+  rule, and each float key at nan and at inf;
+- the ``dump`` stream of a config whose out-of-range file value a
+  command-line value replaces.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -227,6 +229,9 @@ USAGE_ERRORS += tuple(
     (f.name, value) for f in dataclasses.fields(RunConfig)
     if f.type == "float" for value in ("nan", "inf")
     if (f.name, value) not in USAGE_ERRORS)
+# a file value out of range that the command-line value replaces
+FLAG_OVER_FILE = ((("n", "2"), ("--grid-n", "9")),
+                  (("tol", "0"), ("--tol", "1e-6")))
 
 
 def usage_lines():
@@ -240,6 +245,11 @@ def usage_lines():
             Path(path).write_text(with_values(DECOUPLED_TEXT, {key: value}))
             code, lines = run_main("check", "--config", path)
             yield f"usage {key} = {value} exit={code} {' '.join(lines)}"
+        for (key, value), (option, flag) in FLAG_OVER_FILE:
+            Path(path).write_text(with_values(DECOUPLED_TEXT, {key: value}))
+            code, lines = run_main("dump", "--config", path, option, flag)
+            yield (f"override {key} = {value} {option} {flag} exit={code} "
+                   f"{' '.join(lines)}")
 
 
 if __name__ == "__main__":

@@ -116,6 +116,25 @@ class TestConfigParsing:
         assert code == 2
         assert [r["record"] for r in records] == ["error"]
 
+    def test_unreadable_file_exits_two(self, capsys, tmp_path):
+        code, records = run_cli(capsys, "check", "--config",
+                                str(tmp_path / "missing.txt"))
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
+        assert records[0]["message"].startswith("cannot read config file: ")
+
+    @pytest.mark.parametrize("key, value, option, flag", [
+        ("n", "2", "--grid-n", "9"), ("tol", "0", "--tol", "1e-6")])
+    def test_override_replaces_file_value_before_checks(
+            self, capsys, tmp_path, key, value, option, flag):
+        p = tmp_path / "cfg.txt"
+        p.write_text(with_values(DECOUPLED_TEXT, {key: value}))
+        code, records = run_cli(capsys, "certify", "--config", str(p),
+                                option, flag)
+        assert code == 0
+        assert [r["record"] for r in records] == ["header",
+                                                  "geometry_certificate"]
+
     def test_out_of_range_override_exits_two(self, capsys, decoupled_path):
         code, records = run_cli(capsys, "solve", "--config", decoupled_path,
                                 "--grid-n", "2")
@@ -143,7 +162,7 @@ class TestConfigParsing:
         rc = RunConfig()
         assert rc.tol == 1e-6 and rc.path_points == 33 and rc.seed == 0
         # the decoupled p = 2 config that the README states
-        assert rc.exponent_config() == ExponentConfig(
+        assert rc.model.cfg == ExponentConfig(
             N=2, p1=2.0, p2=2.0, s1=0.0, s2=0.0, q1=4.0, q2=4.0, gamma1=2.0,
             gamma2=2.0, theta1=0.25, theta2=0.25, c_star=0.0)
 
@@ -201,6 +220,12 @@ class TestCheckCommand:
             assert code == 1
             assert (rec["satisfied"], rec["margin"]) == (False, -0.25)
             assert records[-1]["failing"] == ["exj01_gamma_theta"]
+
+    def test_quiet_drops_detail_records(self, capsys, decoupled_path):
+        code, records = run_cli(capsys, "check", "--config", decoupled_path,
+                                "--quiet")
+        assert code == 0
+        assert [r["record"] for r in records] == ["header", "check_summary"]
 
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasivar import Grid, GridFunction, first_eigenpair, rayleigh_quotient
+from quasivar.eigen import _normalize
 
 
 class TestLinearEigenpair:
@@ -76,6 +77,13 @@ class TestNonlinearEigenpair:
     def test_rejects_p_at_most_one(self):
         with pytest.raises(ValueError):
             first_eigenpair(1.0, Grid(1, 33))
+
+    @pytest.mark.parametrize("call, message", [
+        (rayleigh_quotient, "rayleigh_quotient of the zero field"),
+        (_normalize, "cannot normalize the zero field")])
+    def test_zero_field_raises(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(GridFunction.zero(Grid(2, 9)), 1.5)
 
     def test_deterministic(self):
         a = first_eigenpair(1.5, Grid(2, 17))

@@ -53,6 +53,16 @@ class TestEnergyValue:
         with pytest.raises(NonFiniteEnergyError):
             j_value(fp, mf)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_field_raises(self, coupled_cfg, value):
+        # no overflow: the inf or NaN node reaches the integrals as such
+        mf = ModelFunctions(coupled_cfg)
+        fp = random_pair(Grid(2, 9), np.random.default_rng(0))
+        fp.u.values[4, 4] = value
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteEnergyError, match="^non-finite energy term$"):
+            j_value(fp, mf)
+
 
 def rays(g, u, v, mf):
     """ray_energies of the stacked pairs (u, v)."""
@@ -101,6 +111,23 @@ class TestRayEnergy:
         with pytest.raises(NonFiniteEnergyError):
             rays(g, big.u.values, big.v.values, mf)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_field_raises(self, coupled_cfg, value):
+        mf = ModelFunctions(coupled_cfg)
+        g = Grid(2, 9)
+        w = random_pair(g, np.random.default_rng(0))
+        w.u.values[4, 4] = value
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteEnergyError, match="^non-finite energy term$"):
+            rays(g, w.u.values, w.v.values, mf)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises(self, value):
+        ray = (np.array([1.0, 2.0]), np.array([[value, 1.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteEnergyError, match="^non-finite energy along the ray$"):
+            ray_energy(ray, 1.0)
+
 
 class TestDifferential:
     def test_zero_direction(self, coupled_cfg):
@@ -142,6 +169,14 @@ class TestDifferential:
         for seed in range(3):
             slope, _ = gradcheck_slope(ModelFunctions(cfg), g, seed)
             assert 1.8 <= slope <= 2.2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: seed 1's slope on the coupled n = 17 grid is 1.10, "
+        "where seeds 0 and 2-4 give 1.995-2.0003 (README's gradcheck note)"))
+    def test_coupled_slope_on_the_n17_grid_at_seed_one(self, coupled_cfg):
+        slope, _ = gradcheck_slope(ModelFunctions(coupled_cfg), Grid(2, 17),
+                                   seed=1)
+        assert 1.8 <= slope <= 2.2
 
 
 def _smooth_pair(g, scale_u, scale_v):

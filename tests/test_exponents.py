@@ -24,6 +24,13 @@ class TestCriticalExponent:
         assert math.isinf(critical_exponent(2.0, 2))
         assert math.isinf(critical_exponent(3.0, 2))
 
+    @pytest.mark.parametrize("p, N, message", [
+        (1.0, 2, "critical_exponent requires p > 1"),
+        (2.0, 0, "critical_exponent requires N >= 1")])
+    def test_rejects_out_of_domain(self, p, N, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            critical_exponent(p, N)
+
 
 class TestDerivedExponents:
     def test_coupled_reference_values(self, coupled_cfg):
@@ -55,6 +62,10 @@ class TestHypothesisSuite:
         assert report.admissible
         assert report.record("exj02_12").margin == 1.25
         assert report.record("exj02_21").margin == 1.25
+
+    def test_unknown_record_id_raises(self, coupled_cfg):
+        with pytest.raises(KeyError):
+            check_model_hypotheses(coupled_cfg).record("h99")
 
     def test_gamma_five_flips_coupling_bound(self, coupled_cfg):
         cfg = dataclasses.replace(coupled_cfg, gamma1=5.0, gamma2=5.0)
@@ -207,6 +218,15 @@ class TestValidation:
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
             ExponentConfig(N=2, p1=2, p2=2, s1=-0.1, s2=0, q1=4, q2=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(ExponentConfig)
+        if f.type == "float"])
+    def test_rejects_non_finite_naming_the_field(self, coupled_cfg, name,
+                                                 value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            dataclasses.replace(coupled_cfg, **{name: value})
 
     def test_infeasible_interval_raises(self):
         # gamma close to q inflates t1 beyond the feasible window

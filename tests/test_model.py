@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasivar import (ModelFunctions, compute_model_constants,
-                      sample_structural_hypotheses)
+from quasivar import (ModelFunctions, StructuralSampleReport,
+                      compute_model_constants, sample_structural_hypotheses)
 from quasivar.grid import squared_magnitude
 from quasivar.model import _xi_pow
 
@@ -325,6 +325,13 @@ class TestStructuralSampling:
         b = sample_structural_hypotheses(mf_decoupled, n_samples=2_000, seed=9)
         assert [m.min_margin for m in a.margins] == [m.min_margin for m in b.margins]
 
+    @pytest.mark.parametrize("lookup", ["margin", "trend"])
+    def test_unknown_id_raises(self, lookup):
+        report = StructuralSampleReport(margins=[], trends=[], samples=0,
+                                        seed=0)
+        with pytest.raises(KeyError):
+            getattr(report, lookup)("h99")
+
     def test_h5_uses_computed_constant(self, coupled_cfg):
         assert compute_model_constants(coupled_cfg).mu2_1 == pytest.approx(5 / 12)
 
@@ -333,6 +340,12 @@ class TestRegularization:
     def test_rejects_negative_eps(self, coupled_cfg):
         with pytest.raises(ValueError):
             ModelFunctions(coupled_cfg, epsilon_reg=-1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, coupled_cfg, eps):
+        # a NaN eps would fail _xi_pow's eps > 0 test and run as eps = 0
+        with pytest.raises(ValueError, match="^epsilon_reg must be finite$"):
+            ModelFunctions(coupled_cfg, epsilon_reg=eps)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.3])

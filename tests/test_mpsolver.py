@@ -748,15 +748,17 @@ class TestSolverParams:
     @pytest.mark.parametrize("name, value, message", [
         ("tol", 0.0, "tol must be positive"),
         ("tol", -1e-6, "tol must be positive"),
-        ("tol", np.nan, "tol must be positive"),
+        ("tol", np.nan, "tol must be finite"),
+        ("tol", np.inf, "tol must be finite"),
         ("max_iters", -1, "max_iters must be at least 0"),
         ("path_points", 2, "path_points must be at least 3"),
         ("nontrivial_floor", 0.0, "nontrivial_floor must be positive"),
         ("nontrivial_floor", -1.0, "nontrivial_floor must be positive"),
-        ("nontrivial_floor", np.nan, "nontrivial_floor must be positive")])
+        ("nontrivial_floor", np.nan, "nontrivial_floor must be finite"),
+        ("nontrivial_floor", np.inf, "nontrivial_floor must be finite")])
     def test_rejects_value_out_of_range(self, name, value, message):
         # a floor <= 0 would label the zero pair nontrivial, and
-        # max_iters < 0 would return an unpolished ridge point
+        # max_iters < 0 or tol = inf would return an unpolished ridge point
         with pytest.raises(ValueError, match=f"^{message}$"):
             SolverParams(**{name: value})
 
