@@ -44,12 +44,12 @@ class ConfigError(ValueError):
     """Malformed config file, unknown key or out-of-range value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration: exponents, grid, solver, and output knobs.
 
-    ``grid``, ``model`` and ``params`` are built once, as cached attributes
-    that ``fields`` (so ``config_hash`` and ``dump``) does not list."""
+    Frozen: ``grid``, ``model`` and ``params`` are built once, as cached
+    attributes that ``fields`` (so ``config_hash`` and ``dump``) skips."""
 
     # exponent/parameter tuple
     N: int = 2
