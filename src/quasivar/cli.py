@@ -144,16 +144,16 @@ def _coerce(name: str, raw: str, type_name: str) -> object:
 def parse_config(path: str, **overrides) -> RunConfig:
     """Parse a flat key = value config file.
 
-    Each override that is not None replaces the file's value before any
-    check.  Unknown keys, malformed values and out-of-range values raise
-    ``ConfigError``.
+    Each override that is not None is raw text, parsed by a file value's
+    rules, and replaces the file's value before any check.  Unknown keys,
+    malformed values and out-of-range values raise ``ConfigError``.
     """
     field_types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -168,7 +168,8 @@ def parse_config(path: str, **overrides) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         values[key] = _coerce(key, raw, field_types[key])
-    values.update((k, v) for k, v in overrides.items() if v is not None)
+    values.update((k, _coerce(k, raw, field_types[k]))
+                  for k, raw in overrides.items() if raw is not None)
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -407,41 +408,40 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, not exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _ArgumentParser(
         prog="quasivar",
         description="Variational toolkit for coupled quasilinear elliptic "
                     "systems: hypothesis checking, eigenpairs, and "
                     "mountain-pass critical-point search.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to key=value config")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--out", default=None, help="directory for field dumps")
-        p.add_argument("--grid-n", type=int, default=None,
-                       help="override nodes per axis")
-        p.add_argument("--tol", type=float, default=None, help="override tol")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress detail records")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="path to key=value config")
+    parser.add_argument("--seed", help="override seed")
+    parser.add_argument("--out", help="directory for field dumps")
+    parser.add_argument("--grid-n", dest="n", help="override nodes per axis")
+    parser.add_argument("--tol", help="override tol")
+    parser.add_argument("--quiet", action="store_const", const="true",
+                        help="suppress detail records")
     em = Emitter(quiet=False)
     try:
-        rc = parse_config(args.config, seed=args.seed, out=args.out,
-                          n=args.grid_n, tol=args.tol,
-                          quiet=args.quiet or None)
+        args = vars(parser.parse_args(argv))
+        command, path = args.pop("command"), args.pop("config")
+        rc = parse_config(path, **args)
     except ConfigError as exc:
         em.emit({"record": "error", "message": str(exc)})
         return EXIT_USAGE
     em.quiet = rc.quiet
-    emit_header(em, rc, args.command)
+    emit_header(em, rc, command)
     try:
-        return _COMMANDS[args.command](rc, em)
+        return _COMMANDS[command](rc, em)
     except Exception as exc:
         em.emit({"record": "error", "type": type(exc).__name__,
                  "message": str(exc)})

@@ -31,10 +31,11 @@ bitwise-equal results must print the same bytes.  The lines cover
   ``sample_structural_hypotheses`` on the coupled config;
 - the exit code and error record of every single-fault usage error of
   README's config format, on the decoupled config: each command-line
-  override, one malformed value per type, one out-of-range value per
-  rule, and each float key at nan and at inf;
+  override, one malformed value per type and per value flag, one
+  out-of-range value per rule, each float key at nan and at inf, and a
+  file that is not UTF-8;
 - the ``dump`` stream of a config whose out-of-range file value a
-  command-line value replaces.
+  command-line value replaces, a fraction among them.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -211,7 +212,8 @@ def model_lines():
 
 USAGE_OVERRIDES = (("--grid-n", "2"), ("--seed", "-1"),
                    ("--seed", str(2 ** 64)), ("--tol", "0"), ("--tol", "nan"),
-                   ("--tol", "inf"))
+                   ("--tol", "inf"), ("--seed", "x"), ("--grid-n", "1.5"),
+                   ("--tol", "a/b"))
 # one fault per config: values out of range, then malformed ones
 USAGE_ERRORS = (
     ("tol", "nan"), ("r0", "inf"), ("p1", "-inf"), ("dimension", "3"),
@@ -231,7 +233,8 @@ USAGE_ERRORS += tuple(
     if (f.name, value) not in USAGE_ERRORS)
 # a file value out of range that the command-line value replaces
 FLAG_OVER_FILE = ((("n", "2"), ("--grid-n", "9")),
-                  (("tol", "0"), ("--tol", "1e-6")))
+                  (("tol", "0"), ("--tol", "1e-6")),
+                  (("tol", "0"), ("--tol", "1/8")))
 
 
 def usage_lines():
@@ -250,6 +253,9 @@ def usage_lines():
             code, lines = run_main("dump", "--config", path, option, flag)
             yield (f"override {key} = {value} {option} {flag} exit={code} "
                    f"{' '.join(lines)}")
+        Path(path).write_bytes(b"n = 9\n# \xff\n")
+        code, lines = run_main("check", "--config", path)
+        yield f"usage non-utf-8 exit={code} {' '.join(lines)}"
 
 
 if __name__ == "__main__":

@@ -167,6 +167,61 @@ class TestConfigParsing:
             gamma2=2.0, theta1=0.25, theta2=0.25, c_star=0.0)
 
 
+class TestCommandLine:
+    """A command-line value is parsed by a file value's rules, and every
+    malformed command line is one error record with exit 2."""
+
+    @pytest.mark.parametrize("flags, values", [
+        (("--tol", "1/8"), {"tol": "1/8"}),
+        (("--quiet", "--grid-n", "9"), {"quiet": "true", "n": "9"})])
+    def test_flag_dumps_as_the_file_value(self, capsys, tmp_path,
+                                          decoupled_path, flags, values):
+        p = tmp_path / "cfg.txt"
+        p.write_text(with_values(DECOUPLED_TEXT, values))
+        _, by_file = run_cli(capsys, "dump", "--config", str(p))
+        code, by_flag = run_cli(capsys, "dump", "--config", decoupled_path,
+                                *flags)
+        assert code == 0
+        assert by_flag[0]["config_hash"] == by_file[0]["config_hash"]
+        assert by_flag[-1] == by_file[-1]
+
+    @pytest.mark.parametrize("option, value, key, expected", [
+        ("--seed", "x", "seed", "integer"),
+        ("--grid-n", "1.5", "n", "integer"),
+        ("--tol", "a/b", "tol", "number")])
+    def test_malformed_flag_value_exits_two(self, capsys, decoupled_path,
+                                            option, value, key, expected):
+        code, records = run_cli(capsys, "check", "--config", decoupled_path,
+                                option, value)
+        assert code == 2
+        message = f"key '{key}': expected {expected}, got '{value}'"
+        assert records == [{"record": "error", "message": message}]
+
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("frob", "--config", "{config}"),
+        ("check", "--config", "{config}", "--bogus"),
+        ("check", "--config", "{config}", "--tol")],
+        ids=["missing-config", "unknown-command", "unknown-flag",
+             "flag-without-value"])
+    def test_malformed_command_line_exits_two(self, capsys, decoupled_path,
+                                              argv):
+        code = main([arg.format(config=decoupled_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["record"] for r in records] == ["error"]
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"n = 9\n# \xff\n")
+        code, records = run_cli(capsys, "check", "--config", str(p))
+        assert code == 2
+        assert [r["record"] for r in records] == ["error"]
+        assert records[0]["message"].startswith(
+            "cannot read config file: 'utf-8' codec can't decode byte 0xff")
+
+
 class TestSerializer:
     def test_seventeen_digit_round_trip(self):
         x = 0.1234567890123456789
