@@ -24,9 +24,9 @@ from .energy import (NonFiniteEnergyError, dJ_apply, dJ_loads,
                      gradient_representative, j_value, residual_norm)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .mpsolver import (CriticalPointCandidate, GeometryCertificate,
-                       NoNegativeEnergyError, SolverParams, VerificationRecord,
-                       certify_geometry, mountain_pass_search,
-                       multiplicity_search, scale_to_ell, verify_candidate)
+                       SolverParams, VerificationRecord, certify_geometry,
+                       mountain_pass_search, multiplicity_search,
+                       scale_to_ell, verify_candidate)
 
 __all__ = [
     "__version__",
@@ -48,6 +48,6 @@ __all__ = [
     "EigenPair", "first_eigenpair", "rayleigh_quotient",
     # mpsolver
     "SolverParams", "GeometryCertificate", "CriticalPointCandidate",
-    "VerificationRecord", "NoNegativeEnergyError", "certify_geometry", "scale_to_ell", "mountain_pass_search",
-    "multiplicity_search", "verify_candidate",
+    "VerificationRecord", "certify_geometry", "scale_to_ell",
+    "mountain_pass_search", "multiplicity_search", "verify_candidate",
 ]

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -409,7 +410,11 @@ _COMMANDS = {
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ConfigError, not exit."""
+    """Usage errors raise ConfigError; -1e-6, -1/8 and -.5 are flag values."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)

@@ -263,10 +263,12 @@ def _dst1(x: np.ndarray, dimension: int, scale: float = 1.0) -> np.ndarray:
     is that of ``scipy.fft.dstn(x, type=1)`` times ``scale``.  Leading
     axes index a stack; pocketfft transforms each row alone.
     """
+    # each pass moves the first transformed axis last and transforms it,
+    # so the axes go in order and are back in place after the last pass
+    lead = x.ndim - dimension
+    cycle = (*range(lead), *range(lead + 1, x.ndim), lead)
     for _ in range(dimension):
-        # the pass transforms the last axis: in 2D the first axis first,
-        # and the result is back in order after the second pass
-        x = x.swapaxes(-1, -dimension)
+        x = x.transpose(cycle)
         zero = np.zeros(x.shape[:-1] + (1,))
         ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
         x = np.fft.rfft(ext).imag[..., 1:x.shape[-1] + 1] * -scale

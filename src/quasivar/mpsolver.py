@@ -30,10 +30,6 @@ from .grid import (FieldPair, Grid, GridFunction, ell_coefficients, ell_norm,
 from .model import ModelFunctions
 
 
-class NoNegativeEnergyError(RuntimeError):
-    """No scaling of the trial field reached negative energy."""
-
-
 @dataclass
 class SolverParams:
     tol: float = 1e-6
@@ -153,9 +149,9 @@ def _checked_level(fp: FieldPair, ray: tuple[np.ndarray, np.ndarray],
     return level
 
 
-def _scale_until_negative(field0: FieldPair,
-                          mf: ModelFunctions) -> tuple[FieldPair, float]:
-    """The scaling field0 * tau with J < -1, and its level.
+def _scale_until_negative(field0: FieldPair, mf: ModelFunctions,
+                          ) -> tuple[FieldPair, float] | None:
+    """The scaling field0 * tau with J < -1, and its level, or None.
 
     tau doubles from 1, at most 60 times, until J(tau field0) < -1, then
     30 bisection steps move it back toward the crossing.  J along the ray
@@ -169,26 +165,23 @@ def _scale_until_negative(field0: FieldPair,
     loop's tau.  No entry exceeds T, and every term of J is a power of
     tau, so none can overflow.  The level returned is the ``j_value`` of
     the endpoint, checked against that closed form (``_checked_level``).
-    Raises NoNegativeEnergyError when no doubling reaches the target, and
+    Returns None when no doubling reaches the target; raises
     NonFiniteEnergyError when the energy overflows.
     """
     grid = field0.grid
     ray = ray_energies(grid, element_data(grid, field0.u.values,
                                           field0.v.values), mf)
     tau = 1.0
-    found = None
     for _ in range(_MAX_DOUBLINGS):
         if ray_energy(ray, tau) < _ENDPOINT_TARGET:
-            found = tau
             break
         tau *= 2.0
-    if found is None:
-        raise NoNegativeEnergyError(
-            "no negative-energy endpoint found: geometry violated or grid too coarse")
+    else:
+        return None
     # bisect back toward the crossing so the endpoint is only moderately
     # below the target; a wildly overshot endpoint stretches the search
     # path and starves it of resolution near the ridge
-    lo, hi = found / 2.0, found
+    lo, hi = tau / 2.0, tau
     width = 2 ** _BISECTION_LEVELS
     for _ in range(_BISECTION_STEPS // _BISECTION_LEVELS):
         # entries 0 and width are lo and hi themselves, exactly
@@ -214,11 +207,11 @@ def _with_endpoint(cert: GeometryCertificate, start: FieldPair,
     scaling reaches negative energy the endpoint is None and the
     certificate is not validated.
     """
-    try:
-        endpoint, level = _scale_until_negative(start, mf)
-    except NoNegativeEnergyError:
+    scaled = _scale_until_negative(start, mf)
+    if scaled is None:
         return replace(cert, endpoint=None, endpoint_level=math.nan,
                        validated=False)
+    endpoint, level = scaled
     validated = (0.0 < cert.rho0 < math.inf and level < 0.0
                  and ell_norm(endpoint, cfg) > cert.r0)
     return replace(cert, endpoint=endpoint, endpoint_level=level,
@@ -433,7 +426,7 @@ def dgbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray, **kwargs):
 
 
 def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
-             grid: Grid) -> np.ndarray:
+             grid: Grid) -> np.ndarray | None:
     """Solve (J + mu blockdiag(K, K)) dx = -f by banded LU.
 
     The unknowns are the m interior values of u, then of v.  ``jac``
@@ -443,8 +436,8 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     0: u moves when v's load is exactly zero, else v.  J is summed from
     ``jac`` straight into the band storage of ``_band_layout``, moving
     components interleaved, by one ``np.bincount`` in raveled (cell, i,
-    j) order, and mu K is then added at its distinct slots.  Raises
-    RuntimeError on an exactly singular factor.
+    j) order, and mu K is then added at its distinct slots.  Returns None
+    on an exactly singular factor.
     """
     k = jac.shape[1] // 2 ** grid.dimension
     loads = f.reshape(2, -1)
@@ -459,7 +452,7 @@ def _lm_step(jac: np.ndarray, f: np.ndarray, mu: float,
     _, _, x, info = dgbsv(kl, kl, ab.reshape(rhs.size, -1).T, rhs,
                           overwrite_ab=True)
     if info > 0:
-        raise RuntimeError("exactly singular factor")
+        return None
     dx = np.zeros_like(loads)
     dx[moving] = x.reshape(-1, k).T
     return dx.ravel()
@@ -492,12 +485,13 @@ def _stacked_states(grid: Grid, values: np.ndarray,
 
 @dataclass
 class _LMState:
-    """A pair's polish: iterate x (2, *nodes), its state, mu and Jacobian."""
+    """A pair's polish: iterate x (2, *nodes), its loads f, max|K^-1 F|,
+    the F^T K^-1 F of the start and of each accepted iterate (x's last),
+    mu and Jacobian."""
 
     x: np.ndarray
     f: np.ndarray
     res: float
-    energy: float
     energies: list[float]
     mu: float = 0.0
     jac: np.ndarray | None = None
@@ -547,7 +541,7 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
     fatol = tol * 1e-2
     out: list[tuple[FieldPair, float] | None] = [None] * len(pairs)
     evaluated = np.array([(fp.u.values, fp.v.values) for fp in pairs])
-    live = {s: _LMState(x, *state, [state[2]]) for s, (x, state) in
+    live = {s: _LMState(x, *state[:2], [state[2]]) for s, (x, state) in
             enumerate(zip(evaluated, _stacked_states(grid, evaluated, mf)))
             if state is not None}
     while live:
@@ -555,22 +549,21 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
         for s, p in list(fresh.items()):
             if p.res <= fatol:
                 out[s] = (FieldPair(*(GridFunction(grid, c) for c in p.x)),
-                          np.sqrt(max(p.energy, 0.0)))
+                          np.sqrt(max(p.energies[-1], 0.0)))
             # the start's energy, then one per Jacobian taken
             if p.res <= fatol or len(p.energies) > max_iter:
                 del live[s], fresh[s]
-        if fresh:  # read the stack just evaluated when all its rows are fresh
-            x = (evaluated if len(fresh) == len(evaluated)
-                 else np.array([p.x for p in fresh.values()]))
+        if fresh:
+            x = np.array([p.x for p in fresh.values()])
             idle = [1 if not np.any(fv) else 0 if not np.any(fu) else None
                     for fu, fv in (p.f.reshape(2, -1) for p in fresh.values())]
             for p, jac in zip(fresh.values(), stacked_jacobians(
                     grid, x[:, 0], x[:, 1], mf, idle)):
                 p.jac = jac
-        steps, states = {}, {}
-        for s, p in live.items():
-            with contextlib.suppress(RuntimeError):  # exactly singular factor
-                steps[s] = _lm_step(p.jac, p.f, p.mu, grid)
+        # a step that is None (an exactly singular factor) is rejected
+        steps = {s: dx for s, p in live.items()
+                 if (dx := _lm_step(p.jac, p.f, p.mu, grid)) is not None}
+        states = {}
         if steps:
             evaluated = np.array([live[s].x for s in steps])
             evaluated[inner] += np.array(list(steps.values())).reshape(
@@ -579,15 +572,15 @@ def _polish_stack(pairs: list[FieldPair], mf: ModelFunctions, tol: float,
                 grid, evaluated, mf))))
         for s, p in list(live.items()):
             trial, state = states.get(s, (None, None))
-            if state is None or not state[2] < p.energy:
+            if state is None or not state[2] < p.energies[-1]:
                 p.mu = max(4.0 * p.mu, _LM_MU_MIN)
                 if p.mu > _LM_MU_MAX:
                     del live[s]
                 continue
-            p.x, (p.f, p.res, p.energy), p.jac = trial, state, None
-            p.energies.append(p.energy)
+            p.x, (p.f, p.res, energy), p.jac = trial, state, None
+            p.energies.append(energy)
             if (p.res > fatol and len(p.energies) > _STALL_STEPS
-                    and p.energy > _STALL_RATIO
+                    and energy > _STALL_RATIO
                     * p.energies[-1 - _STALL_STEPS]):
                 del live[s]
             p.mu = p.mu / 4.0 if p.mu / 4.0 >= _LM_MU_MIN else 0.0

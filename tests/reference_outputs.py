@@ -35,7 +35,9 @@ bitwise-equal results must print the same bytes.  The lines cover
   out-of-range value per rule, each float key at nan and at inf, and a
   file that is not UTF-8;
 - the ``dump`` stream of a config whose out-of-range file value a
-  command-line value replaces, a fraction among them.
+  command-line value replaces, a fraction among them;
+- the error record of a negative ``--tol`` in exponent and in fraction
+  form and of a ``--seed`` in exponent form: each is its flag's value.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -235,6 +237,9 @@ USAGE_ERRORS += tuple(
 FLAG_OVER_FILE = ((("n", "2"), ("--grid-n", "9")),
                   (("tol", "0"), ("--tol", "1e-6")),
                   (("tol", "0"), ("--tol", "1/8")))
+# a dash and a digit start the value of the flag before them
+NEGATIVE_FLAG_VALUES = (("--tol", "-1e-6"), ("--tol", "-1/8"),
+                        ("--seed", "-1e3"))
 
 
 def usage_lines():
@@ -256,6 +261,10 @@ def usage_lines():
         Path(path).write_bytes(b"n = 9\n# \xff\n")
         code, lines = run_main("check", "--config", path)
         yield f"usage non-utf-8 exit={code} {' '.join(lines)}"
+        Path(path).write_text(DECOUPLED_TEXT)
+        for option, value in NEGATIVE_FLAG_VALUES:
+            code, lines = run_main("check", "--config", path, option, value)
+            yield f"usage {option} {value} exit={code} {' '.join(lines)}"
 
 
 if __name__ == "__main__":

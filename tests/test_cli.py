@@ -212,6 +212,26 @@ class TestCommandLine:
         records = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["record"] for r in records] == ["error"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--tol", "-1e-6"), "tol must be positive"),
+        (("--tol", "-1/8"), "tol must be positive"),
+        (("--seed", "-1e3"), "key 'seed': expected integer, got '-1e3'"),
+        (("--out", "--quiet"), None)],
+        ids=["tol-exponent", "tol-fraction", "seed-exponent", "flag-as-value"])
+    def test_dash_digit_token_is_the_flag_value(self, capsys, decoupled_path,
+                                                flags, message):
+        # a dash and a digit, or -. and a digit, starts a value of the flag
+        # before it, which the package's own rules then reject; a flag is
+        # never a value (argparse's wording of that is not checked)
+        code = main(["check", "--config", decoupled_path, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["record"] for r in records] == ["error"]
+        if message is not None:
+            assert records[0]["message"] == message
+
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         p = tmp_path / "latin1.txt"
         p.write_bytes(b"n = 9\n# \xff\n")

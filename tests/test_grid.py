@@ -131,10 +131,6 @@ class TestGrid:
                            / g.laplacian_eigenvalues(), type=1)
         assert g.laplacian_solve(load).tobytes() == ref.tobytes()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: each pass swaps the last axis with axis -dimension, "
-        "so in 3D the middle axis is never transformed and the axes come "
-        "back reversed"))
     def test_dst1_matches_scipy_in_three_dimensions(self):
         x = np.random.default_rng(0).standard_normal((5, 6, 7))
         out = quasivar.grid._dst1(x, 3)
