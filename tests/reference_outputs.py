@@ -23,8 +23,8 @@ bitwise-equal results must print the same bytes.  The lines cover
 - the ``certify``, ``solve``, ``multi``, ``eigen``, ``gradcheck``,
   ``check``, ``derive``, ``constants`` and ``dump`` CLI streams of
   ``test_cli``'s coupled and decoupled configs at n = 17, with the header
-  timestamp removed, and the sha256 of the ``u.txt`` and ``v.txt`` that
-  ``solve --out`` writes for each;
+  timestamp removed, and the sha256 of each field dump that ``solve``,
+  ``multi`` and ``eigen`` write under ``--out`` for each;
 - ``scale_to_ell`` of the coupled sine bubble (b, b) at amplitude 1 and at
   1e-200, where its ray coefficients underflow and it rescales to peak 1
   first, and the margins and trend ratios of
@@ -185,16 +185,18 @@ def run_main(*argv) -> tuple[int, list[str]]:
 
 def dump_lines():
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in (("coupled", COUPLED_TEXT),
-                            ("decoupled", DECOUPLED_TEXT)):
-            path = os.path.join(tmp, f"{label}.txt")
-            Path(path).write_text(text)
-            out = os.path.join(tmp, label)
-            code = run_main("solve", "--config", path, "--out", out)[0]
-            for name in ("u.txt", "v.txt"):
-                digest = hashlib.sha256(
-                    Path(out, name).read_bytes()).hexdigest()
-                yield f"dump {label} solve exit={code} {name} {digest}"
+        configs = (("coupled", COUPLED_TEXT), ("decoupled", DECOUPLED_TEXT))
+        for label, text in configs:
+            Path(tmp, f"{label}.txt").write_text(text)
+        for command in ("solve", "multi", "eigen"):
+            for label, _ in configs:
+                path = os.path.join(tmp, f"{label}.txt")
+                out = os.path.join(tmp, label, command)
+                code = run_main(command, "--config", path, "--out", out)[0]
+                for name in sorted(os.listdir(out)):
+                    digest = hashlib.sha256(
+                        Path(out, name).read_bytes()).hexdigest()
+                    yield f"dump {label} {command} exit={code} {name} {digest}"
 
 
 def model_lines():
