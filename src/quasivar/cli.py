@@ -50,7 +50,8 @@ class RunConfig:
     """Flat run configuration: exponents, grid, solver, and output knobs.
 
     Frozen: ``grid``, ``model`` and ``params`` are built once, as cached
-    attributes that ``fields`` (so ``config_hash`` and ``dump``) skips."""
+    attributes that ``fields`` (so ``config_hash`` and ``dump``) skips.
+    An out-of-range value raises ``ValueError``."""
 
     # exponent/parameter tuple
     N: int = 2
@@ -88,17 +89,15 @@ class RunConfig:
     def __post_init__(self):
         for name in ("count", "n_geo_samples", "gradcheck_runs"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+                raise ValueError(f"{name} must be at least 1")
         if not math.isfinite(self.r0):
-            raise ConfigError("r0 must be finite")
+            raise ValueError("r0 must be finite")
         if self.r0 <= 0:
-            raise ConfigError("r0 must be positive")
+            raise ValueError("r0 must be positive")
         if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must be in [0, 2^64)")
-        try:  # the objects built from the other values check them
-            self.grid, self.params, self.model
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("seed must be in [0, 2^64)")
+        # the objects built from the other values check them
+        self.grid, self.params, self.model
 
     @functools.cached_property
     def grid(self) -> Grid:
@@ -181,22 +180,11 @@ def parse_config(path: str, **overrides) -> RunConfig:
 
 
 def _json_scalar(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and math.isfinite(x):
         return format(x, ".17g")
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise TypeError(f"unserializable value of type {type(x)!r}")
+    return json.dumps(x)
 
 
 def json_line(obj) -> str:
@@ -254,9 +242,7 @@ def _write_dump(rc: RunConfig, name: str, gf: GridFunction,
 def cmd_check(rc: RunConfig, em: Emitter) -> int:
     report = check_model_hypotheses(rc.model.cfg)
     for rec in report.records:
-        em.emit({"record": "inequality", "id": rec.id,
-                 "satisfied": rec.satisfied, "margin": rec.margin,
-                 "strict": rec.strict, "note": rec.note}, detail=True)
+        em.emit({"record": "inequality", **asdict(rec)}, detail=True)
     em.emit({"record": "check_summary", "admissible": report.admissible,
              "failing": report.failing()})
     return EXIT_OK if report.admissible else EXIT_FAIL
@@ -390,9 +376,7 @@ def cmd_multi(rc: RunConfig, em: Emitter) -> int:
 
 
 def cmd_dump(rc: RunConfig, em: Emitter) -> int:
-    record = {"record": "config"}
-    record.update({f.name: getattr(rc, f.name) for f in fields(RunConfig)})
-    em.emit(record)
+    em.emit({"record": "config", **asdict(rc)})
     return EXIT_OK
 
 

@@ -61,8 +61,7 @@ def first_eigenpair(p: float, grid: Grid,
         raise ValueError("first_eigenpair requires p > 1")
     y = _normalize(sine_product(grid, *(1,) * grid.dimension), p)
     q = rayleigh_quotient(y, p)
-    converged = False
-    it = 0
+    converged = True
     alpha = 1.0
     for it in range(1, _MAX_ITER + 1):
         # Sobolev gradient of the quotient at |y|_p = 1:
@@ -74,23 +73,21 @@ def first_eigenpair(p: float, grid: Grid,
                             p * coef[..., None] * g)
         r = grid.laplacian_solve(load)
         step = alpha
-        improved = False
         while step > 1e-18:
             trial = _normalize(GridFunction(grid, y.values - step * r), p)
             q_trial = rayleigh_quotient(trial, p)
             if q_trial < q:
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            converged = True
+        else:  # no step lowers the quotient
             break
         drop = q - q_trial
         y, q = trial, q_trial
         alpha = min(step * 2.0, 1e6)
         if drop <= _TOL * max(1.0, abs(q)):
-            converged = True
             break
+    else:
+        converged = False
 
     # sign-fix positive and renormalize
     interior = ~grid.boundary_mask()

@@ -10,6 +10,7 @@ exists for analytic and shooting oracles only.
 from __future__ import annotations
 
 import functools
+import io
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
@@ -526,10 +527,7 @@ def random_field_pair(grid: Grid, rng: np.random.Generator,
 
 def dump_field(gf: GridFunction) -> str:
     """Plain-text field dump: one node per line, row-major, 17 significant digits."""
-    coords = gf.grid.node_coords()
-    vals = gf.values.ravel()
-    lines = []
-    for i in range(coords.shape[0]):
-        cs = " ".join(format(c, ".17g") for c in coords[i])
-        lines.append(f"{cs} {format(vals[i], '.17g')}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([gf.grid.node_coords(), gf.values.ravel()]),
+               fmt="%.17g")
+    return buf.getvalue()

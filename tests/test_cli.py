@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,6 +258,14 @@ class TestSerializer:
     def test_nested(self):
         line = json_line({"xs": [1, 2.5, "s", True, None]})
         assert json.loads(line) == {"xs": [1, 2.5, "s", True, None]}
+
+    @pytest.mark.parametrize("value, expected", [
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"), (np.int64(3), "3"),
+        (np.bool_(True), "true"), (np.float64("nan"), "NaN"),
+        (-np.inf, "-Infinity")])
+    def test_numpy_scalars(self, value, expected):
+        assert json_line(value) == expected
 
 
 class TestCheckCommand:

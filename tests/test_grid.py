@@ -435,6 +435,17 @@ class TestGradientIdentity:
         assert math.log2(d1 / d2) > 0.8  # at least first-order decrease
 
 
+def _dump_by_node(gf: GridFunction) -> str:
+    """Reference dump: a Python loop over the nodes."""
+    coords = gf.grid.node_coords()
+    vals = gf.values.ravel()
+    lines = []
+    for i in range(coords.shape[0]):
+        cs = " ".join(format(c, ".17g") for c in coords[i])
+        lines.append(f"{cs} {format(vals[i], '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
 class TestDump:
     def test_format_round_trip(self):
         g = Grid(1, 3)
@@ -444,3 +455,17 @@ class TestDump:
         x, val = lines[1].split()
         assert float(x) == 0.5
         assert float(val) == gf.values[1]  # 17 significant digits round-trip
+
+    @pytest.mark.parametrize("dimension, n",
+                             [(1, 9), (1, 65), (2, 9), (2, 33)])
+    def test_matches_per_node_loop(self, dimension, n):
+        grid = Grid(dimension, n)
+        rng = np.random.default_rng(n)
+        values = (rng.choice([-1.0, 1.0], grid.node_shape)
+                  * 10.0 ** rng.uniform(-300, 300, grid.node_shape))
+        interior = np.flatnonzero(~grid.boundary_mask().ravel())[:7]
+        values.reshape(-1)[interior] = [-0.0, 5e-324, -1e-320, 1e300,
+                                        -1.7976931348623157e308, 1e-300, 0.1]
+        values[grid.boundary_mask()] = -0.0
+        gf = GridFunction(grid, values)
+        assert dump_field(gf) == _dump_by_node(gf)
