@@ -42,21 +42,26 @@ class Grid:
         self._boundary.flags.writeable = False
         # The cell corners in the order of jacobian_pattern.  offsets[a, c]
         # is corner c's offset on axis a, _signs[a, c] its side (+1 far, -1
-        # near), _slices[c] the nodes at corner c of every cell, and
-        # _gradient_terms[a] the first far-side slice of axis a and the
-        # ufuncs that add its other far-side slices and subtract its
-        # near-side ones, in the stencil's order.  _probe is the interior
-        # node next to the origin.
+        # near) and _slices[c] the nodes at corner c of every cell.  In the
+        # raveled nodes of a stack, _corners[c] is corner c's offset from
+        # the node that starts its cell, and _gradient_terms[a] holds axis
+        # a's first far-side offset and the ufuncs that add its other
+        # far-side corners and subtract its near-side ones, in the
+        # stencil's order.  _cells picks the kept cells out of node-sized
+        # arrays, and _probe is the interior node next to the origin.
         offsets = (np.arange(2 ** dimension)
                    >> np.arange(dimension)[:, None]) & 1
         self._signs = 2.0 * offsets - 1.0
         self._slices = [(...,) + tuple(slice(1, None) if b else slice(None, -1)
                                        for b in o) for o in offsets.T]
-        sides = [[[s for s, b in zip(self._slices, row) if b == side]
+        self._corners = [int(o) for o in
+                         n ** np.arange(dimension)[::-1] @ offsets]
+        sides = [[[o for o, b in zip(self._corners, row) if b == side]
                   for side in (1, 0)] for row in offsets]
         self._gradient_terms = [
-            (far[0], [(np.add, s) for s in far[1:]]
-             + [(np.subtract, s) for s in near]) for far, near in sides]
+            (far[0], [(np.add, o) for o in far[1:]]
+             + [(np.subtract, o) for o in near]) for far, near in sides]
+        self._cells = (...,) + (slice(None, -1),) * dimension
         self._probe = (...,) + (1,) * dimension
         self._axis = np.linspace(0.0, 1.0, n)
         self.centers = self._mesh(0.5 * (self._axis[:-1] + self._axis[1:]))
@@ -116,43 +121,56 @@ class Grid:
         The node axes of ``values`` come last; leading axes index a stack
         of fields, as in ``element_gradients``.  An exactly zero field
         (no bit set, so not -0.0) gives zeros without the stencil.
+
+        The stack is raveled once and each corner is one slice of it, so
+        the sums also fill spare cells, those with some index n - 1,
+        which read only boundary nodes and are never returned.  Their
+        arithmetic can still raise under ``np.errstate`` when boundary
+        values overflow or are not finite.
         """
+        dtype = np.result_type(values, 0.5)
         if self._all_plus_zero(values):
             return np.zeros(values.shape[:values.ndim - self.dimension]
-                            + (self.n - 1,) * self.dimension)
-        first, second, *rest = self._slices
-        total = np.add(values[first], values[second],
-                       dtype=np.result_type(values, 0.5))
-        for s in rest:
-            total += values[s]
-        total *= 0.5 ** self.dimension
-        return total
+                            + (self.n - 1,) * self.dimension, dtype)
+        flat, nodes = values.ravel(), np.empty(values.shape, dtype)
+        span = flat.size - self._corners[-1]
+        total = nodes.reshape(-1)[:span]
+        first, second, *rest = self._corners
+        np.add(flat[first:first + span], flat[second:second + span],
+               out=total, dtype=dtype)
+        for o in rest:
+            total += flat[o:o + span]
+        return np.multiply(nodes[self._cells], 0.5 ** self.dimension)
 
     def element_gradients(self, values: np.ndarray) -> np.ndarray:
         """Shape-function gradients at element centers, shape (..., *cells, dim).
 
         Component a is the far-side corners' sum minus the near-side
         corners', over 2^(dim-1) h.  An exactly zero field gives zeros
-        without the stencil, as in ``midpoint_values``.
+        without the stencil, as in ``midpoint_values``, and the numerators
+        fill the same spare cells as its sums.  The result is a
+        component-major view: each ``grads[..., a]`` is C-contiguous, the
+        whole array is not.
         """
-        cells = values.shape[:values.ndim - self.dimension] \
-            + (self.n - 1,) * self.dimension
-        if self._all_plus_zero(values):
-            return np.zeros(cells + (self.dimension,))
+        lead = values.shape[:values.ndim - self.dimension]
+        blocks = (self.dimension,) + lead + (self.n - 1,) * self.dimension
         width = 2 ** (self.dimension - 1) * self.h
-        out = np.empty(cells + (self.dimension,),
-                       dtype=np.result_type(values, width))
-        # each numerator is summed in place in one contiguous buffer that
-        # every axis reuses, then divided into its slot of the result:
-        # summing in the strided slot itself is slower
-        num = None
+        dtype = np.result_type(values, width)
+        if self._all_plus_zero(values):
+            return np.moveaxis(np.zeros(blocks, dtype), 0, -1)
+        out = np.empty(blocks, dtype)
+        # each numerator is summed in place in one node-sized buffer that
+        # every axis reuses, and its kept cells are divided into the
+        # axis's block of the result
+        flat, nodes = values.ravel(), np.empty(values.shape, values.dtype)
+        span = flat.size - self._corners[-1]
+        num = nodes.reshape(-1)[:span]
         for a, (first, terms) in enumerate(self._gradient_terms):
-            op, s = terms[0]
-            num = op(values[first], values[s], out=num)
-            for op, s in terms[1:]:
-                op(num, values[s], out=num)
-            np.divide(num, width, out=out[..., a])
-        return out
+            total = flat[first:first + span]
+            for op, o in terms:
+                total = op(total, flat[o:o + span], out=num)
+            np.divide(nodes[self._cells], width, out=out[a])
+        return np.moveaxis(out, 0, -1)
 
     def cell_integrals(self, density: np.ndarray) -> np.ndarray:
         """Midpoint-quadrature integrals of per-cell densities (..., *cells)."""

@@ -29,8 +29,9 @@ CFG_NAMES = ["coupled_cfg", "decoupled_cfg", "low_sp_cfg", "nondyadic_cfg",
 FAST_PATH_EXPONENTS = [0.0, 0.5, 1.0, 2.0, -1.0]
 
 # peak traced memory of one certify_geometry call, coupled config, 2D
-# n = 65, 32 samples: 1.70 MB measured with numpy 2.4 in blocks of 2^14
-# nodes (3.77 MB in blocks of 2^15 with out-of-place arithmetic)
+# n = 65, 32 samples: 1.60 MB measured with numpy 2.4.6 in blocks of 2^14
+# nodes, at seeds 0 and 1000003 (3.77 MB in blocks of 2^15 with
+# out-of-place arithmetic)
 CERTIFY_PEAK_BOUND = 2.0e6
 
 
@@ -148,20 +149,36 @@ def cfg(request):
 
 # -- the rewritten functions against their references -------------------------
 
+def _stencil_inputs(grid, stacked):
+    """Read-only fields the stencils must take as out of place: float64,
+    float32 (the certify screen's dtype) and integer stacks, and views
+    that are not C-contiguous: the u of a stack of pairs, u interleaved
+    with v node by node, and u transposed (reversed in 1D)."""
+    u, v = _fields(grid, stacked)
+    node_axis = -grid.dimension
+    pairs = np.stack([u, v], axis=node_axis - 1)
+    return {"float64": u, "float32": u.astype(np.float32),
+            "int": np.arange(u.size).reshape(u.shape) % 7 - 3,
+            "pair_component": np.moveaxis(pairs, node_axis - 1, 0)[0],
+            "interleaved": np.stack([u, v], axis=-1)[..., 0],
+            "transposed": np.swapaxes(u, -1, node_axis) if grid.dimension == 2
+            else u[..., ::-1]}
+
+
 @pytest.mark.parametrize("dimension, stacked", GRIDS)
 def test_stencils_match_out_of_place(dimension, stacked):
     # n = 12: h = 1/11 is not dyadic, so a regrouped quotient would show
     g = Grid(dimension, 12)
-    u, _ = _fields(g, stacked)
-    _assert_bits(g.midpoint_values(u), _midpoint_ref(g, u))
-    grads = g.element_gradients(u)
-    _assert_bits(grads, _gradients_ref(g, u))
-    _read_only(grads)
-    _assert_bits(squared_magnitude(grads), _squared_magnitude_ref(grads))
-    # integer fields give float results, as out of place
-    ints = np.arange(u.size).reshape(u.shape) % 7 - 3
-    _assert_bits(g.midpoint_values(ints), _midpoint_ref(g, ints))
-    _assert_bits(g.element_gradients(ints), _gradients_ref(g, ints))
+    for name, u in _stencil_inputs(g, stacked).items():
+        _read_only(u)
+        _assert_bits(g.midpoint_values(u), _midpoint_ref(g, u))
+        grads = g.element_gradients(u)
+        _assert_bits(grads, _gradients_ref(g, u))
+        # the components are stored one after another, each C-contiguous
+        for a in range(dimension):
+            assert grads[..., a].flags.c_contiguous, (name, a)
+        _read_only(grads)
+        _assert_bits(squared_magnitude(grads), _squared_magnitude_ref(grads))
 
 
 @pytest.mark.parametrize("dimension, stacked", GRIDS)
@@ -234,9 +251,11 @@ def test_zero_field_skips_the_stencils(dimension, stacked):
     zero = np.zeros(stack + g.node_shape)
     for op, ref in ((g.midpoint_values, _midpoint_ref),
                     (g.element_gradients, _gradients_ref)):
-        got = op(_watched(zero))
-        assert _Watched.calls == [], op.__name__
-        _assert_bits(got, ref(g, zero))
+        # the zeros have the stencil's dtype, float32 for a float32 field
+        for z in (zero, zero.astype(np.float32)):
+            got = op(_watched(z))
+            assert _Watched.calls == [], op.__name__
+            _assert_bits(got, ref(g, z))
         # the stencil does run on a nonzero field
         op(_watched(_fields(g, stacked)[0]))
         assert _Watched.calls, op.__name__
